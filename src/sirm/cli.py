@@ -6,7 +6,6 @@ Exit codes: 0 success, 1 usage/config error, 2 data or format error,
 """
 
 import argparse
-import io
 import json
 import logging
 import os
@@ -15,14 +14,13 @@ import sys
 import numpy as np
 
 from . import tensor as T
-from .evaluation import evaluate, write_predictions
+from .evaluation import EvaluationError, evaluate, write_predictions
 from .model import (ConfigError, SIRMConfig, init_sirm_params, param_count,
                     sirm_forward, sirm_loss)
-from .text import (DataFormatError, Vocabulary, build_vocab, encode_split,
-                   load_dataset)
+from .text import (DataFormatError, Vocabulary, atomic_write_bytes, build_vocab,
+                   encode_split, load_dataset, tokenize)
 from .training import (CheckpointError, TrainConfig, TrainingError,
-                       atomic_write_bytes, load_checkpoint, save_checkpoint,
-                       split_dev, train)
+                       load_checkpoint, save_checkpoint, split_dev, train)
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -30,7 +28,7 @@ EXIT_DATA = 2
 EXIT_NUMERIC = 3
 
 SIRM_FIELDS = {"vocab_size", "d_e", "d_c", "src_windows", "k", "d_ns", "d_np",
-               "d_as", "d_ap", "lambda_adv", "m", "n", "mask_aware_pooling"}
+               "d_as", "d_ap", "lambda_adv", "m", "n"}
 TRAIN_FIELDS = {"learning_rate", "batch_size", "max_epochs", "adam_beta1",
                 "adam_beta2", "adam_eps", "seed", "early_stop_patience",
                 "shuffle", "grad_clip"}
@@ -71,7 +69,6 @@ def _assemble(args, vocab_size):
         "n": getattr(args, "n", None),
         "d_e": getattr(args, "d_e", None),
         "d_c": getattr(args, "d_c", None),
-        "mask_aware_pooling": getattr(args, "mask_aware", None) or None,
         "learning_rate": getattr(args, "lr", None),
         "batch_size": getattr(args, "batch_size", None),
         "max_epochs": getattr(args, "max_epochs", None),
@@ -94,11 +91,7 @@ def cmd_build_vocab(args):
     vocab = build_vocab(split, min_frequency=args.min_freq, max_size=args.max_size)
     if len(vocab) <= 2:
         print("warning: vocabulary holds only the reserved tokens", file=sys.stderr)
-    buf = io.StringIO()
-    for tok, freq in zip(vocab.id_to_token, vocab.frequencies):
-        buf.write(f"{tok}\t{freq}\n")
-    atomic_write_bytes(args.out, buf.getvalue().encode("utf-8"))
-    from .text import tokenize
+    vocab.save(args.out)
     total = known = 0
     for text, _ in split.examples:
         for tok in tokenize(text):
@@ -160,10 +153,7 @@ def cmd_eval(args):
 def cmd_predict(args):
     model_kind, config, params, grids = _load_for_inference(args)
     _, rows = evaluate(model_kind, params, config, grids, threshold=args.threshold)
-    buf = io.StringIO()
-    for idx, prob, pred, gold in rows:
-        buf.write(f"{idx}\t{prob:.6f}\t{pred}\t{gold}\n")
-    atomic_write_bytes(args.out, buf.getvalue().encode("utf-8"))
+    write_predictions(rows, args.out)
     print(f"wrote {len(rows)} predictions to {args.out}")
     return EXIT_OK
 
@@ -270,8 +260,6 @@ def build_parser():
     p.add_argument("--n", type=int, help="tokens per sentence")
     p.add_argument("--d-e", dest="d_e", type=int)
     p.add_argument("--d-c", dest="d_c", type=int)
-    p.add_argument("--mask-aware", action="store_true",
-                   help="divide pooling by valid counts instead of fixed lengths")
     p.add_argument("--grad-clip", type=float, help="global-norm clip (0 disables)")
     add_format(p)
     p.set_defaults(func=cmd_train)
@@ -306,7 +294,7 @@ def main(argv=None):
     except SystemExit as e:
         return e.code if e.code is not None else EXIT_OK
     except (ConfigError, ValueError) as e:
-        if isinstance(e, (DataFormatError, CheckpointError)):
+        if isinstance(e, (DataFormatError, CheckpointError, EvaluationError)):
             print(f"error: {e}", file=sys.stderr)
             return EXIT_DATA
         print(f"error: {e}", file=sys.stderr)

@@ -6,6 +6,7 @@ import numpy as np
 
 from . import tensor as T
 from .model import sirm_forward
+from .text import atomic_write_bytes
 
 
 class EvaluationError(ValueError):
@@ -49,7 +50,7 @@ def _f1(c):
 def metrics(predictions, labels):
     """Accuracy, positive-class F1, and macro F1 over the two classes.
 
-    Precision or recall with a zero denominator counts as 0.
+    Precision or recall of a class never predicted or never present counts as 0.
     """
     if len(predictions) != len(labels):
         raise EvaluationError(
@@ -98,7 +99,7 @@ def nbow_forward(grid, params):
     """Mask-aware mean of word embeddings through a sigmoid head."""
     ids = grid.token_ids[grid.word_mask]
     emb = T.embedding_lookup(params.embedding, ids)
-    pooled = T.mean_pool(emb, denominator="fixed_L")
+    pooled = T.mean_pool(emb)
     logit = T.add_bias(T.matmul(T.reshape(pooled, (1, -1)), params.head_w),
                        params.head_b)
     return T.reshape(T.sigmoid(logit), ())
@@ -135,6 +136,6 @@ def evaluate(model_kind, params, config, grids, threshold=0.5):
 
 
 def write_predictions(rows, path):
-    with open(path, "w", encoding="utf-8") as f:
-        for idx, prob, pred, gold in rows:
-            f.write(f"{idx}\t{prob:.6f}\t{pred}\t{gold}\n")
+    """One `index<TAB>probability<TAB>prediction<TAB>gold` line per row, atomically."""
+    lines = [f"{idx}\t{prob:.6f}\t{pred}\t{gold}\n" for idx, prob, pred, gold in rows]
+    atomic_write_bytes(path, "".join(lines).encode("utf-8"))

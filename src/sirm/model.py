@@ -5,6 +5,9 @@ average-over-time pooling whose concatenated output g summarizes the whole
 paragraph. Intensive path: two levels (sentence, then paragraph) where every
 position is re-encoded from its own embedding, a zero-padded near-neighbor
 convolution, and g, through one ReLU affine layer followed by mean pooling.
+Both levels use the same two functions: the sentence level runs them once on
+the (m, n, d_e) grid, every sentence along the leading axis, and the
+paragraph level once on the (m, d_as) sentence vectors.
 An auxiliary two-class head reads g through a gradient-reversal node so that
 training-set-specific skim features are suppressed.
 """
@@ -35,7 +38,6 @@ class SIRMConfig:
     lambda_adv: float = 1e-6
     m: int = 8
     n: int = 32
-    mask_aware_pooling: bool = False
 
     def __post_init__(self):
         self.src_windows = tuple(sorted(self.src_windows))
@@ -67,6 +69,9 @@ class SIRMConfig:
     @classmethod
     def from_dict(cls, d):
         d = dict(d)
+        # retired field: older checkpoints always store it, as false
+        if d.pop("mask_aware_pooling", False):
+            raise ConfigError("mask_aware_pooling is no longer supported")
         if "src_windows" in d:
             d["src_windows"] = tuple(d["src_windows"])
         return cls(**d)
@@ -144,7 +149,7 @@ def init_sirm_params(config, seed=0, dtype=np.float32):
 
 @dataclass
 class ForwardTrace:
-    """Intermediate activations of one forward pass, kept for inspection."""
+    """Intermediate activations of one forward pass; each is a node of its graph."""
 
     s_prime: T.Tensor    # (m, n, d_e)
     g: T.Tensor          # (|g|,)
@@ -192,7 +197,7 @@ def skim_forward(s_prime_flat, params, config):
     for h in config.src_windows:
         w, b = params.src_filters[h]
         fm = T.relu(T.conv1d(s_prime_flat, w, b, padding="valid"))
-        pooled.append(T.mean_pool(fm, denominator="fixed_L"))
+        pooled.append(T.mean_pool(fm))
     return T.concat_lastaxis(pooled)
 
 
@@ -203,13 +208,15 @@ def near_neighbor_encode(x, weight, bias, k):
     return T.relu(T.conv1d(x, weight, bias, padding="same_zero"))
 
 
-def dense_connect_pool(x_prime, u, g, weight, bias, mask=None,
-                       denominator="fixed_L"):
-    """Per position: relu(W [g + u_j + x'_j] + b), then mean over positions."""
-    L = x_prime.data.shape[0]
-    t = T.concat_lastaxis([T.repeat_row(g, L), u, x_prime])
+def dense_connect_pool(x_prime, u, g, weight, bias):
+    """Per position: relu(W [g + u_j + x'_j] + b), then mean over positions.
+
+    x_prime and u are (..., L, d); g is the one (|g|,) skim vector shared by
+    every position.
+    """
+    t = T.concat_lastaxis([T.repeat_row(g, x_prime.data.shape[:-1]), u, x_prime])
     rows = T.relu(T.add_bias(T.matmul(t, weight), bias))
-    return T.mean_pool(rows, mask=mask, denominator=denominator)
+    return T.mean_pool(rows)
 
 
 def sirm_forward(grid, params, config, reverse_gradients=True):
@@ -220,35 +227,22 @@ def sirm_forward(grid, params, config, reverse_gradients=True):
     """
     m, n = config.m, config.n
     dtype = params.embedding.dtype
-    mask_aware = config.mask_aware_pooling
-    denom = "mask_count" if mask_aware else "fixed_L"
 
     s_flat = embed_paragraph(grid, params, config)          # (m*n, d_e)
     g = skim_forward(s_flat, params, config)                # (|g|,)
 
+    s_prime = T.reshape(s_flat, (m, n, config.d_e))
     nb_w, nb_b = params.sent_neighbor
+    u_sent = near_neighbor_encode(s_prime, nb_w, nb_b, config.k)   # (m, n, d_ns)
     ds_w, ds_b = params.sent_dense
-    sent_u = []
-    sent_o = []
-    for i in range(m):
-        x_i = T.slice_rows(s_flat, i * n, (i + 1) * n)
-        u_i = near_neighbor_encode(x_i, nb_w, nb_b, config.k)
-        mask_i = grid.word_mask[i] if (mask_aware and grid.word_mask[i].any()) else None
-        sent_u.append(u_i)
-        sent_o.append(dense_connect_pool(
-            x_i, u_i, g, ds_w, ds_b,
-            mask=mask_i, denominator=denom if mask_i is not None else "fixed_L"))
-    o_sent = T.stack_rows(sent_o)                            # (m, d_as)
+    o_sent = dense_connect_pool(s_prime, u_sent, g, ds_w, ds_b)     # (m, d_as)
     pos_m = positional_encoding(m, config.d_as, dtype)
     o_prime = T.add(o_sent, pos_m)                           # (m, d_as)
 
     pn_w, pn_b = params.para_neighbor
     pd_w, pd_b = params.para_dense
     u_para = near_neighbor_encode(o_prime, pn_w, pn_b, config.k)
-    sent_mask = grid.sentence_mask if mask_aware else None
-    o_para = dense_connect_pool(o_prime, u_para, g, pd_w, pd_b,
-                                mask=sent_mask,
-                                denominator=denom if sent_mask is not None else "fixed_L")
+    o_para = dense_connect_pool(o_prime, u_para, g, pd_w, pd_b)
 
     ow, ob = params.out_head
     logit = T.add_bias(T.matmul(T.reshape(T.concat_lastaxis([o_para, g]),
@@ -262,9 +256,9 @@ def sirm_forward(grid, params, config, reverse_gradients=True):
         (2,))
 
     return ForwardTrace(
-        s_prime=T.reshape(s_flat, (m, n, config.d_e)),
+        s_prime=s_prime,
         g=g,
-        u_sent=T.reshape(T.vstack(sent_u), (m, n, config.d_ns)),
+        u_sent=u_sent,
         o_sent=o_sent,
         o_prime=o_prime,
         u_para=u_para,

@@ -2,9 +2,11 @@
 
 Only the primitives the SIRM forward pass needs: matmul, 1-D convolution,
 elementwise nonlinearities, pooling, concatenation, gradient reversal, and
-the two loss heads. Graphs are built implicitly through parent links and
-torn down with each forward pass; backward() walks a fresh topological
-order every time.
+the two loss heads. The sequence ops (conv1d, matmul, add_bias, mean_pool,
+repeat_row) accept any number of leading batch axes: features are always
+axis -1 and, where there is one, the sequence is axis -2. Graphs are built
+implicitly through parent links and torn down with each forward pass;
+backward() walks a fresh topological order every time.
 """
 
 import numpy as np
@@ -16,10 +18,6 @@ class ShapeError(ValueError):
 
 class SequenceTooShortError(ShapeError):
     """Input sequence shorter than the convolution window under valid padding."""
-
-
-class EmptyPoolError(ValueError):
-    """mask_count pooling received a mask with no valid rows."""
 
 
 _FLOAT_TYPES = (np.float32, np.float64)
@@ -142,13 +140,17 @@ def zero_grads(tensors):
 
 
 def matmul(a, b):
-    if a.data.ndim != 2 or b.data.ndim != 2 or a.data.shape[1] != b.data.shape[0]:
+    """(..., L, k) @ (k, d) -> (..., L, d), as one 2-D product over all rows."""
+    if (a.data.ndim < 2 or b.data.ndim != 2
+            or a.data.shape[-1] != b.data.shape[0]):
         raise ShapeError(f"matmul shape mismatch: {a.data.shape} x {b.data.shape}")
-    out_data = a.data @ b.data
+    a2 = a.data.reshape(-1, a.data.shape[-1])
+    out_data = (a2 @ b.data).reshape(a.data.shape[:-1] + b.data.shape[1:])
 
     def bwd(g):
-        _accum(a, g @ b.data.T)
-        _accum(b, a.data.T @ g)
+        g2 = g.reshape(-1, b.data.shape[1])
+        _accum(a, (g2 @ b.data.T).reshape(a.data.shape))
+        _accum(b, a2.T @ g2)
 
     return _from_op(out_data, (a, b), bwd)
 
@@ -156,15 +158,16 @@ def matmul(a, b):
 def conv1d(x, w, b, padding="valid"):
     """1-D convolution over the sequence axis, full width over features.
 
-    x: (L, d_in); w: (h, d_in, d_out); b: (d_out,).
+    x: (..., L, d_in); w: (h, d_in, d_out); b: (d_out,). Each leading index
+    is its own sequence: padding never mixes rows of different sequences.
     valid: output length L-h+1. same_zero: zero-padded so output length is L.
     """
     if w.data.ndim != 3:
         raise ShapeError(f"conv1d weight must be rank 3, got {w.data.shape}")
     h, d_in, d_out = w.data.shape
-    if x.data.ndim != 2 or x.data.shape[1] != d_in:
+    if x.data.ndim < 2 or x.data.shape[-1] != d_in:
         raise ShapeError(f"conv1d input {x.data.shape} incompatible with weight {w.data.shape}")
-    L = x.data.shape[0]
+    L = x.data.shape[-2]
     if padding == "valid":
         if L < h:
             raise SequenceTooShortError(f"sequence length {L} shorter than window {h}")
@@ -173,25 +176,27 @@ def conv1d(x, w, b, padding="valid"):
     elif padding == "same_zero":
         pad_l = h // 2
         pad_r = h - 1 - pad_l
-        xp = np.pad(x.data, ((pad_l, pad_r), (0, 0)))
+        xp = np.pad(x.data, [(0, 0)] * (x.data.ndim - 2) + [(pad_l, pad_r), (0, 0)])
     else:
         raise ValueError(f"unknown padding mode {padding!r}")
-    l_out = xp.shape[0] - h + 1
-    cols = np.concatenate([xp[j:j + l_out] for j in range(h)], axis=1)
+    l_out = xp.shape[-2] - h + 1
+    cols = np.concatenate([xp[..., j:j + l_out, :] for j in range(h)], axis=-1)
+    cols2 = cols.reshape(-1, h * d_in)
     w2 = w.data.reshape(h * d_in, d_out)
-    out_data = cols @ w2 + b.data
+    out_data = (cols2 @ w2 + b.data).reshape(cols.shape[:-1] + (d_out,))
 
     def bwd(g):
+        g2 = g.reshape(-1, d_out)
         if x.requires_grad:
-            dcols = g @ w2.T
+            dcols = (g2 @ w2.T).reshape(cols.shape)
             dxp = np.zeros_like(xp)
             for j in range(h):
-                dxp[j:j + l_out] += dcols[:, j * d_in:(j + 1) * d_in]
-            _accum(x, dxp[pad_l:pad_l + L])
+                dxp[..., j:j + l_out, :] += dcols[..., j * d_in:(j + 1) * d_in]
+            _accum(x, dxp[..., pad_l:pad_l + L, :])
         if w.requires_grad:
-            _accum(w, (cols.T @ g).reshape(h, d_in, d_out))
+            _accum(w, (cols2.T @ g2).reshape(h, d_in, d_out))
         if b.requires_grad:
-            _accum(b, g.sum(axis=0))
+            _accum(b, g2.sum(axis=0))
 
     return _from_op(out_data, (x, w, b), bwd)
 
@@ -226,36 +231,15 @@ def softmax_lastaxis(x):
     return _from_op(out_data, (x,), bwd)
 
 
-def mean_pool(x, mask=None, denominator="fixed_L"):
-    """Per-feature mean over rows of a (L, d) tensor.
-
-    fixed_L divides by L regardless of the mask; mask_count divides by the
-    number of valid rows. Masked-out rows never contribute to the sum.
-    """
-    if x.data.ndim != 2:
-        raise ShapeError(f"mean_pool expects rank 2, got {x.data.shape}")
-    L = x.data.shape[0]
-    if mask is not None:
-        mask = np.asarray(mask, dtype=bool)
-        if mask.shape != (L,):
-            raise ShapeError(f"mask shape {mask.shape} does not match {L} rows")
-    if denominator == "fixed_L":
-        denom = float(L)
-    elif denominator == "mask_count":
-        count = int(mask.sum()) if mask is not None else L
-        if count == 0:
-            raise EmptyPoolError("mask_count pooling with all-false mask")
-        denom = float(count)
-    else:
-        raise ValueError(f"unknown denominator mode {denominator!r}")
-    rows = x.data if mask is None else x.data * mask[:, None]
-    out_data = rows.sum(axis=0) / denom
+def mean_pool(x):
+    """Per-feature mean over the sequence axis: (..., L, d) -> (..., d)."""
+    if x.data.ndim < 2:
+        raise ShapeError(f"mean_pool expects rank >= 2, got {x.data.shape}")
+    L = x.data.shape[-2]
+    out_data = x.data.sum(axis=-2) / float(L)
 
     def bwd(g):
-        dx = np.repeat(g[None, :] / denom, L, axis=0)
-        if mask is not None:
-            dx = dx * mask[:, None]
-        _accum(x, dx)
+        _accum(x, np.broadcast_to(g[..., None, :] / float(L), x.data.shape))
 
     return _from_op(out_data, (x,), bwd)
 
@@ -309,14 +293,14 @@ def add(a, b):
 
 
 def add_bias(x, b):
-    """Add a (d,) bias row to every row of a (L, d) tensor."""
-    if x.data.ndim != 2 or b.data.shape != (x.data.shape[1],):
+    """Add a (d,) bias row to every row of a (..., d) tensor."""
+    if b.data.ndim != 1 or x.data.shape[-1:] != b.data.shape:
         raise ShapeError(f"add_bias shapes: {x.data.shape} + {b.data.shape}")
     out_data = x.data + b.data
 
     def bwd(g):
         _accum(x, g)
-        _accum(b, g.sum(axis=0))
+        _accum(b, g.reshape(-1, b.data.shape[0]).sum(axis=0))
 
     return _from_op(out_data, (x, b), bwd)
 
@@ -348,52 +332,19 @@ def reshape(x, shape):
     return _from_op(out_data, (x,), bwd)
 
 
-def slice_rows(x, start, stop):
-    if x.data.ndim != 2:
-        raise ShapeError(f"slice_rows expects rank 2, got {x.data.shape}")
-    out_data = x.data[start:stop].copy()
+def repeat_row(v, rows):
+    """Broadcast v (..., d) to (..., *rows, d); backward sums over the new axes.
+
+    rows is a tuple of sizes, inserted before the feature axis.
+    """
+    rows = tuple(rows)
+    lead = v.data.shape[:-1]
+    out_data = np.broadcast_to(v.data.reshape(lead + (1,) * len(rows) + v.data.shape[-1:]),
+                               lead + rows + v.data.shape[-1:])
+    new_axes = tuple(range(len(lead), len(lead) + len(rows)))
 
     def bwd(g):
-        dx = np.zeros_like(x.data)
-        dx[start:stop] = g
-        _accum(x, dx)
-
-    return _from_op(out_data, (x,), bwd)
-
-
-def stack_rows(parts):
-    """Stack (d,) vectors into an (m, d) matrix."""
-    parts = list(parts)
-    out_data = np.stack([p.data for p in parts], axis=0)
-
-    def bwd(g):
-        for i, p in enumerate(parts):
-            _accum(p, g[i])
-
-    return _from_op(out_data, parts, bwd)
-
-
-def vstack(parts):
-    """Concatenate (Lᵢ, d) matrices along the row axis."""
-    parts = list(parts)
-    out_data = np.concatenate([p.data for p in parts], axis=0)
-    lengths = [p.data.shape[0] for p in parts]
-
-    def bwd(g):
-        off = 0
-        for p, L in zip(parts, lengths):
-            _accum(p, g[off:off + L])
-            off += L
-
-    return _from_op(out_data, parts, bwd)
-
-
-def repeat_row(v, L):
-    """Broadcast a (d,) vector to (L, d); backward sums over rows."""
-    out_data = np.repeat(v.data[None, :], L, axis=0)
-
-    def bwd(g):
-        _accum(v, g.sum(axis=0))
+        _accum(v, g.sum(axis=new_axes))
 
     return _from_op(out_data, (v,), bwd)
 

@@ -2,7 +2,9 @@
 
 import json
 import logging
+import os
 import re
+import tempfile
 from collections import Counter
 from dataclasses import dataclass
 
@@ -26,6 +28,20 @@ SENTENCE_FINAL = {".", "!", "?", ";"}
 
 class DataFormatError(ValueError):
     """Dataset file is unreadable or mostly malformed."""
+
+
+def atomic_write_bytes(path, payload):
+    """Write to a temp file in the target directory, rename on success."""
+    directory = os.path.dirname(os.path.abspath(path))
+    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
+    try:
+        with os.fdopen(fd, "wb") as f:
+            f.write(payload)
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+        raise
 
 
 def tokenize(text):
@@ -84,9 +100,8 @@ class Vocabulary:
         return self.token_to_id.get(token, UNK_ID)
 
     def save(self, path):
-        with open(path, "w", encoding="utf-8") as f:
-            for tok, freq in zip(self.id_to_token, self.frequencies):
-                f.write(f"{tok}\t{freq}\n")
+        lines = [f"{tok}\t{freq}\n" for tok, freq in zip(self.id_to_token, self.frequencies)]
+        atomic_write_bytes(path, "".join(lines).encode("utf-8"))
 
     @classmethod
     def load(cls, path):

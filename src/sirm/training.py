@@ -2,9 +2,7 @@
 
 import json
 import logging
-import os
 import struct
-import tempfile
 import time
 from dataclasses import dataclass, asdict
 
@@ -13,6 +11,7 @@ import numpy as np
 from . import tensor as T
 from .evaluation import evaluate, init_nbow_params, nbow_forward
 from .model import SIRMConfig, init_sirm_params, sirm_forward, sirm_loss
+from .text import atomic_write_bytes
 
 logger = logging.getLogger(__name__)
 
@@ -211,20 +210,6 @@ def split_dev(grids, fraction=0.1, seed=0):
 # [u32 name length, name, u32 rank, u32 dims x rank, f32 data], little-endian.
 
 MAGIC = b"SIRM1"
-
-
-def atomic_write_bytes(path, payload):
-    """Write to a temp file in the target directory, rename on success."""
-    directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
-    try:
-        with os.fdopen(fd, "wb") as f:
-            f.write(payload)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
 
 
 def serialize_checkpoint(model_kind, config, params):

@@ -7,6 +7,8 @@ import pytest
 from sirm.cli import main
 from sirm.synthetic import generate, write_jsonl
 
+from test_training import with_parent_header
+
 TOY_CONFIG = {
     "d_e": 4, "d_c": 2, "src_windows": [1, 2], "k": 1,
     "d_ns": 4, "d_np": 4, "d_as": 4, "d_ap": 4, "m": 2, "n": 10,
@@ -112,6 +114,40 @@ class TestTrainEvalPredict:
                    "--data", str(data), "--vocab", str(vocab), "--out", str(out)])
         assert rc == 2
         assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["eval", "predict"])
+    def test_empty_data_file_is_data_error(self, workspace, command, capsys):
+        tmp_path, data, config = workspace
+        vocab = build_vocab(tmp_path, data)
+        out_dir = tmp_path / "run"
+        assert main(["train", "--train", str(data), "--dev", str(data),
+                     "--vocab", str(vocab), "--out-dir", str(out_dir),
+                     "--config", str(config), "--max-epochs", "1"]) == 0
+        empty = tmp_path / "empty.jsonl"
+        empty.write_text("")
+        out = tmp_path / "preds.tsv"
+        argv = [command, "--checkpoint", str(out_dir / "best.ckpt"),
+                "--data", str(empty), "--vocab", str(vocab)]
+        if command == "predict":
+            argv += ["--out", str(out)]
+        capsys.readouterr()
+        assert main(argv) == 2
+        assert "empty" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_mask_aware_checkpoint_is_data_error(self, workspace, capsys):
+        tmp_path, data, config = workspace
+        vocab = build_vocab(tmp_path, data)
+        out_dir = tmp_path / "run"
+        assert main(["train", "--train", str(data), "--dev", str(data),
+                     "--vocab", str(vocab), "--out-dir", str(out_dir),
+                     "--config", str(config), "--max-epochs", "1"]) == 0
+        ckpt = out_dir / "best.ckpt"
+        ckpt.write_bytes(with_parent_header(ckpt.read_bytes(), True))
+        capsys.readouterr()
+        assert main(["eval", "--checkpoint", str(ckpt), "--data", str(data),
+                     "--vocab", str(vocab)]) == 2
+        assert "mask_aware_pooling" in capsys.readouterr().err
 
     def test_env_seed_override(self, workspace, monkeypatch):
         tmp_path, data, config = workspace

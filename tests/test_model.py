@@ -278,12 +278,42 @@ class TestSIRMForward:
         params = init_sirm_params(config, seed=11, dtype=np.float64)
         grid = random_grid(config, seed=11)
         trace = sirm_forward(grid, params, config)
-        T.backward(T.sum_all(T.slice_rows(trace.o_sent, 1, 2)))
+        T.backward(T.sum_all(T.matmul(T.Tensor([[0., 1.]]), trace.o_sent)))
         emb_grad = params.embedding.grad
         sentence0_ids = set(grid.token_ids[0].tolist()) - set(grid.token_ids[1].tolist())
         assert sentence0_ids, "need a word unique to sentence 0"
         for token_id in sentence0_ids:
             assert np.abs(emb_grad[token_id]).max() > 0
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_sentence_level_matches_per_sentence_oracles(self, seed):
+        rng = np.random.default_rng(100 + seed)
+        m, n, k = (int(v) for v in rng.integers([1, 2, 1], [6, 7, 3], endpoint=True))
+        config = toy_config(m=m, n=n, k=k, d_ns=3, d_as=4)
+        params = init_sirm_params(config, seed=seed, dtype=np.float64)
+        trace = sirm_forward(random_grid(config, seed=seed), params, config)
+        nb_w, nb_b = (t.data for t in params.sent_neighbor)
+        ds_w, ds_b = (t.data for t in params.sent_dense)
+        for i in range(m):
+            x_i = trace.s_prime.data[i]
+            u_i = neighbor_oracle(x_i, nb_w, nb_b, k)
+            np.testing.assert_allclose(trace.u_sent.data[i], u_i, rtol=0, atol=1e-12)
+            np.testing.assert_allclose(
+                trace.o_sent.data[i],
+                dense_pool_oracle(x_i, u_i, trace.g.data, ds_w, ds_b),
+                rtol=0, atol=1e-12)
+
+    def test_graph_size_does_not_grow_with_sentence_count(self):
+        # one sentence-level op chain for any m: a per-sentence loop would
+        # add nodes for every sentence
+        sizes = []
+        for m in (1, 8):
+            config = toy_config(m=m)
+            params = init_sirm_params(config, seed=0)
+            grid = random_grid(config)
+            loss = sirm_loss(sirm_forward(grid, params, config), grid.label)
+            sizes.append(len(T.Graph.trace(loss).nodes))
+        assert sizes[0] == sizes[1]
 
     def test_positional_sensitivity(self):
         config = toy_config(m=1, src_windows=(1, 2))
@@ -434,3 +464,9 @@ class TestConfigValidation:
     def test_roundtrip_dict(self):
         config = toy_config()
         assert SIRMConfig.from_dict(config.to_dict()) == config
+
+    def test_retired_mask_aware_key(self):
+        d = toy_config().to_dict()
+        assert SIRMConfig.from_dict(dict(d, mask_aware_pooling=False)) == toy_config()
+        with pytest.raises(ConfigError, match="mask_aware_pooling"):
+            SIRMConfig.from_dict(dict(d, mask_aware_pooling=True))

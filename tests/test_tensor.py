@@ -32,6 +32,15 @@ class TestMatmul:
         expected = np.tile(b.data.sum(axis=1), (3, 1))
         np.testing.assert_allclose(a.grad, expected, rtol=1e-12)
 
+    def test_leading_axes_match_row_by_row(self):
+        rng = np.random.default_rng(9)
+        a = rng.normal(size=(2, 3, 4))
+        b = rng.normal(size=(4, 2))
+        out = T.matmul(t64(a), t64(b))
+        assert out.data.shape == (2, 3, 2)
+        for i in range(2):
+            np.testing.assert_allclose(out.data[i], a[i] @ b, rtol=1e-12)
+
     def test_finite_difference(self):
         rng = np.random.default_rng(1)
         b = t64(rng.normal(size=(4, 2)))
@@ -97,6 +106,18 @@ class TestConv1d:
         np.testing.assert_allclose(out.data, conv1d_oracle(x.data, w.data, b.data, "valid"),
                                    rtol=1e-12)
 
+    def test_leading_axes_are_independent_sequences(self):
+        rng = np.random.default_rng(8)
+        x = rng.normal(size=(2, 3, 5, 3))
+        w = rng.normal(size=(3, 3, 2))
+        b = rng.normal(size=2)
+        for padding in ("valid", "same_zero"):
+            out = T.conv1d(t64(x), t64(w), t64(b), padding=padding)
+            for i in range(2):
+                for j in range(3):
+                    np.testing.assert_allclose(
+                        out.data[i, j], conv1d_oracle(x[i, j], w, b, padding), rtol=1e-12)
+
     def test_sequence_too_short(self):
         with pytest.raises(T.SequenceTooShortError):
             T.conv1d(t64(np.zeros((2, 1))), t64(np.zeros((3, 1, 1))), t64([0.0]),
@@ -128,25 +149,31 @@ class TestMeanPool:
     def test_fixed(self):
         assert np.array_equal(T.mean_pool(t64([[2, 4], [4, 8]])).data, [3, 6])
 
-    def test_mask_count(self):
-        out = T.mean_pool(t64([[2, 4], [0, 0]]), mask=[True, False],
-                          denominator="mask_count")
-        assert np.array_equal(out.data, [2, 4])
-
-    def test_fixed_divides_by_L_despite_mask(self):
-        out = T.mean_pool(t64([[2, 4], [0, 0]]), mask=[True, False],
-                          denominator="fixed_L")
-        assert np.array_equal(out.data, [1, 2])
-
-    def test_empty_mask_error(self):
-        with pytest.raises(T.EmptyPoolError):
-            T.mean_pool(t64([[1.0]]), mask=[False], denominator="mask_count")
-
     def test_backward(self):
         x = t64([[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]], requires_grad=True)
-        T.backward(T.sum_all(T.mean_pool(x, mask=[True, False, True],
-                                         denominator="mask_count")))
-        np.testing.assert_allclose(x.grad, [[0.5, 0.5], [0, 0], [0.5, 0.5]])
+        T.backward(T.sum_all(T.mean_pool(x)))
+        np.testing.assert_allclose(x.grad, np.full((3, 2), 1.0 / 3.0))
+
+    def test_leading_axes_pool_each_sequence(self):
+        x = np.arange(12.0).reshape(2, 3, 2)
+        out = T.mean_pool(t64(x))
+        np.testing.assert_array_equal(out.data, x.mean(axis=1))
+
+
+class TestRepeatRow:
+    def test_shared_vector_to_grid(self):
+        v = t64([1.0, 2.0], requires_grad=True)
+        out = T.repeat_row(v, (2, 3))
+        assert out.data.shape == (2, 3, 2)
+        np.testing.assert_array_equal(out.data, np.broadcast_to([1.0, 2.0], (2, 3, 2)))
+        T.backward(T.sum_all(out))
+        np.testing.assert_array_equal(v.grad, [6.0, 6.0])
+
+    def test_batched_vectors_repeat_within_their_row(self):
+        v = t64([[1.0, 2.0], [3.0, 4.0]])
+        out = T.repeat_row(v, (3,))
+        assert out.data.shape == (2, 3, 2)
+        np.testing.assert_array_equal(out.data[1], [[3.0, 4.0]] * 3)
 
 
 class TestConcat:
@@ -273,12 +300,36 @@ def test_randomized_op_gradients_pass_finite_difference():
                                      t64([[0.3], [-1.2], [0.8], [2.1]]))),
         lambda v: T.sum_all(T.mean_pool(v)),
         lambda v: T.sum_all(T.concat_lastaxis([v, T.scale(v, 2.0)])),
-        lambda v: T.sum_all(T.slice_rows(v, 1, 4)),
-        lambda v: T.sum_all(T.vstack([v, v])),
         lambda v: T.sum_all(T.reshape(v, (4, 5))),
     ]
     for f in cases:
         assert T.finite_diff_check(f, x) < 1e-4
+
+    # rank-3 inputs to the ops that take leading batch axes; the sigmoid
+    # keeps each output position's gradient distinct
+    x3 = t64(rng.normal(size=(2, 5, 4)), requires_grad=True)
+    w = t64(rng.normal(size=(3, 4, 2)), requires_grad=True)
+    b = t64(rng.normal(size=2), requires_grad=True)
+    m = t64(rng.normal(size=(4, 3)), requires_grad=True)
+    bias = t64(rng.normal(size=4), requires_grad=True)
+
+    def smooth(out):
+        return T.sum_all(T.sigmoid(out))
+
+    batched = [
+        (x3, lambda v: smooth(T.conv1d(v, w, b, padding="same_zero"))),
+        (x3, lambda v: smooth(T.conv1d(v, w, b, padding="valid"))),
+        (w, lambda v: smooth(T.conv1d(x3, v, b, padding="same_zero"))),
+        (b, lambda v: smooth(T.conv1d(x3, w, v, padding="same_zero"))),
+        (x3, lambda v: smooth(T.matmul(v, m))),
+        (m, lambda v: smooth(T.matmul(x3, v))),
+        (x3, lambda v: smooth(T.add_bias(v, bias))),
+        (bias, lambda v: smooth(T.add_bias(x3, v))),
+        (x3, lambda v: smooth(T.mean_pool(v))),
+        (x3, lambda v: smooth(T.repeat_row(v, (2,)))),
+    ]
+    for t, f in batched:
+        assert T.finite_diff_check(f, t) < 1e-4
 
 
 def test_embedding_lookup_scatter_and_bounds():

@@ -1,4 +1,5 @@
 import json
+import struct
 
 import numpy as np
 import pytest
@@ -17,6 +18,17 @@ def toy_config(**overrides):
                     d_ns=4, d_np=4, d_as=4, d_ap=4, m=2, n=3)
     defaults.update(overrides)
     return SIRMConfig(**defaults)
+
+
+def with_parent_header(blob, mask_aware):
+    """A checkpoint blob rewritten with the header of the earlier format,
+    whose config always carried a mask_aware_pooling flag."""
+    start = len(training_mod.MAGIC) + 4
+    (length,) = struct.unpack("<I", blob[start - 4:start])
+    header = json.loads(blob[start:start + length])
+    header["config"]["mask_aware_pooling"] = mask_aware
+    new = json.dumps(header, sort_keys=True).encode("utf-8")
+    return blob[:start - 4] + struct.pack("<I", len(new)) + new + blob[start + length:]
 
 
 def toy_grids(config, count=8, seed=0):
@@ -185,6 +197,25 @@ class TestCheckpoint:
         y1 = sirm_forward(grid, params, config).y_prime.data
         y2 = sirm_forward(grid, loaded, config2).y_prime.data
         assert np.array_equal(y1, y2)
+
+    def test_earlier_format_header_loads_with_same_outputs(self, tmp_path):
+        config, params, path = self._setup(tmp_path)
+        blob = path.read_bytes()
+        old = tmp_path / "old.ckpt"
+        old.write_bytes(with_parent_header(blob, False))
+        assert b'"mask_aware_pooling": false' in old.read_bytes()
+        _, config2, loaded = load_checkpoint(old)
+        assert config2 == config
+        for grid in toy_grids(config, count=4):
+            assert np.array_equal(sirm_forward(grid, params, config).y_prime.data,
+                                  sirm_forward(grid, loaded, config2).y_prime.data)
+        assert serialize_checkpoint("sirm", config2, loaded) == blob
+
+    def test_mask_aware_header_rejected(self, tmp_path):
+        _, _, path = self._setup(tmp_path)
+        path.write_bytes(with_parent_header(path.read_bytes(), True))
+        with pytest.raises(CheckpointError, match="mask_aware_pooling"):
+            load_checkpoint(path)
 
     def test_truncated_file_rejected(self, tmp_path):
         _, _, path = self._setup(tmp_path)
