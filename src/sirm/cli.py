@@ -2,7 +2,8 @@
 and self-verification (gradient check, parameter count).
 
 Exit codes: 0 success, 1 usage/config error, 2 data or format error,
-3 numeric failure (divergence or gradient-check failure).
+3 numeric failure (divergence, non-finite probabilities or gradient-check
+failure).
 """
 
 import argparse
@@ -183,8 +184,7 @@ def run_grad_check(config=None, seed=7, tolerance=1e-4):
     errors = {}
     for name, t in params.named_tensors():
         def f(_t, _grid=grid):
-            for tensor in params.tensors():
-                tensor.zero_grad()
+            T.zero_grads(params.tensors())
             trace = sirm_forward(_grid, params, config, reverse_gradients=False)
             return sirm_loss(trace, _grid.label)
 
@@ -299,7 +299,7 @@ def main(argv=None):
             return EXIT_DATA
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE
-    except TrainingError as e:
+    except (TrainingError, FloatingPointError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_NUMERIC
     except OSError as e:

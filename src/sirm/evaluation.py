@@ -6,44 +6,19 @@ import numpy as np
 
 from . import tensor as T
 from .model import sirm_forward
-from .text import atomic_write_bytes
+from .text import atomic_write_bytes, stack_grids
 
 
 class EvaluationError(ValueError):
     pass
 
 
-@dataclass
-class ConfusionCounts:
-    tp: int = 0
-    fp: int = 0
-    tn: int = 0
-    fn: int = 0
-
-    @property
-    def total(self):
-        return self.tp + self.fp + self.tn + self.fn
-
-
-def confusion(predictions, labels, positive=1):
-    c = ConfusionCounts()
-    for p, y in zip(predictions, labels):
-        if p == positive:
-            if y == positive:
-                c.tp += 1
-            else:
-                c.fp += 1
-        else:
-            if y == positive:
-                c.fn += 1
-            else:
-                c.tn += 1
-    return c
-
-
-def _f1(c):
-    precision = c.tp / (c.tp + c.fp) if c.tp + c.fp else 0.0
-    recall = c.tp / (c.tp + c.fn) if c.tp + c.fn else 0.0
+def _f1(predictions, labels, positive):
+    tp = sum(p == y == positive for p, y in zip(predictions, labels))
+    predicted = sum(p == positive for p in predictions)
+    present = sum(y == positive for y in labels)
+    precision = tp / predicted if predicted else 0.0
+    recall = tp / present if present else 0.0
     return 2 * precision * recall / (precision + recall) if precision + recall else 0.0
 
 
@@ -58,8 +33,8 @@ def metrics(predictions, labels):
     if not labels:
         raise EvaluationError("cannot compute metrics on an empty split")
     correct = sum(int(p == y) for p, y in zip(predictions, labels))
-    f1_pos = _f1(confusion(predictions, labels, positive=1))
-    f1_neg = _f1(confusion(predictions, labels, positive=0))
+    f1_pos = _f1(predictions, labels, positive=1)
+    f1_neg = _f1(predictions, labels, positive=0)
     return {
         "accuracy": correct / len(labels),
         "f1": f1_pos,
@@ -96,40 +71,51 @@ def init_nbow_params(vocab_size, d_e, seed=0, dtype=np.float32):
 
 
 def nbow_forward(grid, params):
-    """Mask-aware mean of word embeddings through a sigmoid head."""
-    ids = grid.token_ids[grid.word_mask]
-    emb = T.embedding_lookup(params.embedding, ids)
-    pooled = T.mean_pool(emb)
-    logit = T.add_bias(T.matmul(T.reshape(pooled, (1, -1)), params.head_w),
-                       params.head_b)
-    return T.reshape(T.sigmoid(logit), ())
+    """Mask-aware mean of word embeddings through a sigmoid head.
+
+    Every document's mean is its row of a constant (documents, real words)
+    matrix of 1/count weights times the real words' embeddings.
+    """
+    counts = grid.word_mask.sum(axis=(-2, -1)).reshape(-1)
+    doc = np.repeat(np.arange(counts.size), counts)
+    pool = np.zeros((counts.size, doc.size), dtype=params.embedding.dtype)
+    pool[doc, np.arange(doc.size)] = 1.0 / counts[doc]
+    emb = T.embedding_lookup(params.embedding, grid.token_ids[grid.word_mask])
+    pooled = T.matmul(T.Tensor(pool), emb)
+    logit = T.add_bias(T.matmul(pooled, params.head_w), params.head_b)
+    return T.reshape(T.sigmoid(logit), grid.word_mask.shape[:-2])
 
 
-def predict_proba(model_kind, grid, params, config=None):
-    if model_kind == "sirm":
-        return sirm_forward(grid, params, config).y_prime.item()
-    if model_kind == "nbow":
-        return nbow_forward(grid, params).item()
-    raise ValueError(f"unknown model kind {model_kind!r}")
+# Documents per evaluation forward. Peak memory grows with the batch's live
+# activations: at the paper grid 64 documents cost a third more than one at a
+# time, 16 under 5%, and 16 also ran faster than 8 or 64.
+EVAL_BATCH = 16
 
 
 def evaluate(model_kind, params, config, grids, threshold=0.5):
-    """Deterministic pass over encoded examples in order.
+    """Deterministic pass over encoded examples in order, EVAL_BATCH per graph-free forward.
 
-    Returns (metrics dict with example count, rows) where each row is
-    (index, probability, predicted label, gold label).
+    Returns (metrics dict with example count, rows) where each row is (index,
+    probability, predicted label, gold label); non-finite probabilities raise
+    FloatingPointError.
     """
     if not grids:
         raise EvaluationError("cannot evaluate an empty split")
-    rows = []
-    preds = []
-    labels = []
-    for idx, grid in enumerate(grids):
-        prob = predict_proba(model_kind, grid, params, config)
-        pred = int(prob >= threshold)
-        rows.append((idx, prob, pred, grid.label))
-        preds.append(pred)
-        labels.append(grid.label)
+    if model_kind not in ("sirm", "nbow"):
+        raise ValueError(f"unknown model kind {model_kind!r}")
+    probs = []
+    with T.no_grad():
+        for start in range(0, len(grids), EVAL_BATCH):
+            batch = stack_grids(grids[start:start + EVAL_BATCH])
+            y = (sirm_forward(batch, params, config).y_prime if model_kind == "sirm"
+                 else nbow_forward(batch, params))
+            if not np.isfinite(y.data).all():
+                raise FloatingPointError(
+                    f"non-finite probability in the batch from document {start}")
+            probs.extend(y.data.tolist())
+    labels = [grid.label for grid in grids]
+    preds = [int(prob >= threshold) for prob in probs]
+    rows = list(zip(range(len(grids)), probs, preds, labels))
     report = metrics(preds, labels)
     report["n"] = len(grids)
     return report, rows

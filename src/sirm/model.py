@@ -9,7 +9,9 @@ Both levels use the same two functions: the sentence level runs them once on
 the (m, n, d_e) grid, every sentence along the leading axis, and the
 paragraph level once on the (m, d_as) sentence vectors.
 An auxiliary two-class head reads g through a gradient-reversal node so that
-training-set-specific skim features are suppressed.
+training-set-specific skim features are suppressed. Every function takes
+leading batch axes: a grid of (..., m, n) arrays is that many documents read
+in one graph, and a single grid is the case with no leading axes.
 """
 
 import math
@@ -151,15 +153,15 @@ def init_sirm_params(config, seed=0, dtype=np.float32):
 class ForwardTrace:
     """Intermediate activations of one forward pass; each is a node of its graph."""
 
-    s_prime: T.Tensor    # (m, n, d_e)
-    g: T.Tensor          # (|g|,)
-    u_sent: T.Tensor     # (m, n, d_ns)
-    o_sent: T.Tensor     # (m, d_as)
-    o_prime: T.Tensor    # (m, d_as)
-    u_para: T.Tensor     # (m, d_np)
-    o_para: T.Tensor     # (d_ap,)
-    y_prime: T.Tensor    # scalar in (0, 1)
-    y_dprime: T.Tensor   # (2,), sums to 1
+    s_prime: T.Tensor    # (..., m, n, d_e)
+    g: T.Tensor          # (..., |g|)
+    u_sent: T.Tensor     # (..., m, n, d_ns)
+    o_sent: T.Tensor     # (..., m, d_as)
+    o_prime: T.Tensor    # (..., m, d_as)
+    u_para: T.Tensor     # (..., m, d_np)
+    o_para: T.Tensor     # (..., d_ap)
+    y_prime: T.Tensor    # (...), in (0, 1)
+    y_dprime: T.Tensor   # (..., 2), sums to 1
 
 
 def positional_encoding(length, d, dtype=np.float64):
@@ -180,15 +182,15 @@ def positional_encoding(length, d, dtype=np.float64):
 def embed_paragraph(grid, params, config):
     """Word embedding lookup plus per-sentence position encoding.
 
-    Returns the position-augmented embeddings flattened to (m*n, d_e); PAD
-    positions embed like any other token.
+    Returns the position-augmented embeddings of each document flattened to
+    (..., m*n, d_e); PAD positions embed like any other token.
     """
     dtype = params.embedding.dtype
-    ids = grid.token_ids.reshape(-1)
+    ids = grid.token_ids.reshape(grid.token_ids.shape[:-2] + (config.m * config.n,))
     emb = T.embedding_lookup(params.embedding, ids)
     pos = positional_encoding(config.n, config.d_e, dtype)
     tiled = T.Tensor(np.tile(pos.data, (config.m, 1)))
-    return T.add(emb, tiled)
+    return T.add_bias(emb, tiled)
 
 
 def skim_forward(s_prime_flat, params, config):
@@ -211,10 +213,11 @@ def near_neighbor_encode(x, weight, bias, k):
 def dense_connect_pool(x_prime, u, g, weight, bias):
     """Per position: relu(W [g + u_j + x'_j] + b), then mean over positions.
 
-    x_prime and u are (..., L, d); g is the one (|g|,) skim vector shared by
-    every position.
+    x_prime and u are (..., L, d); g is the (..., |g|) skim vector of each
+    document, shared by all its positions.
     """
-    t = T.concat_lastaxis([T.repeat_row(g, x_prime.data.shape[:-1]), u, x_prime])
+    rows = x_prime.data.shape[g.data.ndim - 1:-1]
+    t = T.concat_lastaxis([T.repeat_row(g, rows), u, x_prime])
     rows = T.relu(T.add_bias(T.matmul(t, weight), bias))
     return T.mean_pool(rows)
 
@@ -227,17 +230,18 @@ def sirm_forward(grid, params, config, reverse_gradients=True):
     """
     m, n = config.m, config.n
     dtype = params.embedding.dtype
+    lead = grid.token_ids.shape[:-2]
 
-    s_flat = embed_paragraph(grid, params, config)          # (m*n, d_e)
-    g = skim_forward(s_flat, params, config)                # (|g|,)
+    s_flat = embed_paragraph(grid, params, config)          # (..., m*n, d_e)
+    g = skim_forward(s_flat, params, config)                # (..., |g|)
 
-    s_prime = T.reshape(s_flat, (m, n, config.d_e))
+    s_prime = T.reshape(s_flat, lead + (m, n, config.d_e))
     nb_w, nb_b = params.sent_neighbor
-    u_sent = near_neighbor_encode(s_prime, nb_w, nb_b, config.k)   # (m, n, d_ns)
+    u_sent = near_neighbor_encode(s_prime, nb_w, nb_b, config.k)   # (..., m, n, d_ns)
     ds_w, ds_b = params.sent_dense
-    o_sent = dense_connect_pool(s_prime, u_sent, g, ds_w, ds_b)     # (m, d_as)
+    o_sent = dense_connect_pool(s_prime, u_sent, g, ds_w, ds_b)     # (..., m, d_as)
     pos_m = positional_encoding(m, config.d_as, dtype)
-    o_prime = T.add(o_sent, pos_m)                           # (m, d_as)
+    o_prime = T.add_bias(o_sent, pos_m)                      # (..., m, d_as)
 
     pn_w, pn_b = params.para_neighbor
     pd_w, pd_b = params.para_dense
@@ -245,15 +249,12 @@ def sirm_forward(grid, params, config, reverse_gradients=True):
     o_para = dense_connect_pool(o_prime, u_para, g, pd_w, pd_b)
 
     ow, ob = params.out_head
-    logit = T.add_bias(T.matmul(T.reshape(T.concat_lastaxis([o_para, g]),
-                                          (1, -1)), ow), ob)
-    y_prime = T.reshape(T.sigmoid(logit), ())
+    logit = T.add_bias(T.matmul(T.concat_lastaxis([o_para, g]), ow), ob)
+    y_prime = T.reshape(T.sigmoid(logit), lead)
 
     g_adv = T.grad_reverse(g, config.lambda_adv) if reverse_gradients else g
     aw, ab = params.adv_head
-    y_dprime = T.reshape(
-        T.softmax_lastaxis(T.add_bias(T.matmul(T.reshape(g_adv, (1, -1)), aw), ab)),
-        (2,))
+    y_dprime = T.softmax_lastaxis(T.add_bias(T.matmul(g_adv, aw), ab))
 
     return ForwardTrace(
         s_prime=s_prime,
@@ -268,15 +269,16 @@ def sirm_forward(grid, params, config, reverse_gradients=True):
     )
 
 
-def sirm_loss(trace, y, config=None):
-    """BCE of the main head plus cross entropy of the adversarial head.
+def sirm_loss(trace, y):
+    """Batch mean of BCE of the main head plus cross entropy of the adversarial head.
 
-    The adversarial scale factor lives in the gradient-reversal node inside
-    the forward pass, so the loss value is exactly BCE + CE; only gradients
-    upstream of g see the -lambda factor.
+    y holds 0/1 labels shaped like trace.y_prime. The adversarial scale factor
+    lives in the gradient-reversal node inside the forward pass, so the loss
+    value is exactly BCE + CE; only gradients upstream of g see the -lambda
+    factor.
     """
-    if y not in (0, 1):
-        raise ValueError(f"label must be 0 or 1, got {y!r}")
+    if not np.isin(y, (0, 1)).all():
+        raise ValueError(f"labels must be 0 or 1, got {y!r}")
     return T.add(T.bce_loss(trace.y_prime, y), T.nll_loss(trace.y_dprime, y))
 
 

@@ -2,12 +2,14 @@
 
 Only the primitives the SIRM forward pass needs: matmul, 1-D convolution,
 elementwise nonlinearities, pooling, concatenation, gradient reversal, and
-the two loss heads. The sequence ops (conv1d, matmul, add_bias, mean_pool,
-repeat_row) accept any number of leading batch axes: features are always
-axis -1 and, where there is one, the sequence is axis -2. Graphs are built
-implicitly through parent links and torn down with each forward pass;
-backward() walks a fresh topological order every time.
+the two loss heads. Every op accepts leading batch axes (features on axis
+-1, the sequence on axis -2; add_bias broadcasts over them) and the losses
+return batch means. Graphs are
+built through parent links, except inside `no_grad()`; backward() walks a
+fresh topological order and frees the graph as it goes, so it runs once.
 """
+
+import contextlib
 
 import numpy as np
 
@@ -58,26 +60,30 @@ class Tensor:
     def zero_grad(self):
         self.grad = None
 
-    def __add__(self, other):
-        return add(self, other)
-
-    def __mul__(self, other):
-        if isinstance(other, (int, float)):
-            return scale(self, float(other))
-        return NotImplemented
-
-    __rmul__ = __mul__
-
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
+
+
+_grad_enabled = True
+
+
+@contextlib.contextmanager
+def no_grad():
+    """Ops inside the block keep no parents and no backward rule."""
+    global _grad_enabled
+    previous, _grad_enabled = _grad_enabled, False
+    try:
+        yield
+    finally:
+        _grad_enabled = previous
 
 
 def _from_op(data, parents, backward):
     out = Tensor.__new__(Tensor)
     out.data = data
-    out.requires_grad = any(p.requires_grad for p in parents)
+    out.requires_grad = _grad_enabled and any(p.requires_grad for p in parents)
     out.grad = None
-    out._parents = tuple(parents)
+    out._parents = tuple(parents) if _grad_enabled else ()
     out._backward = backward if out.requires_grad else None
     return out
 
@@ -118,16 +124,23 @@ class Graph:
 
 
 def backward(loss):
-    """Populate .grad on every requires_grad tensor reachable from loss."""
+    """Populate .grad on every requires_grad leaf reachable from loss.
+
+    Op nodes drop their grad and backward rule once it has run.
+    """
     if loss.data.size != 1:
         raise ShapeError(f"backward requires a scalar loss, got shape {loss.data.shape}")
+    if loss.requires_grad and loss._parents and loss._backward is None:
+        raise RuntimeError("this graph has already been back-propagated")
     graph = Graph.trace(loss)
     if loss.grad is None:
         loss.grad = np.zeros_like(loss.data)
     loss.grad += np.ones_like(loss.data)
     for node in reversed(graph.nodes):
-        if node._backward is not None and node.grad is not None:
-            node._backward(node.grad)
+        if node._backward is not None:
+            if node.grad is not None:
+                node._backward(node.grad)
+            node.grad = node._backward = None
 
 
 def zero_grads(tensors):
@@ -140,8 +153,8 @@ def zero_grads(tensors):
 
 
 def matmul(a, b):
-    """(..., L, k) @ (k, d) -> (..., L, d), as one 2-D product over all rows."""
-    if (a.data.ndim < 2 or b.data.ndim != 2
+    """(..., k) @ (k, d) -> (..., d), as one 2-D product over all rows."""
+    if (a.data.ndim < 1 or b.data.ndim != 2
             or a.data.shape[-1] != b.data.shape[0]):
         raise ShapeError(f"matmul shape mismatch: {a.data.shape} x {b.data.shape}")
     a2 = a.data.reshape(-1, a.data.shape[-1])
@@ -293,25 +306,19 @@ def add(a, b):
 
 
 def add_bias(x, b):
-    """Add a (d,) bias row to every row of a (..., d) tensor."""
-    if b.data.ndim != 1 or x.data.shape[-1:] != b.data.shape:
+    """Add b to x at every leading index: (..., *b.shape) + b.
+
+    b is a (d,) bias row or, for position tables, any trailing block of x.
+    """
+    if b.data.ndim < 1 or x.data.shape[x.data.ndim - b.data.ndim:] != b.data.shape:
         raise ShapeError(f"add_bias shapes: {x.data.shape} + {b.data.shape}")
     out_data = x.data + b.data
 
     def bwd(g):
         _accum(x, g)
-        _accum(b, g.reshape(-1, b.data.shape[0]).sum(axis=0))
+        _accum(b, g.reshape((-1,) + b.data.shape).sum(axis=0))
 
     return _from_op(out_data, (x, b), bwd)
-
-
-def scale(x, s):
-    out_data = x.data * s
-
-    def bwd(g):
-        _accum(x, g * s)
-
-    return _from_op(out_data, (x,), bwd)
 
 
 def sum_all(x):
@@ -350,17 +357,18 @@ def repeat_row(v, rows):
 
 
 def embedding_lookup(table, ids):
-    ids = np.asarray(ids, dtype=np.int64).reshape(-1)
+    """Rows of table for an id array of any shape: ids (...) -> (..., d)."""
+    ids = np.asarray(ids, dtype=np.int64)
     V = table.data.shape[0]
     if ids.size and (ids.max() >= V or ids.min() < 0):
         raise IndexError(f"token id out of range for vocabulary of size {V}")
-    out_data = table.data[ids].copy()
+    out_data = table.data[ids]
 
     def bwd(g):
         if table.requires_grad:
             if table.grad is None:
                 table.grad = np.zeros_like(table.data)
-            np.add.at(table.grad, ids, g)
+            np.add.at(table.grad, ids.reshape(-1), g.reshape(ids.size, -1))
 
     return _from_op(out_data, (table,), bwd)
 
@@ -369,35 +377,35 @@ _EPS_PROB = 1e-7
 
 
 def bce_loss(p, y):
-    """Binary cross entropy of a scalar probability against a 0/1 label.
+    """Mean binary cross entropy of probabilities p against 0/1 labels y of p's shape.
 
     p is clamped to [1e-7, 1-1e-7] before the log so exact 0/1 stay finite.
     """
-    if p.data.size != 1:
-        raise ShapeError(f"bce_loss expects a scalar probability, got {p.data.shape}")
-    y = int(y)
-    pc = float(np.clip(p.data, _EPS_PROB, 1.0 - _EPS_PROB))
-    val = -(y * np.log(pc) + (1 - y) * np.log(1.0 - pc))
+    y = np.asarray(y)
+    if p.data.shape != y.shape:
+        raise ShapeError(f"bce_loss: probabilities {p.data.shape} vs labels {y.shape}")
+    pc = np.clip(p.data, _EPS_PROB, 1.0 - _EPS_PROB).astype(np.float64)
+    val = -(y * np.log(pc) + (1 - y) * np.log(1.0 - pc)).mean()
     out_data = np.asarray(val, dtype=p.data.dtype)
 
     def bwd(g):
-        dp = (pc - y) / (pc * (1.0 - pc))
-        _accum(p, np.full_like(p.data, g.item() * dp))
+        _accum(p, (g * ((pc - y) / (pc * (1.0 - pc))) / y.size).astype(p.data.dtype))
 
     return _from_op(out_data, (p,), bwd)
 
 
 def nll_loss(probs, y):
-    """Negative log likelihood of class y under a probability vector."""
-    if probs.data.ndim != 1:
-        raise ShapeError(f"nll_loss expects a rank-1 probability vector, got {probs.data.shape}")
-    y = int(y)
-    py = float(np.clip(probs.data[y], _EPS_PROB, None))
-    out_data = np.asarray(-np.log(py), dtype=probs.data.dtype)
+    """Mean negative log likelihood of classes y (...) under probabilities (..., C)."""
+    y = np.asarray(y, dtype=np.int64)
+    if probs.data.ndim < 1 or probs.data.shape[:-1] != y.shape:
+        raise ShapeError(f"nll_loss: probabilities {probs.data.shape} vs labels {y.shape}")
+    picked = np.take_along_axis(probs.data, y[..., None], axis=-1)
+    py = np.clip(picked, _EPS_PROB, None).astype(np.float64)
+    out_data = np.asarray(-np.log(py).mean(), dtype=probs.data.dtype)
 
     def bwd(g):
         dp = np.zeros_like(probs.data)
-        dp[y] = -g.item() / py
+        np.put_along_axis(dp, y[..., None], -g / (py * y.size), axis=-1)
         _accum(probs, dp)
 
     return _from_op(out_data, (probs,), bwd)

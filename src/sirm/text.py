@@ -146,12 +146,12 @@ def build_vocab(split, min_frequency=2, max_size=30000):
 
 @dataclass
 class ParagraphGrid:
-    """A document as an m x n grid of token ids with validity masks."""
+    """A document, or with leading axes a batch, as m x n grids of token ids."""
 
-    token_ids: np.ndarray   # (m, n) int64
-    word_mask: np.ndarray   # (m, n) bool
-    sentence_mask: np.ndarray  # (m,) bool
-    label: int
+    token_ids: np.ndarray   # (..., m, n) int64
+    word_mask: np.ndarray   # (..., m, n) bool
+    sentence_mask: np.ndarray  # (..., m) bool
+    label: int              # an int array for a batch
 
     def validate(self, vocab_size):
         assert self.token_ids.shape == self.word_mask.shape
@@ -160,6 +160,14 @@ class ParagraphGrid:
         assert not self.word_mask[~self.sentence_mask].any()
         assert self.word_mask.any()
         assert int(self.token_ids.max()) < vocab_size
+
+
+def stack_grids(grids):
+    """One batch grid of same-size grids, stacked along a new leading axis."""
+    return ParagraphGrid(np.stack([g.token_ids for g in grids]),
+                         np.stack([g.word_mask for g in grids]),
+                         np.stack([g.sentence_mask for g in grids]),
+                         np.array([g.label for g in grids], dtype=np.int64))
 
 
 def grid_encode(text, vocab, m, n):

@@ -11,7 +11,7 @@ import numpy as np
 from . import tensor as T
 from .evaluation import evaluate, init_nbow_params, nbow_forward
 from .model import SIRMConfig, init_sirm_params, sirm_forward, sirm_loss
-from .text import atomic_write_bytes
+from .text import DataFormatError, atomic_write_bytes, stack_grids
 
 logger = logging.getLogger(__name__)
 
@@ -40,8 +40,10 @@ class TrainConfig:
     def __post_init__(self):
         if self.learning_rate <= 0:
             raise ValueError("learning_rate must be positive")
-        if self.batch_size < 1:
-            raise ValueError("batch_size must be >= 1")
+        for name, low in (("batch_size", 1), ("max_epochs", 1),
+                          ("early_stop_patience", 0), ("grad_clip", 0)):
+            if getattr(self, name) < low:
+                raise ValueError(f"{name} must be >= {low}")
         for beta in (self.adam_beta1, self.adam_beta2):
             if not 0.0 < beta < 1.0:
                 raise ValueError("Adam betas must lie in (0, 1)")
@@ -86,16 +88,16 @@ def _clip_global_norm(tensors, max_norm):
                 t.grad *= factor
 
 
-def _example_loss(model_kind, grid, params, config):
-    """Returns (total loss tensor, BCE component value)."""
+def _batch_loss(model_kind, grid, params, config):
+    """Mean loss over a stacked grid, and the value of its main-head BCE."""
     if model_kind == "sirm":
         trace = sirm_forward(grid, params, config)
-        bce = T.bce_loss(trace.y_prime, grid.label)
-        return T.add(bce, T.nll_loss(trace.y_dprime, grid.label)), bce.item()
-    if model_kind == "nbow":
-        loss = T.bce_loss(nbow_forward(grid, params), grid.label)
-        return loss, loss.item()
-    raise ValueError(f"unknown model kind {model_kind!r}")
+        loss, prob = sirm_loss(trace, grid.label), trace.y_prime
+    else:
+        prob = nbow_forward(grid, params)
+        loss = T.bce_loss(prob, grid.label)
+    with T.no_grad():
+        return loss, T.bce_loss(prob, grid.label).item()
 
 
 def snapshot(params):
@@ -141,24 +143,19 @@ def train(train_grids, dev_grids, model_kind, model_config, train_config,
             losses = []
             bce_losses = []
             for b_idx, b_start in enumerate(range(0, len(order), train_config.batch_size)):
-                batch = order[b_start:b_start + train_config.batch_size]
                 T.zero_grads(params.tensors())
-                total = None
-                bce_sum = 0.0
-                for idx in batch:
-                    loss, bce = _example_loss(model_kind, train_grids[idx], params, model_config)
-                    bce_sum += bce
-                    total = loss if total is None else T.add(total, loss)
-                total = T.scale(total, 1.0 / len(batch))
-                if not np.isfinite(total.item()):
+                batch = stack_grids([train_grids[i]
+                                     for i in order[b_start:b_start + train_config.batch_size]])
+                loss, bce = _batch_loss(model_kind, batch, params, model_config)
+                if not np.isfinite(loss.item()):
                     raise TrainingError(
                         f"non-finite loss in epoch {epoch}, batch {b_idx}")
-                T.backward(total)
+                T.backward(loss)
                 if train_config.grad_clip > 0:
                     _clip_global_norm(params.tensors(), train_config.grad_clip)
                 optimizer.step()
-                losses.append(total.item())
-                bce_losses.append(bce_sum / len(batch))
+                losses.append(loss.item())
+                bce_losses.append(bce)
 
             dev_report, _ = evaluate(model_kind, params, model_config, dev_grids)
             record = {
@@ -194,7 +191,10 @@ def train(train_grids, dev_grids, model_kind, model_config, train_config,
 
 
 def split_dev(grids, fraction=0.1, seed=0):
-    """Seeded train/dev split; dev gets at least one example."""
+    """Seeded train/dev split; dev gets at least one example, train the rest."""
+    if len(grids) < 2:
+        raise DataFormatError(
+            f"need at least 2 examples to split off a dev set, got {len(grids)}")
     rng = np.random.default_rng(seed)
     order = rng.permutation(len(grids))
     n_dev = max(1, int(round(fraction * len(grids))))
@@ -278,6 +278,8 @@ def load_checkpoint(path):
         dims = struct.unpack(f"<{rank}I", r.take(4 * rank))
         size = int(np.prod(dims)) if rank else 1
         data = np.frombuffer(r.take(4 * size), dtype="<f4").reshape(dims).copy()
+        if name in loaded:
+            raise CheckpointError(f"{path}: tensor {name!r} appears twice")
         loaded[name] = data
 
     if model_kind == "sirm":

@@ -1,11 +1,12 @@
 import json
-import os
+import struct
 
 import numpy as np
 import pytest
 
 from sirm.cli import main
 from sirm.synthetic import generate, write_jsonl
+from sirm.training import load_checkpoint, save_checkpoint
 
 from test_training import with_parent_header
 
@@ -115,40 +116,6 @@ class TestTrainEvalPredict:
         assert rc == 2
         assert not out.exists()
 
-    @pytest.mark.parametrize("command", ["eval", "predict"])
-    def test_empty_data_file_is_data_error(self, workspace, command, capsys):
-        tmp_path, data, config = workspace
-        vocab = build_vocab(tmp_path, data)
-        out_dir = tmp_path / "run"
-        assert main(["train", "--train", str(data), "--dev", str(data),
-                     "--vocab", str(vocab), "--out-dir", str(out_dir),
-                     "--config", str(config), "--max-epochs", "1"]) == 0
-        empty = tmp_path / "empty.jsonl"
-        empty.write_text("")
-        out = tmp_path / "preds.tsv"
-        argv = [command, "--checkpoint", str(out_dir / "best.ckpt"),
-                "--data", str(empty), "--vocab", str(vocab)]
-        if command == "predict":
-            argv += ["--out", str(out)]
-        capsys.readouterr()
-        assert main(argv) == 2
-        assert "empty" in capsys.readouterr().err
-        assert not out.exists()
-
-    def test_mask_aware_checkpoint_is_data_error(self, workspace, capsys):
-        tmp_path, data, config = workspace
-        vocab = build_vocab(tmp_path, data)
-        out_dir = tmp_path / "run"
-        assert main(["train", "--train", str(data), "--dev", str(data),
-                     "--vocab", str(vocab), "--out-dir", str(out_dir),
-                     "--config", str(config), "--max-epochs", "1"]) == 0
-        ckpt = out_dir / "best.ckpt"
-        ckpt.write_bytes(with_parent_header(ckpt.read_bytes(), True))
-        capsys.readouterr()
-        assert main(["eval", "--checkpoint", str(ckpt), "--data", str(data),
-                     "--vocab", str(vocab)]) == 2
-        assert "mask_aware_pooling" in capsys.readouterr().err
-
     def test_env_seed_override(self, workspace, monkeypatch):
         tmp_path, data, config = workspace
         vocab = build_vocab(tmp_path, data)
@@ -162,6 +129,76 @@ class TestTrainEvalPredict:
             runs[name] = (tmp_path / name / "best.ckpt").read_bytes()
         assert runs["a"] == runs["b"]
         assert runs["a"] != runs["c"]
+
+
+@pytest.fixture(scope="module")
+def failure_inputs(tmp_path_factory):
+    """A trained checkpoint and broken variants of it and of the data."""
+    tmp = tmp_path_factory.mktemp("failures")
+    data = tmp / "train.jsonl"
+    write_jsonl(data, generate())
+    config = tmp / "config.json"
+    config.write_text(json.dumps(TOY_CONFIG))
+    vocab = build_vocab(tmp, data)
+    assert main(["train", "--train", str(data), "--dev", str(data),
+                 "--vocab", str(vocab), "--out-dir", str(tmp / "run"),
+                 "--config", str(config), "--max-epochs", "1"]) == 0
+    ckpt = tmp / "run" / "best.ckpt"
+    kind, model_config, params = load_checkpoint(ckpt)
+    params.out_head[1].data[:] = np.nan
+    save_checkpoint(tmp / "nan.ckpt", kind, model_config, params)
+    name = b"out_head.bias"     # a second record under an existing name
+    (tmp / "dup.ckpt").write_bytes(
+        ckpt.read_bytes() + struct.pack("<I", len(name)) + name
+        + struct.pack("<II", 1, 1) + np.zeros(1, dtype="<f4").tobytes())
+    (tmp / "retired.ckpt").write_bytes(with_parent_header(ckpt.read_bytes(), True))
+    (tmp / "empty.jsonl").write_text("")
+    (tmp / "one.jsonl").write_text(data.read_text().splitlines()[0] + "\n")
+    return {"data": data, "config": config, "vocab": vocab, "ckpt": ckpt,
+            "nan_ckpt": tmp / "nan.ckpt", "dup_ckpt": tmp / "dup.ckpt",
+            "retired_ckpt": tmp / "retired.ckpt", "empty": tmp / "empty.jsonl",
+            "one": tmp / "one.jsonl"}
+
+
+def train_args(*extra):
+    return ["train", "--vocab", "{vocab}", "--config", "{config}", "--out-dir", "{out}",
+            *extra]
+
+
+TRAIN_DEV = ("--train", "{data}", "--dev", "{data}")
+
+
+def eval_args(ckpt="{ckpt}", data="{data}"):
+    return ["eval", "--checkpoint", ckpt, "--data", data, "--vocab", "{vocab}"]
+
+
+# (id, argv, exit code, fragment of the error message); {out} names the
+# output path, which a failing run must not create
+FAILURES = [
+    ("nan-weights", eval_args("{nan_ckpt}"), 3, "non-finite probability"),
+    ("max-epochs-zero", train_args(*TRAIN_DEV, "--max-epochs", "0"), 1,
+     "max_epochs must be >= 1"),
+    ("negative-patience", train_args(*TRAIN_DEV, "--patience", "-1"), 1,
+     "early_stop_patience"),
+    ("negative-grad-clip", train_args(*TRAIN_DEV, "--grad-clip", "-1"), 1, "grad_clip"),
+    ("one-example-train", train_args("--train", "{one}"), 2, "at least 2 examples"),
+    ("duplicate-tensor", eval_args("{dup_ckpt}"), 2, "appears twice"),
+    ("retired-key", eval_args("{retired_ckpt}"), 2, "mask_aware_pooling"),
+    ("empty-eval", eval_args(data="{empty}"), 2, "empty"),
+    ("empty-predict", ["predict"] + eval_args(data="{empty}")[1:] + ["--out", "{out}"],
+     2, "empty"),
+]
+
+
+@pytest.mark.parametrize("argv,code,fragment", [row[1:] for row in FAILURES],
+                         ids=[row[0] for row in FAILURES])
+def test_failure_modes(failure_inputs, argv, code, fragment, tmp_path, capsys):
+    out = tmp_path / "out"
+    paths = {key: str(value) for key, value in failure_inputs.items()}
+    capsys.readouterr()
+    assert main([arg.format(out=out, **paths) for arg in argv]) == code
+    assert fragment in capsys.readouterr().err
+    assert not out.exists()
 
 
 class TestSelfChecks:

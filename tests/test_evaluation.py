@@ -2,10 +2,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from sirm.evaluation import (EvaluationError, evaluate, init_nbow_params,
-                             metrics, nbow_forward, write_predictions)
+from sirm import tensor as T
+from sirm.evaluation import (EVAL_BATCH, EvaluationError, evaluate,
+                             init_nbow_params, metrics, nbow_forward,
+                             write_predictions)
 from sirm.model import SIRMConfig, init_sirm_params
-from sirm.text import ParagraphGrid
+from sirm.text import ParagraphGrid, stack_grids
 
 
 class TestMetrics:
@@ -68,6 +70,34 @@ class TestNBOW:
         b = nbow_forward(make_grid([5, 4, 3, 2]), params).item()
         assert b == pytest.approx(a, abs=1e-12)
 
+    @settings(max_examples=25, deadline=None)
+    @given(batch=st.integers(1, 5), m=st.integers(1, 3), n=st.integers(1, 5),
+           seed=st.integers(0, 2**16), data=st.data())
+    def test_stacked_batch_gradients_are_mean_of_single_grids(self, batch, m, n,
+                                                              seed, data):
+        labels = data.draw(st.lists(st.integers(0, 1), min_size=batch, max_size=batch))
+        rng = np.random.default_rng(seed)
+        params = init_nbow_params(10, 4, seed=seed, dtype=np.float64)
+        grids = []
+        for y in labels:
+            mask = np.arange(n) < rng.integers(0, n + 1, size=(m, 1))
+            mask[0, 0] = True
+            ids = np.where(mask, rng.integers(2, 10, size=(m, n)), 0)
+            grids.append(ParagraphGrid(ids, mask, mask.any(axis=1), label=y))
+
+        def grads(grid):
+            T.zero_grads(params.tensors())
+            prob = nbow_forward(grid, params)
+            T.backward(T.bce_loss(prob, grid.label))
+            return prob, [t.grad.copy() for t in params.tensors()]
+
+        prob, batched = grads(stack_grids(grids))
+        assert prob.data.shape == (batch,)
+        singles = [grads(grid)[1] for grid in grids]
+        for i, got in enumerate(batched):
+            expected = np.mean([single[i] for single in singles], axis=0)
+            np.testing.assert_allclose(got, expected, rtol=0, atol=1e-10)
+
 
 class TestEvaluate:
     @pytest.fixture
@@ -107,6 +137,31 @@ class TestEvaluate:
         report, rows = evaluate("sirm", params, config, grids)
         assert [r[0] for r in rows] == list(range(len(grids)))
         assert report["n"] == len(grids)
+
+    @pytest.mark.parametrize("model_kind", ["sirm", "nbow"])
+    def test_batched_rows_match_single_grid_calls(self, setup, model_kind):
+        config, params, _ = setup
+        if model_kind == "nbow":
+            params = init_nbow_params(config.vocab_size, config.d_e, seed=0)
+        rng = np.random.default_rng(1)
+        grids = []
+        for i in range(37):    # crosses two batch boundaries
+            ids = rng.integers(2, 12, size=(2, 3))
+            grids.append(ParagraphGrid(ids, np.ones_like(ids, bool),
+                                       np.ones(2, bool), label=i % 2))
+        assert len(grids) > 2 * EVAL_BATCH
+        _, rows = evaluate(model_kind, params, config, grids)
+        for (idx, prob, pred, gold), grid in zip(rows, grids):
+            _, [(_, single, single_pred, single_gold)] = evaluate(
+                model_kind, params, config, [grid])
+            assert prob == pytest.approx(single, abs=1e-6)
+            assert (pred, gold) == (single_pred, single_gold)
+
+    def test_non_finite_probability_raises(self, setup):
+        config, params, grids = setup
+        params.out_head[1].data[:] = np.nan
+        with pytest.raises(FloatingPointError, match="non-finite"):
+            evaluate("sirm", params, config, grids)
 
     def test_unknown_model_kind(self, setup):
         config, params, grids = setup

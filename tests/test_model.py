@@ -1,12 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from sirm import tensor as T
 from sirm.model import (ConfigError, SIRMConfig, dense_connect_pool,
                         embed_paragraph, init_sirm_params, near_neighbor_encode,
                         param_count, positional_encoding, sirm_forward,
                         sirm_loss, skim_forward)
-from sirm.text import ParagraphGrid
+from sirm.text import ParagraphGrid, stack_grids
 
 
 def toy_config(**overrides):
@@ -304,16 +305,37 @@ class TestSIRMForward:
                 rtol=0, atol=1e-12)
 
     def test_graph_size_does_not_grow_with_sentence_count(self):
-        # one sentence-level op chain for any m: a per-sentence loop would
-        # add nodes for every sentence
+        # one op chain for any m and any batch size: a per-sentence or
+        # per-example loop would add nodes for every sentence or document
         sizes = []
-        for m in (1, 8):
+        for m, batch in ((1, 1), (8, 1), (8, 8)):
             config = toy_config(m=m)
             params = init_sirm_params(config, seed=0)
-            grid = random_grid(config)
+            grid = stack_grids([random_grid(config, seed=i) for i in range(batch)])
             loss = sirm_loss(sirm_forward(grid, params, config), grid.label)
             sizes.append(len(T.Graph.trace(loss).nodes))
-        assert sizes[0] == sizes[1]
+        assert sizes[0] == sizes[1] == sizes[2]
+
+    def test_no_grad_forward_is_bit_identical_and_graph_free(self):
+        config = toy_config()
+        params = init_sirm_params(config, seed=17)
+        grid = stack_grids([random_grid(config, seed=i) for i in range(3)])
+        traced = sirm_forward(grid, params, config)
+        with T.no_grad():
+            bare = sirm_forward(grid, params, config)
+        for name in traced.__dataclass_fields__:
+            assert np.array_equal(getattr(traced, name).data, getattr(bare, name).data), name
+        assert bare.y_prime._parents == ()
+        assert traced.y_prime._parents != ()
+
+    def test_backward_leaves_grads_on_parameters_only(self):
+        config = toy_config()
+        params = init_sirm_params(config, seed=18)
+        grid = random_grid(config)
+        trace = sirm_forward(grid, params, config)
+        T.backward(sirm_loss(trace, grid.label))
+        assert all(t.grad is not None for t in params.tensors())
+        assert trace.g.grad is None and trace.y_prime.grad is None
 
     def test_positional_sensitivity(self):
         config = toy_config(m=1, src_windows=(1, 2))
@@ -414,6 +436,30 @@ class TestSIRMLoss:
             name = f"src_filters.{h}.weight"
             expected = bce[name] - lam * ce[name]
             np.testing.assert_allclose(total[name], expected, rtol=1e-9, atol=1e-15)
+
+    @settings(max_examples=25, deadline=None)
+    @given(batch=st.integers(1, 5), m=st.integers(1, 3), n=st.integers(2, 5),
+           seed=st.integers(0, 2**16), data=st.data())
+    def test_stacked_batch_gradients_are_mean_of_single_grids(self, batch, m, n,
+                                                              seed, data):
+        labels = data.draw(st.lists(st.integers(0, 1), min_size=batch, max_size=batch))
+        config = toy_config(m=m, n=n, lambda_adv=0.3)
+        params = init_sirm_params(config, seed=seed, dtype=np.float64)
+        grids = [random_grid(config, seed=seed + i, label=y) for i, y in enumerate(labels)]
+
+        def grads(grid):
+            T.zero_grads(params.tensors())
+            trace = sirm_forward(grid, params, config)
+            T.backward(sirm_loss(trace, grid.label))
+            return trace, [t.grad.copy() for t in params.tensors()]
+
+        stacked, batched = grads(stack_grids(grids))
+        assert stacked.y_prime.data.shape == (batch,)
+        assert stacked.y_dprime.data.shape == (batch, 2)
+        singles = [grads(grid)[1] for grid in grids]
+        for i, got in enumerate(batched):
+            expected = np.mean([single[i] for single in singles], axis=0)
+            np.testing.assert_allclose(got, expected, rtol=0, atol=1e-10)
 
     def test_bad_label_rejected(self):
         config = toy_config()

@@ -32,6 +32,15 @@ class TestMatmul:
         expected = np.tile(b.data.sum(axis=1), (3, 1))
         np.testing.assert_allclose(a.grad, expected, rtol=1e-12)
 
+    def test_vector_times_matrix(self):
+        rng = np.random.default_rng(8)
+        a = t64(rng.normal(size=4), requires_grad=True)
+        b = t64(rng.normal(size=(4, 2)))
+        out = T.matmul(a, b)
+        np.testing.assert_allclose(out.data, a.data @ b.data, rtol=1e-12)
+        T.backward(T.sum_all(out))
+        np.testing.assert_allclose(a.grad, b.data.sum(axis=1), rtol=1e-12)
+
     def test_leading_axes_match_row_by_row(self):
         rng = np.random.default_rng(9)
         a = rng.normal(size=(2, 3, 4))
@@ -233,6 +242,22 @@ class TestBackward:
         with pytest.raises(T.ShapeError):
             T.backward(t64([1.0, 2.0], requires_grad=True))
 
+    def test_op_nodes_are_freed_and_leaves_keep_grads(self):
+        x = t64([1.0, -2.0], requires_grad=True)
+        hidden = T.sigmoid(x)
+        loss = T.sum_all(hidden)
+        T.backward(loss)
+        assert x.grad is not None
+        for node in (hidden, loss):
+            assert node.grad is None and node._backward is None
+
+    def test_second_backward_of_a_graph_rejected(self):
+        x = t64([1.0, 2.0], requires_grad=True)
+        loss = T.sum_all(T.sigmoid(x))
+        T.backward(loss)
+        with pytest.raises(RuntimeError, match="already"):
+            T.backward(loss)
+
     def test_determinism(self):
         def run():
             rng = np.random.default_rng(6)
@@ -245,6 +270,39 @@ class TestBackward:
         first, second = run(), run()
         for a, b in zip(first, second):
             assert np.array_equal(a, b)
+
+
+class TestNoGrad:
+    def test_ops_inside_keep_no_graph(self):
+        x = t64([[1.0, -2.0]], requires_grad=True)
+        w = t64([[0.5], [3.0]], requires_grad=True)
+        with T.no_grad():
+            out = T.sigmoid(T.matmul(x, w))
+        assert out._parents == () and out._backward is None
+        assert not out.requires_grad
+        np.testing.assert_array_equal(out.data, T.sigmoid(T.matmul(x, w)).data)
+
+    def test_graph_building_resumes_after_block_even_on_error(self):
+        x = t64([1.0], requires_grad=True)
+        with pytest.raises(ValueError):
+            with T.no_grad():
+                raise ValueError("inside")
+        assert T.relu(x)._parents == (x,)
+
+
+class TestAddBias:
+    def test_block_bias_backward_sums_over_leading_axes(self):
+        x = t64(np.ones((2, 3, 4)), requires_grad=True)
+        b = t64(np.arange(12.0).reshape(3, 4), requires_grad=True)
+        out = T.add_bias(x, b)
+        np.testing.assert_array_equal(out.data[1], 1.0 + b.data)
+        T.backward(T.sum_all(out))
+        assert np.array_equal(x.grad, np.ones((2, 3, 4)))
+        assert np.array_equal(b.grad, np.full((3, 4), 2.0))
+
+    def test_bias_must_match_trailing_shape(self):
+        with pytest.raises(T.ShapeError, match="add_bias shapes"):
+            T.add_bias(t64(np.zeros((2, 3, 4))), t64(np.zeros((2, 4))))
 
 
 class TestLosses:
@@ -268,6 +326,24 @@ class TestLosses:
         x = t64([0.2, -1.3, 0.7], requires_grad=True)
         err = T.finite_diff_check(lambda v: T.nll_loss(T.softmax_lastaxis(v), 2), x)
         assert err < 1e-6
+
+    def test_batch_losses_are_means_of_single_losses(self):
+        rng = np.random.default_rng(12)
+        p = rng.uniform(0.05, 0.95, size=(2, 3))
+        probs = rng.dirichlet(np.ones(3), size=(2, 3))
+        y = rng.integers(0, 2, size=(2, 3))
+        for loss, batch, rows in ((T.bce_loss, p, p), (T.nll_loss, probs, probs)):
+            singles = [loss(t64(rows[i, j]), y[i, j]).item()
+                       for i in range(2) for j in range(3)]
+            assert loss(t64(batch), y).item() == pytest.approx(np.mean(singles), rel=1e-12)
+            x = t64(batch, requires_grad=True)
+            assert T.finite_diff_check(lambda v: loss(v, y), x) < 1e-6
+
+    def test_label_shape_must_match(self):
+        with pytest.raises(T.ShapeError):
+            T.bce_loss(t64([0.5, 0.5]), 1)
+        with pytest.raises(T.ShapeError):
+            T.nll_loss(t64([[0.5, 0.5]]), [0, 1])
 
 
 class TestFiniteDiff:
@@ -299,7 +375,7 @@ def test_randomized_op_gradients_pass_finite_difference():
         lambda v: T.sum_all(T.matmul(T.softmax_lastaxis(v),
                                      t64([[0.3], [-1.2], [0.8], [2.1]]))),
         lambda v: T.sum_all(T.mean_pool(v)),
-        lambda v: T.sum_all(T.concat_lastaxis([v, T.scale(v, 2.0)])),
+        lambda v: T.sum_all(T.concat_lastaxis([v, T.sigmoid(v)])),
         lambda v: T.sum_all(T.reshape(v, (4, 5))),
     ]
     for f in cases:
@@ -312,6 +388,7 @@ def test_randomized_op_gradients_pass_finite_difference():
     b = t64(rng.normal(size=2), requires_grad=True)
     m = t64(rng.normal(size=(4, 3)), requires_grad=True)
     bias = t64(rng.normal(size=4), requires_grad=True)
+    block = t64(rng.normal(size=(5, 4)), requires_grad=True)
 
     def smooth(out):
         return T.sum_all(T.sigmoid(out))
@@ -327,6 +404,8 @@ def test_randomized_op_gradients_pass_finite_difference():
         (bias, lambda v: smooth(T.add_bias(x3, v))),
         (x3, lambda v: smooth(T.mean_pool(v))),
         (x3, lambda v: smooth(T.repeat_row(v, (2,)))),
+        (x3, lambda v: smooth(T.add_bias(v, block))),
+        (block, lambda v: smooth(T.add_bias(x3, v))),
     ]
     for t, f in batched:
         assert T.finite_diff_check(f, t) < 1e-4
@@ -340,3 +419,9 @@ def test_embedding_lookup_scatter_and_bounds():
     assert np.array_equal(table.grad, [[0, 0], [2, 2], [0, 0], [1, 1]])
     with pytest.raises(IndexError):
         T.embedding_lookup(table, [4])
+
+    table.zero_grad()
+    out = T.embedding_lookup(table, [[0, 3], [3, 3]])
+    assert out.data.shape == (2, 2, 2)
+    T.backward(T.sum_all(out))
+    assert np.array_equal(table.grad, [[1, 1], [0, 0], [0, 0], [3, 3]])

@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from sirm.text import (PAD_ID, UNK_ID, UNK_TOKEN, DataFormatError, DatasetSplit,
                        Vocabulary, build_vocab, grid_encode, load_dataset,
-                       segment_sentences, tokenize)
+                       segment_sentences, stack_grids, tokenize)
 
 
 class TestTokenize:
@@ -87,6 +87,16 @@ class TestGridEncode:
         grid = grid_encode("xyz qrs", small_vocab, m=1, n=4)
         assert grid.token_ids[0, 0] == UNK_ID and grid.token_ids[0, 1] == UNK_ID
         assert grid.word_mask[0, :2].all()
+
+    def test_stack_grids_adds_a_leading_axis(self, small_vocab):
+        grids = [grid_encode(t, small_vocab, 3, 4) for t in ("a b.", "c", "a. b. c.")]
+        for label, grid in zip((1, 0, 1), grids):
+            grid.label = label
+        batch = stack_grids(grids)
+        assert batch.token_ids.shape == batch.word_mask.shape == (3, 3, 4)
+        assert batch.sentence_mask.shape == (3, 3)
+        np.testing.assert_array_equal(batch.token_ids[2], grids[2].token_ids)
+        assert batch.label.dtype == np.int64 and batch.label.tolist() == [1, 0, 1]
 
     def test_empty_text_gets_single_unk(self, small_vocab):
         grid = grid_encode("", small_vocab, m=2, n=3)

@@ -7,7 +7,7 @@ import pytest
 import sirm.training as training_mod
 from sirm import tensor as T
 from sirm.model import SIRMConfig, init_sirm_params, sirm_forward
-from sirm.text import ParagraphGrid
+from sirm.text import DataFormatError, ParagraphGrid
 from sirm.training import (Adam, CheckpointError, TrainConfig, TrainingError,
                            load_checkpoint, save_checkpoint,
                            serialize_checkpoint, split_dev, train)
@@ -125,7 +125,7 @@ class TestTrainLoop:
             loss._parents = ()
             return loss, np.inf
 
-        monkeypatch.setattr(training_mod, "_example_loss", exploding)
+        monkeypatch.setattr(training_mod, "_batch_loss", exploding)
         with pytest.raises(TrainingError, match="batch 0"):
             train(grids, grids, "sirm", config, TrainConfig(max_epochs=1))
 
@@ -169,6 +169,14 @@ def test_split_dev_is_seeded_and_disjoint():
     assert len(dev_a) == 2 and len(train_a) == 18
     assert [id(g) for g in dev_a] == [id(g) for g in dev_b]
     assert not set(id(g) for g in dev_a) & set(id(g) for g in train_a)
+
+
+def test_split_dev_needs_two_examples():
+    grids = toy_grids(toy_config(), count=1)
+    with pytest.raises(DataFormatError, match="at least 2"):
+        split_dev(grids)
+    train_part, dev_part = split_dev(toy_grids(toy_config(), count=2))
+    assert len(train_part) == len(dev_part) == 1
 
 
 class TestCheckpoint:
@@ -230,6 +238,17 @@ class TestCheckpoint:
         with pytest.raises(CheckpointError, match="magic"):
             load_checkpoint(path)
 
+    def test_repeated_tensor_name_rejected(self, tmp_path):
+        config, params, path = self._setup(tmp_path)
+        blob = path.read_bytes()
+        name = b"adv_head.bias"
+        record = (struct.pack("<I", len(name)) + name + struct.pack("<II", 1, 2)
+                  + np.zeros(2, dtype="<f4").tobytes())
+        assert blob.endswith(record[:-8] + params.adv_head[1].data.astype("<f4").tobytes())
+        path.write_bytes(blob + record)
+        with pytest.raises(CheckpointError, match="adv_head.bias.*twice"):
+            load_checkpoint(path)
+
     def test_shape_mismatch_rejected(self, tmp_path):
         config, params, path = self._setup(tmp_path)
         other = toy_config(d_c=3)
@@ -246,3 +265,7 @@ def test_train_config_validation():
         TrainConfig(batch_size=0)
     with pytest.raises(ValueError):
         TrainConfig(adam_beta1=1.0)
+    for field, value in (("max_epochs", 0), ("early_stop_patience", -1),
+                         ("grad_clip", -0.5)):
+        with pytest.raises(ValueError, match=field):
+            TrainConfig(**{field: value})
