@@ -7,6 +7,7 @@ failure).
 """
 
 import argparse
+import dataclasses
 import json
 import logging
 import os
@@ -28,11 +29,9 @@ EXIT_USAGE = 1
 EXIT_DATA = 2
 EXIT_NUMERIC = 3
 
-SIRM_FIELDS = {"vocab_size", "d_e", "d_c", "src_windows", "k", "d_ns", "d_np",
-               "d_as", "d_ap", "lambda_adv", "m", "n"}
-TRAIN_FIELDS = {"learning_rate", "batch_size", "max_epochs", "adam_beta1",
-                "adam_beta2", "adam_eps", "seed", "early_stop_patience",
-                "shuffle", "grad_clip"}
+SIRM_FIELDS = {f.name for f in dataclasses.fields(SIRMConfig)}
+TRAIN_FIELDS = {f.name for f in dataclasses.fields(TrainConfig)}
+GRAD_CHECK_TOLERANCE = 1e-4   # largest passing relative error per tensor
 
 
 class _Parser(argparse.ArgumentParser):
@@ -50,6 +49,8 @@ def _load_config_file(path):
             cfg = json.load(f)
     except (OSError, json.JSONDecodeError) as e:
         raise DataFormatError(f"cannot read config {path}: {e}") from e
+    if not isinstance(cfg, dict):
+        raise DataFormatError(f"config {path} is not a JSON object")
     unknown = set(cfg) - SIRM_FIELDS - TRAIN_FIELDS
     if unknown:
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")
@@ -62,24 +63,13 @@ def _seed_override(seed):
 
 
 def _assemble(args, vocab_size):
-    """Merge config-file values with CLI flag overrides."""
-    cfg = _load_config_file(getattr(args, "config", None))
-    overrides = {
-        "lambda_adv": getattr(args, "lambda_adv", None),
-        "m": getattr(args, "m", None),
-        "n": getattr(args, "n", None),
-        "d_e": getattr(args, "d_e", None),
-        "d_c": getattr(args, "d_c", None),
-        "learning_rate": getattr(args, "lr", None),
-        "batch_size": getattr(args, "batch_size", None),
-        "max_epochs": getattr(args, "max_epochs", None),
-        "early_stop_patience": getattr(args, "patience", None),
-        "seed": getattr(args, "seed", None),
-        "grad_clip": getattr(args, "grad_clip", None),
-    }
-    for key, val in overrides.items():
-        if val is not None:
-            cfg[key] = val
+    """Merge config-file values with CLI flag overrides.
+
+    Each train flag's argparse dest is the config field it sets.
+    """
+    cfg = _load_config_file(args.config)
+    cfg.update({key: val for key, val in vars(args).items()
+                if key in SIRM_FIELDS | TRAIN_FIELDS and val is not None})
     cfg["vocab_size"] = vocab_size
     sirm_cfg = SIRMConfig(**{k: v for k, v in cfg.items() if k in SIRM_FIELDS})
     train_cfg = TrainConfig(**{k: v for k, v in cfg.items() if k in TRAIN_FIELDS})
@@ -164,7 +154,7 @@ def toy_grad_check_config(vocab_size=12):
                       k=1, d_ns=4, d_np=4, d_as=4, d_ap=4, m=2, n=3)
 
 
-def run_grad_check(config=None, seed=7, tolerance=1e-4):
+def run_grad_check(config=None, seed=7):
     """Finite-difference the full model loss against every parameter tensor.
 
     Runs with the gradient-reversal node bypassed: reversal makes analytic
@@ -192,16 +182,18 @@ def run_grad_check(config=None, seed=7, tolerance=1e-4):
     return max(errors.values()), errors
 
 
+def _architecture(path, default):
+    """`default` with the architecture fields a config file sets, if any."""
+    cfg = _load_config_file(path)
+    return dataclasses.replace(
+        default, **{k: v for k, v in cfg.items() if k in SIRM_FIELDS})
+
+
 def cmd_grad_check(args):
-    if args.config:
-        cfg_dict = _load_config_file(args.config)
-        cfg_dict.setdefault("vocab_size", 12)
-        config = SIRMConfig(**{k: v for k, v in cfg_dict.items() if k in SIRM_FIELDS})
-    else:
-        config = toy_grad_check_config()
+    config = _architecture(args.config, toy_grad_check_config())
     max_err, errors = run_grad_check(config)
     print(f"max relative gradient error: {max_err:.3e}")
-    failing = sorted(n for n, e in errors.items() if e >= 1e-4)
+    failing = sorted(n for n, e in errors.items() if e >= GRAD_CHECK_TOLERANCE)
     if failing:
         for name in failing:
             print(f"FAIL {name}: {errors[name]:.3e}", file=sys.stderr)
@@ -210,12 +202,7 @@ def cmd_grad_check(args):
 
 
 def cmd_param_count(args):
-    if args.config:
-        cfg_dict = _load_config_file(args.config)
-        cfg_dict.setdefault("vocab_size", 30000)
-        config = SIRMConfig(**{k: v for k, v in cfg_dict.items() if k in SIRM_FIELDS})
-    else:
-        config = SIRMConfig(vocab_size=30000)
+    config = _architecture(args.config, SIRMConfig(vocab_size=30000))
     params = init_sirm_params(config, seed=0)
     without = param_count(params, include_embeddings=False)
     with_emb = param_count(params, include_embeddings=True)
@@ -251,16 +238,17 @@ def build_parser():
     p.add_argument("--config", help="flat JSON config; flags override file values")
     p.add_argument("--lambda", dest="lambda_adv", type=float,
                    help="adversarial scale factor (default 1e-6)")
-    p.add_argument("--lr", type=float, help="learning rate (default 1e-3)")
+    p.add_argument("--lr", dest="learning_rate", type=float,
+                   help="learning rate (default 1e-3)")
     p.add_argument("--batch-size", type=int, help="batch size (default 64)")
     p.add_argument("--max-epochs", type=int)
-    p.add_argument("--patience", type=int, help="early-stop patience in epochs")
+    p.add_argument("--patience", dest="early_stop_patience", type=int,
+                   help="early-stop patience in epochs")
     p.add_argument("--seed", type=int)
     p.add_argument("--m", type=int, help="sentences per paragraph grid")
     p.add_argument("--n", type=int, help="tokens per sentence")
     p.add_argument("--d-e", dest="d_e", type=int)
     p.add_argument("--d-c", dest="d_c", type=int)
-    p.add_argument("--grad-clip", type=float, help="global-norm clip (0 disables)")
     add_format(p)
     p.set_defaults(func=cmd_train)
 
@@ -276,7 +264,8 @@ def build_parser():
         p.set_defaults(func=func)
 
     p = sub.add_parser("grad-check", help="finite-difference the full model at 64-bit")
-    p.add_argument("--config", help="JSON architecture config; default is a toy config")
+    p.add_argument("--config",
+                   help="JSON config; its architecture fields override a toy config")
     p.set_defaults(func=cmd_grad_check)
 
     p = sub.add_parser("param-count", help="count trainable parameters")
@@ -293,18 +282,14 @@ def main(argv=None):
         return args.func(args)
     except SystemExit as e:
         return e.code if e.code is not None else EXIT_OK
-    except (ConfigError, ValueError) as e:
-        if isinstance(e, (DataFormatError, CheckpointError, EvaluationError)):
-            print(f"error: {e}", file=sys.stderr)
-            return EXIT_DATA
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_USAGE
+    except (DataFormatError, CheckpointError, EvaluationError, OSError) as e:
+        code, error = EXIT_DATA, e
+    except ValueError as e:     # ConfigError and other bad settings
+        code, error = EXIT_USAGE, e
     except (TrainingError, FloatingPointError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_NUMERIC
-    except OSError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_DATA
+        code, error = EXIT_NUMERIC, e
+    print(f"error: {error}", file=sys.stderr)
+    return code
 
 
 def entry():

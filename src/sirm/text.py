@@ -153,14 +153,6 @@ class ParagraphGrid:
     sentence_mask: np.ndarray  # (..., m) bool
     label: int              # an int array for a batch
 
-    def validate(self, vocab_size):
-        assert self.token_ids.shape == self.word_mask.shape
-        assert self.sentence_mask.shape == (self.token_ids.shape[0],)
-        assert (self.token_ids[~self.word_mask] == PAD_ID).all()
-        assert not self.word_mask[~self.sentence_mask].any()
-        assert self.word_mask.any()
-        assert int(self.token_ids.max()) < vocab_size
-
 
 def stack_grids(grids):
     """One batch grid of same-size grids, stacked along a new leading axis."""

@@ -4,7 +4,7 @@ import json
 import logging
 import struct
 import time
-from dataclasses import dataclass, asdict
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -34,22 +34,17 @@ class TrainConfig:
     adam_eps: float = 1e-8
     seed: int = 0
     early_stop_patience: int = 5
-    shuffle: bool = True
-    grad_clip: float = 0.0  # global-norm clip; 0 disables
 
     def __post_init__(self):
         if self.learning_rate <= 0:
             raise ValueError("learning_rate must be positive")
         for name, low in (("batch_size", 1), ("max_epochs", 1),
-                          ("early_stop_patience", 0), ("grad_clip", 0)):
+                          ("early_stop_patience", 0)):
             if getattr(self, name) < low:
                 raise ValueError(f"{name} must be >= {low}")
         for beta in (self.adam_beta1, self.adam_beta2):
             if not 0.0 < beta < 1.0:
                 raise ValueError("Adam betas must lie in (0, 1)")
-
-    def to_dict(self):
-        return asdict(self)
 
 
 class Adam:
@@ -79,15 +74,6 @@ class Adam:
             p.grad = None
 
 
-def _clip_global_norm(tensors, max_norm):
-    total = np.sqrt(sum(float((t.grad ** 2).sum()) for t in tensors if t.grad is not None))
-    if total > max_norm > 0:
-        factor = max_norm / total
-        for t in tensors:
-            if t.grad is not None:
-                t.grad *= factor
-
-
 def _batch_loss(model_kind, grid, params, config):
     """Mean loss over a stacked grid, and the value of its main-head BCE."""
     if model_kind == "sirm":
@@ -110,11 +96,12 @@ def restore(params, snap):
 
 
 def train(train_grids, dev_grids, model_kind, model_config, train_config,
-          history_path=None, selection_metric="macro_f1"):
+          history_path=None):
     """Train a model, returning (params at the best dev epoch, history).
 
-    Early stopping: training stops once the number of epochs since the last
-    dev improvement reaches the patience (patience 0 stops after one epoch).
+    The best epoch is the one with the highest dev macro-F1. Early stopping:
+    training stops once the number of epochs since the last dev improvement
+    reaches the patience (patience 0 stops after one epoch).
     """
     if not train_grids:
         raise TrainingError("training split is empty")
@@ -138,8 +125,7 @@ def train(train_grids, dev_grids, model_kind, model_config, train_config,
     try:
         for epoch in range(train_config.max_epochs):
             start = time.time()
-            if train_config.shuffle:
-                rng.shuffle(order)
+            rng.shuffle(order)
             losses = []
             bce_losses = []
             for b_idx, b_start in enumerate(range(0, len(order), train_config.batch_size)):
@@ -151,8 +137,6 @@ def train(train_grids, dev_grids, model_kind, model_config, train_config,
                     raise TrainingError(
                         f"non-finite loss in epoch {epoch}, batch {b_idx}")
                 T.backward(loss)
-                if train_config.grad_clip > 0:
-                    _clip_global_norm(params.tensors(), train_config.grad_clip)
                 optimizer.step()
                 losses.append(loss.item())
                 bce_losses.append(bce)
@@ -174,8 +158,8 @@ def train(train_grids, dev_grids, model_kind, model_config, train_config,
             logger.info("epoch %d: loss %.4f dev macro-F1 %.4f",
                         epoch, record["train_loss"], record["dev_macro_f1"])
 
-            if dev_report[selection_metric] > best_metric:
-                best_metric = dev_report[selection_metric]
+            if dev_report["macro_f1"] > best_metric:
+                best_metric = dev_report["macro_f1"]
                 best_snap = snapshot(params)
                 epochs_since_improve = 0
             else:
@@ -190,14 +174,14 @@ def train(train_grids, dev_grids, model_kind, model_config, train_config,
     return params, history
 
 
-def split_dev(grids, fraction=0.1, seed=0):
-    """Seeded train/dev split; dev gets at least one example, train the rest."""
+def split_dev(grids, seed=0):
+    """Seeded train/dev split; dev gets a tenth (at least one), train the rest."""
     if len(grids) < 2:
         raise DataFormatError(
             f"need at least 2 examples to split off a dev set, got {len(grids)}")
     rng = np.random.default_rng(seed)
     order = rng.permutation(len(grids))
-    n_dev = max(1, int(round(fraction * len(grids))))
+    n_dev = max(1, int(round(0.1 * len(grids))))
     dev_idx = set(order[:n_dev].tolist())
     train = [g for i, g in enumerate(grids) if i not in dev_idx]
     dev = [g for i, g in enumerate(grids) if i in dev_idx]
@@ -280,6 +264,8 @@ def load_checkpoint(path):
         data = np.frombuffer(r.take(4 * size), dtype="<f4").reshape(dims).copy()
         if name in loaded:
             raise CheckpointError(f"{path}: tensor {name!r} appears twice")
+        if not np.isfinite(data).all():
+            raise CheckpointError(f"{path}: tensor {name!r} holds non-finite values")
         loaded[name] = data
 
     if model_kind == "sirm":

@@ -4,7 +4,7 @@ import struct
 import numpy as np
 import pytest
 
-from sirm.cli import main
+from sirm.cli import SIRM_FIELDS, TRAIN_FIELDS, _assemble, build_parser, main
 from sirm.synthetic import generate, write_jsonl
 from sirm.training import load_checkpoint, save_checkpoint
 
@@ -147,6 +147,13 @@ def failure_inputs(tmp_path_factory):
     kind, model_config, params = load_checkpoint(ckpt)
     params.out_head[1].data[:] = np.nan
     save_checkpoint(tmp / "nan.ckpt", kind, model_config, params)
+    # finite weights whose products overflow in the first forward
+    signs = np.where(np.arange(model_config.d_e) % 2, -1.0, 1.0)
+    params.out_head[1].data[:] = 0.0
+    params.embedding.data[:] = 3e38 * signs
+    for weight, _ in params.src_filters.values():
+        weight.data[:] = 3e38 * signs[:, None]
+    save_checkpoint(tmp / "huge.ckpt", kind, model_config, params)
     name = b"out_head.bias"     # a second record under an existing name
     (tmp / "dup.ckpt").write_bytes(
         ckpt.read_bytes() + struct.pack("<I", len(name)) + name
@@ -155,7 +162,8 @@ def failure_inputs(tmp_path_factory):
     (tmp / "empty.jsonl").write_text("")
     (tmp / "one.jsonl").write_text(data.read_text().splitlines()[0] + "\n")
     return {"data": data, "config": config, "vocab": vocab, "ckpt": ckpt,
-            "nan_ckpt": tmp / "nan.ckpt", "dup_ckpt": tmp / "dup.ckpt",
+            "nan_ckpt": tmp / "nan.ckpt", "huge_ckpt": tmp / "huge.ckpt",
+            "dup_ckpt": tmp / "dup.ckpt",
             "retired_ckpt": tmp / "retired.ckpt", "empty": tmp / "empty.jsonl",
             "one": tmp / "one.jsonl"}
 
@@ -175,12 +183,12 @@ def eval_args(ckpt="{ckpt}", data="{data}"):
 # (id, argv, exit code, fragment of the error message); {out} names the
 # output path, which a failing run must not create
 FAILURES = [
-    ("nan-weights", eval_args("{nan_ckpt}"), 3, "non-finite probability"),
+    ("nan-weights", eval_args("{nan_ckpt}"), 2, "non-finite"),
+    ("huge-weights", eval_args("{huge_ckpt}"), 3, "non-finite probability"),
     ("max-epochs-zero", train_args(*TRAIN_DEV, "--max-epochs", "0"), 1,
      "max_epochs must be >= 1"),
     ("negative-patience", train_args(*TRAIN_DEV, "--patience", "-1"), 1,
      "early_stop_patience"),
-    ("negative-grad-clip", train_args(*TRAIN_DEV, "--grad-clip", "-1"), 1, "grad_clip"),
     ("one-example-train", train_args("--train", "{one}"), 2, "at least 2 examples"),
     ("duplicate-tensor", eval_args("{dup_ckpt}"), 2, "appears twice"),
     ("retired-key", eval_args("{retired_ckpt}"), 2, "mask_aware_pooling"),
@@ -199,6 +207,49 @@ def test_failure_modes(failure_inputs, argv, code, fragment, tmp_path, capsys):
     assert main([arg.format(out=out, **paths) for arg in argv]) == code
     assert fragment in capsys.readouterr().err
     assert not out.exists()
+
+
+# (flag, config field, value in the config file, value on the command line)
+TRAIN_FLAGS = [
+    ("--lambda", "lambda_adv", 0.25, 0.5),
+    ("--lr", "learning_rate", 2e-3, 1e-2),
+    ("--batch-size", "batch_size", 16, 8),
+    ("--max-epochs", "max_epochs", 2, 3),
+    ("--patience", "early_stop_patience", 5, 2),
+    ("--seed", "seed", 4, 9),
+    ("--m", "m", 2, 3),
+    ("--n", "n", 10, 7),
+    ("--d-e", "d_e", 4, 6),
+    ("--d-c", "d_c", 2, 3),
+]
+
+
+def assembled(tmp_path, config, *flags):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    args = build_parser().parse_args(
+        ["train", "--train", "t", "--vocab", "v", "--out-dir", "o",
+         "--config", str(path), *flags])
+    return _assemble(args, vocab_size=50)
+
+
+@pytest.mark.parametrize("flag,field,file_value,flag_value", TRAIN_FLAGS,
+                         ids=[row[0] for row in TRAIN_FLAGS])
+def test_train_flag_sets_config_field(tmp_path, monkeypatch, flag, field,
+                                      file_value, flag_value):
+    monkeypatch.delenv("SIRM_SEED", raising=False)
+    config = {**TOY_CONFIG, field: file_value}
+    for flags, value in (((), file_value), ((flag, str(flag_value)), flag_value)):
+        values = [getattr(c, field) for c in assembled(tmp_path, config, *flags)
+                  if hasattr(c, field)]
+        assert values == [value]
+
+
+def test_every_config_flag_is_in_the_flag_table():
+    args = build_parser().parse_args(["train", "--train", "t", "--vocab", "v",
+                                      "--out-dir", "o"])
+    assert set(vars(args)) & (SIRM_FIELDS | TRAIN_FIELDS) == {
+        row[1] for row in TRAIN_FLAGS}
 
 
 class TestSelfChecks:
@@ -220,6 +271,13 @@ class TestSelfChecks:
         config = tmp_path / "bad.json"
         config.write_text(json.dumps({"banana": 1}))
         assert main(["param-count", "--config", str(config)]) == 1
+
+    @pytest.mark.parametrize("text", ["42", '["d_e"]'])
+    def test_non_object_config_is_data_error(self, tmp_path, capsys, text):
+        config = tmp_path / "bad.json"
+        config.write_text(text)
+        assert main(["param-count", "--config", str(config)]) == 2
+        assert "not a JSON object" in capsys.readouterr().err
 
 
 class TestUsage:

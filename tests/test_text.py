@@ -110,7 +110,12 @@ def test_grid_invariants_hold_for_random_text(text, m, n):
     vocab = build_vocab(DatasetSplit([("the quick brown fox. jumps!", 0)]),
                         min_frequency=1)
     grid = grid_encode(text, vocab, m, n)
-    grid.validate(len(vocab))
+    assert grid.token_ids.shape == grid.word_mask.shape == (m, n)
+    assert grid.sentence_mask.shape == (m,)
+    assert (grid.token_ids[~grid.word_mask] == PAD_ID).all()
+    assert not grid.word_mask[~grid.sentence_mask].any()
+    assert grid.word_mask.any()
+    assert int(grid.token_ids.max()) < len(vocab)
     # round-trip: every non-PAD id decodes to a vocabulary token
     for token_id in grid.token_ids[grid.word_mask]:
         assert vocab.id_to_token[token_id] is not None

@@ -164,8 +164,8 @@ class TestTrainLoop:
 def test_split_dev_is_seeded_and_disjoint():
     config = toy_config()
     grids = toy_grids(config, count=20)
-    train_a, dev_a = split_dev(grids, fraction=0.1, seed=3)
-    train_b, dev_b = split_dev(grids, fraction=0.1, seed=3)
+    train_a, dev_a = split_dev(grids, seed=3)
+    train_b, dev_b = split_dev(grids, seed=3)
     assert len(dev_a) == 2 and len(train_a) == 18
     assert [id(g) for g in dev_a] == [id(g) for g in dev_b]
     assert not set(id(g) for g in dev_a) & set(id(g) for g in train_a)
@@ -225,6 +225,14 @@ class TestCheckpoint:
         with pytest.raises(CheckpointError, match="mask_aware_pooling"):
             load_checkpoint(path)
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_tensor_rejected(self, tmp_path, value):
+        config, params, path = self._setup(tmp_path)
+        params.sent_dense[0].data[1, 2] = value
+        save_checkpoint(path, "sirm", config, params)
+        with pytest.raises(CheckpointError, match="'sent_dense.weight'.*non-finite"):
+            load_checkpoint(path)
+
     def test_truncated_file_rejected(self, tmp_path):
         _, _, path = self._setup(tmp_path)
         blob = path.read_bytes()
@@ -265,7 +273,6 @@ def test_train_config_validation():
         TrainConfig(batch_size=0)
     with pytest.raises(ValueError):
         TrainConfig(adam_beta1=1.0)
-    for field, value in (("max_epochs", 0), ("early_stop_patience", -1),
-                         ("grad_clip", -0.5)):
+    for field, value in (("max_epochs", 0), ("early_stop_patience", -1)):
         with pytest.raises(ValueError, match=field):
             TrainConfig(**{field: value})
