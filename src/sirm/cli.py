@@ -65,9 +65,13 @@ def _seed_override(seed):
 def _assemble(args, vocab_size):
     """Merge config-file values with CLI flag overrides.
 
-    Each train flag's argparse dest is the config field it sets.
+    Each train flag's argparse dest is the config field it sets. The
+    vocabulary fixes vocab_size; a config file may only repeat it.
     """
     cfg = _load_config_file(args.config)
+    if cfg.get("vocab_size", vocab_size) != vocab_size:
+        raise ConfigError(f"config vocab_size {cfg['vocab_size']} does not match "
+                          f"the vocabulary's size {vocab_size}")
     cfg.update({key: val for key, val in vars(args).items()
                 if key in SIRM_FIELDS | TRAIN_FIELDS and val is not None})
     cfg["vocab_size"] = vocab_size

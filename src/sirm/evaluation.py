@@ -104,7 +104,9 @@ def evaluate(model_kind, params, config, grids, threshold=0.5):
     if model_kind not in ("sirm", "nbow"):
         raise ValueError(f"unknown model kind {model_kind!r}")
     probs = []
-    with T.no_grad():
+    # huge finite weights may overflow on the way; the finiteness check
+    # below turns that into one error instead of a stream of numpy warnings
+    with T.no_grad(), np.errstate(over="ignore", invalid="ignore"):
         for start in range(0, len(grids), EVAL_BATCH):
             batch = stack_grids(grids[start:start + EVAL_BATCH])
             y = (sirm_forward(batch, params, config).y_prime if model_kind == "sirm"

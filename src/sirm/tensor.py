@@ -7,6 +7,9 @@ the two loss heads. Every op accepts leading batch axes (features on axis
 return batch means. Graphs are
 built through parent links, except inside `no_grad()`; backward() walks a
 fresh topological order and frees the graph as it goes, so it runs once.
+A tensor's first gradient is copied into a new buffer of the tensor's own
+dtype and layout, never aliasing the upstream array; later ones are added
+to it in place.
 """
 
 import contextlib
@@ -92,8 +95,10 @@ def _accum(t, g):
     if not t.requires_grad:
         return
     if t.grad is None:
-        t.grad = np.zeros_like(t.data)
-    t.grad += g
+        t.grad = np.empty_like(t.data)
+        t.grad[...] = g
+    else:
+        t.grad += g
 
 
 class Graph:
@@ -202,10 +207,15 @@ def conv1d(x, w, b, padding="valid"):
         g2 = g.reshape(-1, d_out)
         if x.requires_grad:
             dcols = (g2 @ w2.T).reshape(cols.shape)
-            dxp = np.zeros_like(xp)
+            dx = np.zeros_like(x.data)
             for j in range(h):
-                dxp[..., j:j + l_out, :] += dcols[..., j * d_in:(j + 1) * d_in]
-            _accum(x, dxp[..., pad_l:pad_l + L, :])
+                # output row i read input row i + j - pad_l; skip padding rows,
+                # and taps that see only padding (a sequence shorter than pad)
+                lo, hi = max(0, pad_l - j), min(l_out, L + pad_l - j)
+                if lo < hi:
+                    dx[..., lo + j - pad_l:hi + j - pad_l, :] += \
+                        dcols[..., lo:hi, j * d_in:(j + 1) * d_in]
+            _accum(x, dx)
         if w.requires_grad:
             _accum(w, (cols2.T @ g2).reshape(h, d_in, d_out))
         if b.requires_grad:
@@ -366,9 +376,13 @@ def embedding_lookup(table, ids):
 
     def bwd(g):
         if table.requires_grad:
-            if table.grad is None:
-                table.grad = np.zeros_like(table.data)
-            np.add.at(table.grad, ids.reshape(-1), g.reshape(ids.size, -1))
+            d = table.data.shape[1]
+            # a 1-D scatter on the flat table takes numpy's fast path and adds
+            # to each element in the same order; C order makes reshape a view
+            table.grad = (np.zeros(table.data.shape, dtype=table.data.dtype)
+                          if table.grad is None else np.ascontiguousarray(table.grad))
+            flat = (ids.reshape(-1, 1) * d + np.arange(d)).reshape(-1)
+            np.add.at(table.grad.reshape(-1), flat, g.reshape(-1))
 
     return _from_op(out_data, (table,), bwd)
 

@@ -58,19 +58,29 @@ class Adam:
         self.v = [np.zeros_like(t.data) for _, t in self.named_params]
 
     def step(self):
+        """m = b1*m + (1-b1)*g, v = b2*v + ((1-b2)*g)*g, c = 1 - b**t and
+        p -= lr*(m/c1) / (sqrt(v/c2) + eps), in that operation order, with m
+        and v updated in place and the step built in two scratch arrays."""
         cfg = self.config
+        b1, b2 = cfg.adam_beta1, cfg.adam_beta2
         self.step_count += 1
-        t = self.step_count
-        for i, (name, p) in enumerate(self.named_params):
+        c1 = 1 - b1 ** self.step_count
+        c2 = 1 - b2 ** self.step_count
+        for (name, p), m, v in zip(self.named_params, self.m, self.v):
             if p.grad is None:
                 raise TrainingError(f"parameter {name!r} has no gradient")
             g = p.grad
-            self.m[i] = cfg.adam_beta1 * self.m[i] + (1 - cfg.adam_beta1) * g
-            self.v[i] = cfg.adam_beta2 * self.v[i] + (1 - cfg.adam_beta2) * g * g
-            m_hat = self.m[i] / (1 - cfg.adam_beta1 ** t)
-            v_hat = self.v[i] / (1 - cfg.adam_beta2 ** t)
-            p.data -= (cfg.learning_rate * m_hat /
-                       (np.sqrt(v_hat) + cfg.adam_eps)).astype(p.data.dtype)
+            step, denom = np.empty_like(m), np.empty_like(v)
+            m *= b1
+            m += np.multiply(g, 1 - b1, out=step)
+            v *= b2
+            np.multiply(g, 1 - b2, out=denom)
+            v += np.multiply(denom, g, out=denom)
+            np.sqrt(np.divide(v, c2, out=denom), out=denom)
+            denom += cfg.adam_eps
+            np.divide(m, c1, out=step)
+            step *= cfg.learning_rate
+            p.data -= np.divide(step, denom, out=step)
             p.grad = None
 
 

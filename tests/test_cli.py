@@ -1,10 +1,12 @@
 import json
 import struct
+import warnings
 
 import numpy as np
 import pytest
 
 from sirm.cli import SIRM_FIELDS, TRAIN_FIELDS, _assemble, build_parser, main
+from sirm.model import ConfigError
 from sirm.synthetic import generate, write_jsonl
 from sirm.training import load_checkpoint, save_checkpoint
 
@@ -159,17 +161,18 @@ def failure_inputs(tmp_path_factory):
         ckpt.read_bytes() + struct.pack("<I", len(name)) + name
         + struct.pack("<II", 1, 1) + np.zeros(1, dtype="<f4").tobytes())
     (tmp / "retired.ckpt").write_bytes(with_parent_header(ckpt.read_bytes(), True))
+    (tmp / "vocab5.json").write_text(json.dumps({**TOY_CONFIG, "vocab_size": 5}))
     (tmp / "empty.jsonl").write_text("")
     (tmp / "one.jsonl").write_text(data.read_text().splitlines()[0] + "\n")
     return {"data": data, "config": config, "vocab": vocab, "ckpt": ckpt,
             "nan_ckpt": tmp / "nan.ckpt", "huge_ckpt": tmp / "huge.ckpt",
-            "dup_ckpt": tmp / "dup.ckpt",
+            "dup_ckpt": tmp / "dup.ckpt", "vocab5_config": tmp / "vocab5.json",
             "retired_ckpt": tmp / "retired.ckpt", "empty": tmp / "empty.jsonl",
             "one": tmp / "one.jsonl"}
 
 
-def train_args(*extra):
-    return ["train", "--vocab", "{vocab}", "--config", "{config}", "--out-dir", "{out}",
+def train_args(*extra, config="{config}"):
+    return ["train", "--vocab", "{vocab}", "--config", config, "--out-dir", "{out}",
             *extra]
 
 
@@ -190,6 +193,8 @@ FAILURES = [
     ("negative-patience", train_args(*TRAIN_DEV, "--patience", "-1"), 1,
      "early_stop_patience"),
     ("one-example-train", train_args("--train", "{one}"), 2, "at least 2 examples"),
+    ("vocab-size-mismatch", train_args(*TRAIN_DEV, config="{vocab5_config}"), 1,
+     "config vocab_size 5 does not match"),
     ("duplicate-tensor", eval_args("{dup_ckpt}"), 2, "appears twice"),
     ("retired-key", eval_args("{retired_ckpt}"), 2, "mask_aware_pooling"),
     ("empty-eval", eval_args(data="{empty}"), 2, "empty"),
@@ -204,9 +209,12 @@ def test_failure_modes(failure_inputs, argv, code, fragment, tmp_path, capsys):
     out = tmp_path / "out"
     paths = {key: str(value) for key, value in failure_inputs.items()}
     capsys.readouterr()
-    assert main([arg.format(out=out, **paths) for arg in argv]) == code
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main([arg.format(out=out, **paths) for arg in argv]) == code
     assert fragment in capsys.readouterr().err
     assert not out.exists()
+    assert [str(w.message) for w in caught] == []
 
 
 # (flag, config field, value in the config file, value on the command line)
@@ -245,6 +253,13 @@ def test_train_flag_sets_config_field(tmp_path, monkeypatch, flag, field,
         assert values == [value]
 
 
+def test_config_vocab_size_must_match_the_vocabulary(tmp_path):
+    sirm_cfg, _ = assembled(tmp_path, {**TOY_CONFIG, "vocab_size": 50})
+    assert sirm_cfg.vocab_size == 50
+    with pytest.raises(ConfigError, match="vocab_size 49 .* size 50"):
+        assembled(tmp_path, {**TOY_CONFIG, "vocab_size": 49})
+
+
 def test_every_config_flag_is_in_the_flag_table():
     args = build_parser().parse_args(["train", "--train", "t", "--vocab", "v",
                                       "--out-dir", "o"])
@@ -255,6 +270,12 @@ def test_every_config_flag_is_in_the_flag_table():
 class TestSelfChecks:
     def test_grad_check_passes(self, capsys):
         assert main(["grad-check"]) == 0
+        assert "max relative gradient error" in capsys.readouterr().out
+
+    def test_grad_check_with_a_paragraph_window_wider_than_m(self, tmp_path, capsys):
+        config = tmp_path / "k3.json"       # window 2k+1 = 7 over m = 2 sentences
+        config.write_text(json.dumps({"k": 3}))
+        assert main(["grad-check", "--config", str(config)]) == 0
         assert "max relative gradient error" in capsys.readouterr().out
 
     def test_param_count_default(self, capsys):

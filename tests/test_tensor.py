@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from sirm import tensor as T
 
@@ -127,6 +128,51 @@ class TestConv1d:
                     np.testing.assert_allclose(
                         out.data[i, j], conv1d_oracle(x[i, j], w, b, padding), rtol=1e-12)
 
+    @settings(max_examples=60, deadline=None)
+    @example(h=7, padding="same_zero", lead=[2], extra=2, d_in=2, d_out=1,
+             dtype=np.float32, seed=0)
+    @example(h=9, padding="same_zero", lead=[], extra=3, d_in=1, d_out=2,
+             dtype=np.float64, seed=1)
+    @given(h=st.integers(1, 9), padding=st.sampled_from(["valid", "same_zero"]),
+           lead=st.lists(st.integers(1, 3), max_size=2), extra=st.integers(0, 5),
+           d_in=st.integers(1, 4), d_out=st.integers(1, 3),
+           dtype=st.sampled_from([np.float32, np.float64]), seed=st.integers(0, 2**16))
+    def test_input_gradient_bit_identical_to_padded_buffer_rule(
+            self, h, padding, lead, extra, d_in, d_out, dtype, seed):
+        rng = np.random.default_rng(seed)
+        # same_zero takes sequences from length 1, shorter than its padding
+        L = max(1, extra + (h if padding == "valid" else 0))
+        x = T.Tensor(rng.normal(size=(*lead, L, d_in)).astype(dtype), requires_grad=True)
+        w = T.Tensor(rng.normal(size=(h, d_in, d_out)).astype(dtype))
+        b = T.Tensor(np.zeros(d_out, dtype=dtype))
+        out = T.conv1d(x, w, b, padding=padding)
+        g = rng.normal(size=out.data.shape).astype(dtype)
+        out._backward(g)
+        # the rule this path replaced: scatter into a zero-padded buffer,
+        # then add its centre to a zero gradient
+        pad_l = h // 2 if padding == "same_zero" else 0
+        pad_r = h - 1 - pad_l if padding == "same_zero" else 0
+        l_out = out.data.shape[-2]
+        dcols = (g.reshape(-1, d_out) @ w.data.reshape(h * d_in, d_out).T).reshape(
+            (*lead, l_out, h * d_in))
+        dxp = np.zeros((*lead, L + pad_l + pad_r, d_in), dtype=dtype)
+        for j in range(h):
+            dxp[..., j:j + l_out, :] += dcols[..., j * d_in:(j + 1) * d_in]
+        expected = np.zeros_like(x.data)
+        expected += dxp[..., pad_l:pad_l + L, :]
+        assert x.grad.dtype == expected.dtype
+        assert x.grad.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("L", [1, 2, 3])
+    def test_same_zero_input_gradient_on_sequences_shorter_than_the_padding(self, L):
+        h = 7       # pad_l = 3: taps 0..2 see only padding on short sequences
+        x = t64(np.ones((2, L, 1)), requires_grad=True)
+        w = t64(np.arange(1.0, h + 1).reshape(h, 1, 1))
+        T.backward(T.sum_all(T.conv1d(x, w, t64([0.0]), padding="same_zero")))
+        # input row r feeds output row i through tap r - i + 3, for every i < L
+        expected = [sum(w.data[r - i + 3, 0, 0] for i in range(L)) for r in range(L)]
+        assert np.array_equal(x.grad, np.broadcast_to(np.reshape(expected, (L, 1)), (2, L, 1)))
+
     def test_sequence_too_short(self):
         with pytest.raises(T.SequenceTooShortError):
             T.conv1d(t64(np.zeros((2, 1))), t64(np.zeros((3, 1, 1))), t64([0.0]),
@@ -241,6 +287,24 @@ class TestBackward:
     def test_non_scalar_loss_rejected(self):
         with pytest.raises(T.ShapeError):
             T.backward(t64([1.0, 2.0], requires_grad=True))
+
+    def test_grad_keeps_the_leaf_dtype(self):
+        a = T.Tensor(np.ones(3, dtype=np.float32), requires_grad=True)
+        b = t64(np.ones(3), requires_grad=True)
+        T.backward(T.sum_all(T.add(a, b)))     # a float64 upstream gradient
+        assert a.grad.dtype == np.float32 and b.grad.dtype == np.float64
+        assert np.array_equal(a.grad, np.ones(3))
+
+    def test_grads_alias_neither_the_upstream_array_nor_each_other(self):
+        a = t64([1.0, 2.0], requires_grad=True)
+        b = t64([3.0, 4.0], requires_grad=True)
+        out = T.add(a, b)       # passes the same upstream array to both
+        g = np.array([0.5, -1.5])
+        out._backward(g)
+        a.grad += 10.0
+        assert np.array_equal(b.grad, [0.5, -1.5])
+        assert np.array_equal(g, [0.5, -1.5])
+        assert not np.shares_memory(a.grad, g) and not np.shares_memory(b.grad, g)
 
     def test_op_nodes_are_freed_and_leaves_keep_grads(self):
         x = t64([1.0, -2.0], requires_grad=True)
@@ -425,3 +489,32 @@ def test_embedding_lookup_scatter_and_bounds():
     assert out.data.shape == (2, 2, 2)
     T.backward(T.sum_all(out))
     assert np.array_equal(table.grad, [[1, 1], [0, 0], [0, 0], [3, 3]])
+
+
+@settings(max_examples=60, deadline=None)
+@given(ids_shape=st.lists(st.integers(1, 6), min_size=1, max_size=3),
+       vocab=st.integers(1, 5), d=st.integers(1, 4),
+       dtype=st.sampled_from([np.float32, np.float64]), seed=st.integers(0, 2**16))
+def test_embedding_backward_bit_identical_to_row_scatter(ids_shape, vocab, d, dtype, seed):
+    rng = np.random.default_rng(seed)
+    ids = rng.integers(0, vocab, size=ids_shape)    # a small vocabulary: heavy repeats
+    table = T.Tensor(rng.normal(size=(vocab, d)).astype(dtype), requires_grad=True)
+    out = T.embedding_lookup(table, ids)
+    g = rng.normal(size=out.data.shape).astype(dtype)
+    out._backward(g)
+    # the rule this path replaced: 2-D row scatter on a zero table
+    expected = np.zeros_like(table.data)
+    np.add.at(expected, ids.reshape(-1), g.reshape(ids.size, -1))
+    assert table.grad.dtype == expected.dtype
+    assert table.grad.tobytes() == expected.tobytes()
+
+
+def test_embedding_backward_adds_to_a_gradient_in_any_memory_order():
+    table = T.Tensor(np.asfortranarray(np.zeros((3, 2))), requires_grad=True)
+    ids = np.array([2, 0, 2])
+    for first_lookup in (True, False):
+        table.zero_grad()
+        lookup = T.sum_all(T.embedding_lookup(table, ids))
+        dense = T.sum_all(T.matmul(t64(np.ones((1, 3))), table))
+        T.backward(T.add(lookup, dense) if first_lookup else T.add(dense, lookup))
+        assert np.array_equal(table.grad, [[2, 2], [1, 1], [3, 3]])

@@ -3,6 +3,7 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import sirm.training as training_mod
 from sirm import tensor as T
@@ -77,6 +78,40 @@ class TestAdam:
             return p.data.copy()
 
         assert np.array_equal(run(), run())
+
+    @settings(max_examples=25, deadline=None)
+    @given(seed=st.integers(0, 2**16), lr=st.sampled_from([1e-3, 3e-2]),
+           beta1=st.sampled_from([0.9, 0.5]), beta2=st.sampled_from([0.999, 0.9]))
+    def test_in_place_step_bit_identical_to_out_of_place_formula(self, seed, lr,
+                                                                 beta1, beta2):
+        cfg = TrainConfig(learning_rate=lr, adam_beta1=beta1, adam_beta2=beta2)
+        rng = np.random.default_rng(seed)
+        shapes = [((3, 4), np.float32), ((5,), np.float64), ((2, 3, 2), np.float32),
+                  ((1,), np.float64)]
+        params = [T.Tensor(rng.normal(size=s).astype(dt), requires_grad=True)
+                  for s, dt in shapes]
+        expected = [p.data.copy() for p in params]
+        m = [np.zeros_like(e) for e in expected]
+        v = [np.zeros_like(e) for e in expected]
+        opt = Adam([(f"p{i}", p) for i, p in enumerate(params)], cfg)
+        for t in range(1, 11):
+            grads = [rng.normal(size=p.data.shape).astype(p.data.dtype)
+                     * (rng.random() < 0.7) for p in params]   # some all zero
+            for p, g in zip(params, grads):
+                p.grad = g.copy()
+            opt.step()
+            # the out-of-place update this step replaced
+            for i, g in enumerate(grads):
+                m[i] = cfg.adam_beta1 * m[i] + (1 - cfg.adam_beta1) * g
+                v[i] = cfg.adam_beta2 * v[i] + (1 - cfg.adam_beta2) * g * g
+                m_hat = m[i] / (1 - cfg.adam_beta1 ** t)
+                v_hat = v[i] / (1 - cfg.adam_beta2 ** t)
+                expected[i] -= (cfg.learning_rate * m_hat /
+                                (np.sqrt(v_hat) + cfg.adam_eps)).astype(expected[i].dtype)
+            for p, e, mi, vi, om, ov in zip(params, expected, m, v, opt.m, opt.v):
+                assert p.grad is None
+                assert p.data.dtype == e.dtype and p.data.tobytes() == e.tobytes()
+                assert om.tobytes() == mi.tobytes() and ov.tobytes() == vi.tobytes()
 
 
 class TestTrainLoop:
