@@ -17,8 +17,8 @@ import numpy as np
 
 from . import tensor as T
 from .evaluation import EvaluationError, evaluate, write_predictions
-from .model import (ConfigError, SIRMConfig, init_sirm_params, param_count,
-                    sirm_forward, sirm_loss)
+from .model import (MODELS, ConfigError, SIRMConfig, init_sirm_params,
+                    param_count, sirm_forward, sirm_loss)
 from .text import (DataFormatError, Vocabulary, atomic_write_bytes, build_vocab,
                    encode_split, load_dataset, tokenize)
 from .training import (CheckpointError, TrainConfig, TrainingError,
@@ -108,13 +108,18 @@ def cmd_train(args):
                                  vocab, sirm_cfg.m, sirm_cfg.n)
     else:
         train_grids, dev_grids = split_dev(train_grids, seed=train_cfg.seed)
-    if sirm_cfg.lambda_adv == 0 and args.model == "sirm":
-        logging.getLogger(__name__).info("adversarial branch gradient disabled (lambda 0)")
 
+    made_out_dir = not os.path.isdir(args.out_dir)
     os.makedirs(args.out_dir, exist_ok=True)
     history_path = os.path.join(args.out_dir, "history.jsonl")
-    params, history = train(train_grids, dev_grids, args.model, sirm_cfg,
-                            train_cfg, history_path=history_path)
+    try:
+        params, history = train(train_grids, dev_grids, args.model, sirm_cfg,
+                                train_cfg, history_path=history_path)
+    except Exception:
+        # a run that failed before its first epoch wrote nothing: leave no directory
+        if made_out_dir and not os.listdir(args.out_dir):
+            os.rmdir(args.out_dir)
+        raise
     ckpt_path = os.path.join(args.out_dir, "best.ckpt")
     save_checkpoint(ckpt_path, args.model, sirm_cfg, params)
     report, _ = evaluate(args.model, params, sirm_cfg, dev_grids)
@@ -238,7 +243,7 @@ def build_parser():
     p.add_argument("--dev", help="dev file; default is a seeded 10%% train split")
     p.add_argument("--vocab", required=True)
     p.add_argument("--out-dir", required=True)
-    p.add_argument("--model", choices=["sirm", "nbow"], default="sirm")
+    p.add_argument("--model", choices=sorted(MODELS), default="sirm")
     p.add_argument("--config", help="flat JSON config; flags override file values")
     p.add_argument("--lambda", dest="lambda_adv", type=float,
                    help="adversarial scale factor (default 1e-6)")

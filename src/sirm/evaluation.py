@@ -1,11 +1,9 @@
-"""Classification metrics and the bag-of-words baseline."""
-
-from dataclasses import dataclass
+"""Classification metrics, batched evaluation and prediction output."""
 
 import numpy as np
 
 from . import tensor as T
-from .model import sirm_forward
+from .model import lookup_model
 from .text import atomic_write_bytes, stack_grids
 
 
@@ -42,50 +40,6 @@ def metrics(predictions, labels):
     }
 
 
-@dataclass
-class NBOWParams:
-    """Mean word embedding plus a linear sigmoid head."""
-
-    embedding: T.Tensor  # (V, d_e)
-    head_w: T.Tensor     # (d_e, 1)
-    head_b: T.Tensor     # (1,)
-
-    def named_tensors(self):
-        return [("embedding", self.embedding), ("head_w", self.head_w),
-                ("head_b", self.head_b)]
-
-    def tensors(self):
-        return [t for _, t in self.named_tensors()]
-
-
-def init_nbow_params(vocab_size, d_e, seed=0, dtype=np.float32):
-    rng = np.random.default_rng(seed)
-    bound = np.sqrt(6.0 / (d_e + 1))
-    return NBOWParams(
-        embedding=T.Tensor(rng.normal(0.0, 1.0, size=(vocab_size, d_e)).astype(dtype),
-                           requires_grad=True),
-        head_w=T.Tensor(rng.uniform(-bound, bound, size=(d_e, 1)).astype(dtype),
-                        requires_grad=True),
-        head_b=T.Tensor(np.zeros(1, dtype=dtype), requires_grad=True),
-    )
-
-
-def nbow_forward(grid, params):
-    """Mask-aware mean of word embeddings through a sigmoid head.
-
-    Every document's mean is its row of a constant (documents, real words)
-    matrix of 1/count weights times the real words' embeddings.
-    """
-    counts = grid.word_mask.sum(axis=(-2, -1)).reshape(-1)
-    doc = np.repeat(np.arange(counts.size), counts)
-    pool = np.zeros((counts.size, doc.size), dtype=params.embedding.dtype)
-    pool[doc, np.arange(doc.size)] = 1.0 / counts[doc]
-    emb = T.embedding_lookup(params.embedding, grid.token_ids[grid.word_mask])
-    pooled = T.matmul(T.Tensor(pool), emb)
-    logit = T.add_bias(T.matmul(pooled, params.head_w), params.head_b)
-    return T.reshape(T.sigmoid(logit), grid.word_mask.shape[:-2])
-
-
 # Documents per evaluation forward. Peak memory grows with the batch's live
 # activations: at the paper grid 64 documents cost a third more than one at a
 # time, 16 under 5%, and 16 also ran faster than 8 or 64.
@@ -101,16 +55,14 @@ def evaluate(model_kind, params, config, grids, threshold=0.5):
     """
     if not grids:
         raise EvaluationError("cannot evaluate an empty split")
-    if model_kind not in ("sirm", "nbow"):
-        raise ValueError(f"unknown model kind {model_kind!r}")
+    _, prob_loss = lookup_model(model_kind)
     probs = []
     # huge finite weights may overflow on the way; the finiteness check
     # below turns that into one error instead of a stream of numpy warnings
     with T.no_grad(), np.errstate(over="ignore", invalid="ignore"):
         for start in range(0, len(grids), EVAL_BATCH):
             batch = stack_grids(grids[start:start + EVAL_BATCH])
-            y = (sirm_forward(batch, params, config).y_prime if model_kind == "sirm"
-                 else nbow_forward(batch, params))
+            y, _ = prob_loss(batch, params, config)
             if not np.isfinite(y.data).all():
                 raise FloatingPointError(
                     f"non-finite probability in the batch from document {start}")

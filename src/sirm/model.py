@@ -12,6 +12,9 @@ An auxiliary two-class head reads g through a gradient-reversal node so that
 training-set-specific skim features are suppressed. Every function takes
 leading batch axes: a grid of (..., m, n) arrays is that many documents read
 in one graph, and a single grid is the case with no leading axes.
+
+The bag-of-words baseline (NBOW) sits next to SIRM; MODELS maps each model
+kind to its initializer and its probability-and-loss function.
 """
 
 import math
@@ -280,6 +283,76 @@ def sirm_loss(trace, y):
     if not np.isin(y, (0, 1)).all():
         raise ValueError(f"labels must be 0 or 1, got {y!r}")
     return T.add(T.bce_loss(trace.y_prime, y), T.nll_loss(trace.y_dprime, y))
+
+
+@dataclass
+class NBOWParams:
+    """Mean word embedding plus a linear sigmoid head."""
+
+    embedding: T.Tensor  # (V, d_e)
+    head_w: T.Tensor     # (d_e, 1)
+    head_b: T.Tensor     # (1,)
+
+    def named_tensors(self):
+        return [("embedding", self.embedding), ("head_w", self.head_w),
+                ("head_b", self.head_b)]
+
+    def tensors(self):
+        return [t for _, t in self.named_tensors()]
+
+
+def init_nbow_params(config, seed=0, dtype=np.float32):
+    """N(0, 1) embeddings of config.vocab_size x config.d_e, Glorot head, zero bias."""
+    rng = np.random.default_rng(seed)
+    bound = np.sqrt(6.0 / (config.d_e + 1))
+    return NBOWParams(
+        embedding=T.Tensor(rng.normal(0.0, 1.0, size=(config.vocab_size, config.d_e))
+                           .astype(dtype), requires_grad=True),
+        head_w=T.Tensor(rng.uniform(-bound, bound, size=(config.d_e, 1)).astype(dtype),
+                        requires_grad=True),
+        head_b=T.Tensor(np.zeros(1, dtype=dtype), requires_grad=True),
+    )
+
+
+def nbow_forward(grid, params):
+    """Mask-aware mean of word embeddings through a sigmoid head.
+
+    Every document's mean is its row of a constant (documents, real words)
+    matrix of 1/count weights times the real words' embeddings.
+    """
+    counts = grid.word_mask.sum(axis=(-2, -1)).reshape(-1)
+    doc = np.repeat(np.arange(counts.size), counts)
+    pool = np.zeros((counts.size, doc.size), dtype=params.embedding.dtype)
+    pool[doc, np.arange(doc.size)] = 1.0 / counts[doc]
+    emb = T.embedding_lookup(params.embedding, grid.token_ids[grid.word_mask])
+    pooled = T.matmul(T.Tensor(pool), emb)
+    logit = T.add_bias(T.matmul(pooled, params.head_w), params.head_b)
+    return T.reshape(T.sigmoid(logit), grid.word_mask.shape[:-2])
+
+
+def _sirm_prob_loss(grid, params, config):
+    trace = sirm_forward(grid, params, config)
+    return trace.y_prime, sirm_loss(trace, grid.label)
+
+
+def _nbow_prob_loss(grid, params, config):
+    prob = nbow_forward(grid, params)
+    return prob, T.bce_loss(prob, grid.label)
+
+
+# model kind -> (init(SIRMConfig, seed, dtype) -> params with named_tensors(),
+#                prob_loss(stacked grid, params, SIRMConfig) -> (probability, mean loss))
+MODELS = {
+    "sirm": (init_sirm_params, _sirm_prob_loss),
+    "nbow": (init_nbow_params, _nbow_prob_loss),
+}
+
+
+def lookup_model(name):
+    """The (init, prob_loss) entry of a model kind; ValueError for an unknown kind."""
+    if name not in MODELS:
+        raise ValueError(f"unknown model kind {name!r}")
+    return MODELS[name]
 
 
 def param_count(params, include_embeddings=False):

@@ -1,10 +1,11 @@
 """Minimal reverse-mode autodiff engine over dense numpy arrays.
 
-Only the primitives the SIRM forward pass needs: matmul, 1-D convolution,
-elementwise nonlinearities, pooling, concatenation, gradient reversal, and
-the two loss heads. Every op accepts leading batch axes (features on axis
--1, the sequence on axis -2; add_bias broadcasts over them) and the losses
-return batch means. Graphs are
+Only the primitives the models in model.py need: embedding lookup, matmul,
+1-D convolution, relu, sigmoid and softmax, mean pooling, concatenation,
+row broadcast, reshape, same-shape and bias addition, gradient reversal,
+and the two loss heads. Every op accepts leading batch axes (features on
+axis -1, the sequence on axis -2; add_bias broadcasts over them) and the
+losses return batch means. Graphs are
 built through parent links, except inside `no_grad()`; backward() walks a
 fresh topological order and frees the graph as it goes, so it runs once.
 A tensor's first gradient is copied into a new buffer of the tensor's own
@@ -59,9 +60,6 @@ class Tensor:
 
     def item(self):
         return self.data.item()
-
-    def zero_grad(self):
-        self.grad = None
 
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
@@ -150,7 +148,7 @@ def backward(loss):
 
 def zero_grads(tensors):
     for t in tensors:
-        t.zero_grad()
+        t.grad = None
 
 
 # ---------------------------------------------------------------------------
@@ -299,18 +297,13 @@ def grad_reverse(x, scale_factor):
 
 
 def add(a, b):
-    if a.data.shape != b.data.shape and a.data.size != 1 and b.data.size != 1:
+    if a.data.shape != b.data.shape:
         raise ShapeError(f"add shape mismatch: {a.data.shape} vs {b.data.shape}")
     out_data = a.data + b.data
 
-    def _reduce(g, target):
-        if target.data.size == 1 and g.size != 1:
-            return g.sum().reshape(target.data.shape)
-        return g
-
     def bwd(g):
-        _accum(a, _reduce(g, a))
-        _accum(b, _reduce(g, b))
+        _accum(a, g)
+        _accum(b, g)
 
     return _from_op(out_data, (a, b), bwd)
 
@@ -329,15 +322,6 @@ def add_bias(x, b):
         _accum(b, g.reshape((-1,) + b.data.shape).sum(axis=0))
 
     return _from_op(out_data, (x, b), bwd)
-
-
-def sum_all(x):
-    out_data = np.asarray(x.data.sum(), dtype=x.data.dtype)
-
-    def bwd(g):
-        _accum(x, np.full_like(x.data, g.item()))
-
-    return _from_op(out_data, (x,), bwd)
 
 
 def reshape(x, shape):
@@ -433,7 +417,7 @@ def finite_diff_check(f, x, eps=1e-5):
     """
     if eps <= 0:
         raise ValueError("eps must be positive")
-    x.zero_grad()
+    x.grad = None
     out = f(x)
     backward(out)
     analytic = np.zeros_like(x.data) if x.grad is None else x.grad.copy()

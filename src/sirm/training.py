@@ -9,8 +9,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tensor as T
-from .evaluation import evaluate, init_nbow_params, nbow_forward
-from .model import SIRMConfig, init_sirm_params, sirm_forward, sirm_loss
+from .evaluation import evaluate
+from .model import SIRMConfig, lookup_model
 from .text import DataFormatError, atomic_write_bytes, stack_grids
 
 logger = logging.getLogger(__name__)
@@ -84,14 +84,9 @@ class Adam:
             p.grad = None
 
 
-def _batch_loss(model_kind, grid, params, config):
+def _batch_loss(prob_loss, grid, params, config):
     """Mean loss over a stacked grid, and the value of its main-head BCE."""
-    if model_kind == "sirm":
-        trace = sirm_forward(grid, params, config)
-        loss, prob = sirm_loss(trace, grid.label), trace.y_prime
-    else:
-        prob = nbow_forward(grid, params)
-        loss = T.bce_loss(prob, grid.label)
+    prob, loss = prob_loss(grid, params, config)
     with T.no_grad():
         return loss, T.bce_loss(prob, grid.label).item()
 
@@ -115,13 +110,8 @@ def train(train_grids, dev_grids, model_kind, model_config, train_config,
     """
     if not train_grids:
         raise TrainingError("training split is empty")
-    if model_kind == "sirm":
-        params = init_sirm_params(model_config, seed=train_config.seed)
-    elif model_kind == "nbow":
-        params = init_nbow_params(model_config.vocab_size, model_config.d_e,
-                                  seed=train_config.seed)
-    else:
-        raise ValueError(f"unknown model kind {model_kind!r}")
+    init, prob_loss = lookup_model(model_kind)
+    params = init(model_config, seed=train_config.seed)
 
     optimizer = Adam(params.named_tensors(), train_config)
     rng = np.random.default_rng(train_config.seed)
@@ -131,54 +121,53 @@ def train(train_grids, dev_grids, model_kind, model_config, train_config,
     best_snap = snapshot(params)
     epochs_since_improve = 0
 
-    hist_file = open(history_path, "w", encoding="utf-8") if history_path else None
-    try:
-        for epoch in range(train_config.max_epochs):
-            start = time.time()
-            rng.shuffle(order)
-            losses = []
-            bce_losses = []
-            for b_idx, b_start in enumerate(range(0, len(order), train_config.batch_size)):
-                T.zero_grads(params.tensors())
-                batch = stack_grids([train_grids[i]
-                                     for i in order[b_start:b_start + train_config.batch_size]])
-                loss, bce = _batch_loss(model_kind, batch, params, model_config)
-                if not np.isfinite(loss.item()):
-                    raise TrainingError(
-                        f"non-finite loss in epoch {epoch}, batch {b_idx}")
-                T.backward(loss)
-                optimizer.step()
-                losses.append(loss.item())
-                bce_losses.append(bce)
+    for epoch in range(train_config.max_epochs):
+        start = time.time()
+        rng.shuffle(order)
+        losses = []
+        bce_losses = []
+        for b_idx, b_start in enumerate(range(0, len(order), train_config.batch_size)):
+            T.zero_grads(params.tensors())
+            batch = stack_grids([train_grids[i]
+                                 for i in order[b_start:b_start + train_config.batch_size]])
+            loss, bce = _batch_loss(prob_loss, batch, params, model_config)
+            if not np.isfinite(loss.item()):
+                raise TrainingError(
+                    f"non-finite loss in epoch {epoch}, batch {b_idx}")
+            T.backward(loss)
+            optimizer.step()
+            losses.append(loss.item())
+            bce_losses.append(bce)
 
+        try:
             dev_report, _ = evaluate(model_kind, params, model_config, dev_grids)
-            record = {
-                "epoch": epoch,
-                "train_loss": float(np.mean(losses)),
-                "train_bce": float(np.mean(bce_losses)),
-                "dev_acc": dev_report["accuracy"],
-                "dev_f1": dev_report["f1"],
-                "dev_macro_f1": dev_report["macro_f1"],
-                "wall_seconds": time.time() - start,
-            }
-            history.append(record)
-            if hist_file:
-                hist_file.write(json.dumps(record) + "\n")
-                hist_file.flush()
-            logger.info("epoch %d: loss %.4f dev macro-F1 %.4f",
-                        epoch, record["train_loss"], record["dev_macro_f1"])
+        except FloatingPointError as e:
+            raise TrainingError(f"epoch {epoch} dev pass: {e}") from e
+        record = {
+            "epoch": epoch,
+            "train_loss": float(np.mean(losses)),
+            "train_bce": float(np.mean(bce_losses)),
+            "dev_acc": dev_report["accuracy"],
+            "dev_f1": dev_report["f1"],
+            "dev_macro_f1": dev_report["macro_f1"],
+            "wall_seconds": time.time() - start,
+        }
+        history.append(record)
+        if history_path:
+            # opened per record: a run that fails in its first epoch leaves no file
+            with open(history_path, "a" if epoch else "w", encoding="utf-8") as f:
+                f.write(json.dumps(record) + "\n")
+        logger.info("epoch %d: loss %.4f dev macro-F1 %.4f",
+                    epoch, record["train_loss"], record["dev_macro_f1"])
 
-            if dev_report["macro_f1"] > best_metric:
-                best_metric = dev_report["macro_f1"]
-                best_snap = snapshot(params)
-                epochs_since_improve = 0
-            else:
-                epochs_since_improve += 1
-            if epochs_since_improve >= train_config.early_stop_patience:
-                break
-    finally:
-        if hist_file:
-            hist_file.close()
+        if dev_report["macro_f1"] > best_metric:
+            best_metric = dev_report["macro_f1"]
+            best_snap = snapshot(params)
+            epochs_since_improve = 0
+        else:
+            epochs_since_improve += 1
+        if epochs_since_improve >= train_config.early_stop_patience:
+            break
 
     restore(params, best_snap)
     return params, history
@@ -261,6 +250,7 @@ def load_checkpoint(path):
     try:
         header = json.loads(r.take(r.u32()).decode("utf-8"))
         model_kind = header["model"]
+        init, _ = lookup_model(model_kind)
         config = SIRMConfig.from_dict(header["config"])
     except (ValueError, KeyError, TypeError) as e:
         raise CheckpointError(f"{path}: corrupt checkpoint header: {e}") from e
@@ -278,12 +268,7 @@ def load_checkpoint(path):
             raise CheckpointError(f"{path}: tensor {name!r} holds non-finite values")
         loaded[name] = data
 
-    if model_kind == "sirm":
-        params = init_sirm_params(config, seed=0)
-    elif model_kind == "nbow":
-        params = init_nbow_params(config.vocab_size, config.d_e, seed=0)
-    else:
-        raise CheckpointError(f"{path}: unknown model kind {model_kind!r}")
+    params = init(config, seed=0)
     expected = dict(params.named_tensors())
     if set(loaded) != set(expected):
         raise CheckpointError(f"{path}: tensor names do not match the config")

@@ -147,6 +147,7 @@ def failure_inputs(tmp_path_factory):
                  "--config", str(config), "--max-epochs", "1"]) == 0
     ckpt = tmp / "run" / "best.ckpt"
     kind, model_config, params = load_checkpoint(ckpt)
+    save_checkpoint(tmp / "bogus.ckpt", "bogus", model_config, params)
     params.out_head[1].data[:] = np.nan
     save_checkpoint(tmp / "nan.ckpt", kind, model_config, params)
     # finite weights whose products overflow in the first forward
@@ -167,7 +168,8 @@ def failure_inputs(tmp_path_factory):
     return {"data": data, "config": config, "vocab": vocab, "ckpt": ckpt,
             "nan_ckpt": tmp / "nan.ckpt", "huge_ckpt": tmp / "huge.ckpt",
             "dup_ckpt": tmp / "dup.ckpt", "vocab5_config": tmp / "vocab5.json",
-            "retired_ckpt": tmp / "retired.ckpt", "empty": tmp / "empty.jsonl",
+            "retired_ckpt": tmp / "retired.ckpt", "bogus_ckpt": tmp / "bogus.ckpt",
+            "empty": tmp / "empty.jsonl",
             "one": tmp / "one.jsonl"}
 
 
@@ -197,6 +199,10 @@ FAILURES = [
      "config vocab_size 5 does not match"),
     ("duplicate-tensor", eval_args("{dup_ckpt}"), 2, "appears twice"),
     ("retired-key", eval_args("{retired_ckpt}"), 2, "mask_aware_pooling"),
+    ("unknown-kind", eval_args("{bogus_ckpt}"), 2, "unknown model kind 'bogus'"),
+    # one step per epoch: the first update overflows the epoch-0 dev pass
+    ("diverge-lr", train_args(*TRAIN_DEV, "--lr", "1e30", "--batch-size", "64"), 3,
+     "epoch 0 dev pass: non-finite probability"),
     ("empty-eval", eval_args(data="{empty}"), 2, "empty"),
     ("empty-predict", ["predict"] + eval_args(data="{empty}")[1:] + ["--out", "{out}"],
      2, "empty"),

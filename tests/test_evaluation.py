@@ -3,10 +3,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from sirm import tensor as T
-from sirm.evaluation import (EVAL_BATCH, EvaluationError, evaluate,
-                             init_nbow_params, metrics, nbow_forward,
+from sirm.evaluation import (EVAL_BATCH, EvaluationError, evaluate, metrics,
                              write_predictions)
-from sirm.model import SIRMConfig, init_sirm_params
+from sirm.model import (MODELS, SIRMConfig, init_nbow_params,
+                        init_sirm_params, nbow_forward)
 from sirm.text import ParagraphGrid, stack_grids
 
 
@@ -54,18 +54,20 @@ def make_grid(ids_row, vocab_size=10):
 
 class TestNBOW:
     def test_zero_head_outputs_half(self):
-        params = init_nbow_params(10, 6, seed=0)
+        params = init_nbow_params(SIRMConfig(vocab_size=10, d_e=6), seed=0)
         params.head_w.data[:] = 0.0
         assert nbow_forward(make_grid([2, 3, 4, 0]), params).item() == 0.5
 
     def test_duplicate_tokens_do_not_change_output(self):
-        params = init_nbow_params(10, 6, seed=1, dtype=np.float64)
+        params = init_nbow_params(SIRMConfig(vocab_size=10, d_e=6), seed=1,
+                                  dtype=np.float64)
         single = nbow_forward(make_grid([2, 3, 0, 0, 0, 0]), params).item()
         doubled = nbow_forward(make_grid([2, 3, 2, 3, 0, 0]), params).item()
         assert doubled == pytest.approx(single, abs=1e-12)
 
     def test_token_order_invariance(self):
-        params = init_nbow_params(10, 6, seed=2, dtype=np.float64)
+        params = init_nbow_params(SIRMConfig(vocab_size=10, d_e=6), seed=2,
+                                  dtype=np.float64)
         a = nbow_forward(make_grid([2, 3, 4, 5]), params).item()
         b = nbow_forward(make_grid([5, 4, 3, 2]), params).item()
         assert b == pytest.approx(a, abs=1e-12)
@@ -77,7 +79,8 @@ class TestNBOW:
                                                               seed, data):
         labels = data.draw(st.lists(st.integers(0, 1), min_size=batch, max_size=batch))
         rng = np.random.default_rng(seed)
-        params = init_nbow_params(10, 4, seed=seed, dtype=np.float64)
+        params = init_nbow_params(SIRMConfig(vocab_size=10, d_e=4), seed=seed,
+                                  dtype=np.float64)
         grids = []
         for y in labels:
             mask = np.arange(n) < rng.integers(0, n + 1, size=(m, 1))
@@ -138,11 +141,11 @@ class TestEvaluate:
         assert [r[0] for r in rows] == list(range(len(grids)))
         assert report["n"] == len(grids)
 
-    @pytest.mark.parametrize("model_kind", ["sirm", "nbow"])
+    @pytest.mark.parametrize("model_kind", sorted(MODELS))
     def test_batched_rows_match_single_grid_calls(self, setup, model_kind):
-        config, params, _ = setup
-        if model_kind == "nbow":
-            params = init_nbow_params(config.vocab_size, config.d_e, seed=0)
+        config, _, _ = setup
+        init, _ = MODELS[model_kind]
+        params = init(config, seed=0)
         rng = np.random.default_rng(1)
         grids = []
         for i in range(37):    # crosses two batch boundaries

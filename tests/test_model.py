@@ -9,6 +9,8 @@ from sirm.model import (ConfigError, SIRMConfig, dense_connect_pool,
                         sirm_loss, skim_forward)
 from sirm.text import ParagraphGrid, stack_grids
 
+from test_tensor import total
+
 
 def toy_config(**overrides):
     defaults = dict(vocab_size=12, d_e=4, d_c=4, src_windows=(1, 2), k=1,
@@ -81,7 +83,7 @@ class TestEmbedParagraph:
         grid = random_grid(config, seed=3)
 
         def f(_emb):
-            return T.sum_all(T.sigmoid(embed_paragraph(grid, params, config)))
+            return total(T.sigmoid(embed_paragraph(grid, params, config)))
 
         assert T.finite_diff_check(f, params.embedding) < 1e-6
 
@@ -158,7 +160,7 @@ class TestSkimForward:
         np.testing.assert_allclose(g.data, skim_oracle(x_data, params, config),
                                    atol=1e-12)
         assert T.finite_diff_check(
-            lambda v: T.sum_all(skim_forward(v, params, config)), x) < 1e-6
+            lambda v: total(skim_forward(v, params, config)), x) < 1e-6
 
 
 class TestNearNeighbor:
@@ -187,7 +189,7 @@ class TestNearNeighbor:
                                    neighbor_oracle(x.data, w.data, b.data, 1),
                                    atol=1e-12)
         assert T.finite_diff_check(
-            lambda v: T.sum_all(near_neighbor_encode(v, w, b, 1)), x) < 1e-6
+            lambda v: total(near_neighbor_encode(v, w, b, 1)), x) < 1e-6
 
 
 class TestDenseConnectPool:
@@ -223,7 +225,7 @@ class TestDenseConnectPool:
         np.testing.assert_allclose(out.data, expected, atol=1e-12)
         for param in (w, g):
             assert T.finite_diff_check(
-                lambda v: T.sum_all(dense_connect_pool(x, u, g, w, b)), param) < 1e-6
+                lambda v: total(dense_connect_pool(x, u, g, w, b)), param) < 1e-6
 
     def test_width_mismatch(self):
         w = T.Tensor(np.zeros((5, 3)))
@@ -279,7 +281,7 @@ class TestSIRMForward:
         params = init_sirm_params(config, seed=11, dtype=np.float64)
         grid = random_grid(config, seed=11)
         trace = sirm_forward(grid, params, config)
-        T.backward(T.sum_all(T.matmul(T.Tensor([[0., 1.]]), trace.o_sent)))
+        T.backward(total(T.matmul(T.Tensor([[0., 1.]]), trace.o_sent)))
         emb_grad = params.embedding.grad
         sentence0_ids = set(grid.token_ids[0].tolist()) - set(grid.token_ids[1].tolist())
         assert sentence0_ids, "need a word unique to sentence 0"

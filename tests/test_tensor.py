@@ -9,6 +9,13 @@ def t64(data, requires_grad=False):
     return T.Tensor(np.asarray(data, dtype=np.float64), requires_grad=requires_grad)
 
 
+def total(x):
+    """The sum of every element of x as a scalar graph node: x flattened
+    times a ones column, so its gradient comes from the ops under test."""
+    ones = T.Tensor(np.ones((x.data.size, 1), dtype=x.data.dtype))
+    return T.reshape(T.matmul(T.reshape(x, (x.data.size,)), ones), ())
+
+
 class TestMatmul:
     def test_identity(self):
         a = t64(np.eye(2))
@@ -28,7 +35,7 @@ class TestMatmul:
         rng = np.random.default_rng(0)
         a = t64(rng.normal(size=(3, 4)), requires_grad=True)
         b = t64(rng.normal(size=(4, 2)))
-        out = T.sum_all(T.matmul(a, b))
+        out = total(T.matmul(a, b))
         T.backward(out)
         expected = np.tile(b.data.sum(axis=1), (3, 1))
         np.testing.assert_allclose(a.grad, expected, rtol=1e-12)
@@ -39,7 +46,7 @@ class TestMatmul:
         b = t64(rng.normal(size=(4, 2)))
         out = T.matmul(a, b)
         np.testing.assert_allclose(out.data, a.data @ b.data, rtol=1e-12)
-        T.backward(T.sum_all(out))
+        T.backward(total(out))
         np.testing.assert_allclose(a.grad, b.data.sum(axis=1), rtol=1e-12)
 
     def test_leading_axes_match_row_by_row(self):
@@ -55,7 +62,7 @@ class TestMatmul:
         rng = np.random.default_rng(1)
         b = t64(rng.normal(size=(4, 2)))
         a = t64(rng.normal(size=(3, 4)), requires_grad=True)
-        err = T.finite_diff_check(lambda x: T.sum_all(T.matmul(x, b)), a)
+        err = T.finite_diff_check(lambda x: total(T.matmul(x, b)), a)
         assert err < 1e-6
 
 
@@ -104,7 +111,7 @@ class TestConv1d:
                                    rtol=1e-12)
         for param in (x, w, b):
             err = T.finite_diff_check(
-                lambda _p: T.sum_all(T.relu(T.conv1d(x, w, b, padding="same_zero"))), param)
+                lambda _p: total(T.relu(T.conv1d(x, w, b, padding="same_zero"))), param)
             assert err < 1e-6
 
     def test_valid_matches_oracle(self):
@@ -168,7 +175,7 @@ class TestConv1d:
         h = 7       # pad_l = 3: taps 0..2 see only padding on short sequences
         x = t64(np.ones((2, L, 1)), requires_grad=True)
         w = t64(np.arange(1.0, h + 1).reshape(h, 1, 1))
-        T.backward(T.sum_all(T.conv1d(x, w, t64([0.0]), padding="same_zero")))
+        T.backward(total(T.conv1d(x, w, t64([0.0]), padding="same_zero")))
         # input row r feeds output row i through tap r - i + 3, for every i < L
         expected = [sum(w.data[r - i + 3, 0, 0] for i in range(L)) for r in range(L)]
         assert np.array_equal(x.grad, np.broadcast_to(np.reshape(expected, (L, 1)), (2, L, 1)))
@@ -206,7 +213,7 @@ class TestMeanPool:
 
     def test_backward(self):
         x = t64([[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]], requires_grad=True)
-        T.backward(T.sum_all(T.mean_pool(x)))
+        T.backward(total(T.mean_pool(x)))
         np.testing.assert_allclose(x.grad, np.full((3, 2), 1.0 / 3.0))
 
     def test_leading_axes_pool_each_sequence(self):
@@ -221,7 +228,7 @@ class TestRepeatRow:
         out = T.repeat_row(v, (2, 3))
         assert out.data.shape == (2, 3, 2)
         np.testing.assert_array_equal(out.data, np.broadcast_to([1.0, 2.0], (2, 3, 2)))
-        T.backward(T.sum_all(out))
+        T.backward(total(out))
         np.testing.assert_array_equal(v.grad, [6.0, 6.0])
 
     def test_batched_vectors_repeat_within_their_row(self):
@@ -244,7 +251,7 @@ class TestConcat:
     def test_gradient_routing(self):
         a = t64([1.0, 2.0], requires_grad=True)
         b = t64([3.0], requires_grad=True)
-        T.backward(T.sum_all(T.concat_lastaxis([a, b])))
+        T.backward(total(T.concat_lastaxis([a, b])))
         assert np.array_equal(a.grad, [1, 1]) and np.array_equal(b.grad, [1])
 
     def test_leading_shape_mismatch(self):
@@ -260,12 +267,12 @@ class TestGradReverse:
 
     def test_sign_flip(self):
         x = t64([1.0, 2.0, 3.0], requires_grad=True)
-        T.backward(T.sum_all(T.grad_reverse(x, 1.0)))
+        T.backward(total(T.grad_reverse(x, 1.0)))
         assert np.array_equal(x.grad, [-1, -1, -1])
 
     def test_scaling(self):
         x = t64([1.0, 2.0, 3.0], requires_grad=True)
-        T.backward(T.sum_all(T.grad_reverse(x, 0.5)))
+        T.backward(total(T.grad_reverse(x, 0.5)))
         assert np.array_equal(x.grad, [-0.5, -0.5, -0.5])
 
     def test_negative_scale_rejected(self):
@@ -276,13 +283,17 @@ class TestGradReverse:
 class TestBackward:
     def test_sum_gives_ones(self):
         x = t64(np.zeros((2, 3)), requires_grad=True)
-        T.backward(T.sum_all(x))
+        T.backward(total(x))
         assert np.array_equal(x.grad, np.ones((2, 3)))
 
     def test_fanout_accumulates(self):
         x = t64([1.0, 2.0], requires_grad=True)
-        T.backward(T.add(T.sum_all(x), T.sum_all(x)))
+        T.backward(T.add(total(x), total(x)))
         assert np.array_equal(x.grad, [2, 2])
+
+    def test_add_takes_equal_shapes_only(self):
+        with pytest.raises(T.ShapeError, match=r"\(2,\) vs \(\)"):
+            T.add(t64([1.0, 2.0]), t64(3.0))
 
     def test_non_scalar_loss_rejected(self):
         with pytest.raises(T.ShapeError):
@@ -291,7 +302,7 @@ class TestBackward:
     def test_grad_keeps_the_leaf_dtype(self):
         a = T.Tensor(np.ones(3, dtype=np.float32), requires_grad=True)
         b = t64(np.ones(3), requires_grad=True)
-        T.backward(T.sum_all(T.add(a, b)))     # a float64 upstream gradient
+        T.backward(total(T.add(a, b)))     # a float64 upstream gradient
         assert a.grad.dtype == np.float32 and b.grad.dtype == np.float64
         assert np.array_equal(a.grad, np.ones(3))
 
@@ -309,7 +320,7 @@ class TestBackward:
     def test_op_nodes_are_freed_and_leaves_keep_grads(self):
         x = t64([1.0, -2.0], requires_grad=True)
         hidden = T.sigmoid(x)
-        loss = T.sum_all(hidden)
+        loss = total(hidden)
         T.backward(loss)
         assert x.grad is not None
         for node in (hidden, loss):
@@ -317,7 +328,7 @@ class TestBackward:
 
     def test_second_backward_of_a_graph_rejected(self):
         x = t64([1.0, 2.0], requires_grad=True)
-        loss = T.sum_all(T.sigmoid(x))
+        loss = total(T.sigmoid(x))
         T.backward(loss)
         with pytest.raises(RuntimeError, match="already"):
             T.backward(loss)
@@ -327,7 +338,7 @@ class TestBackward:
             rng = np.random.default_rng(6)
             x = t64(rng.normal(size=(4, 3)), requires_grad=True)
             w = t64(rng.normal(size=(3, 2)), requires_grad=True)
-            out = T.sum_all(T.sigmoid(T.matmul(x, w)))
+            out = total(T.sigmoid(T.matmul(x, w)))
             T.backward(out)
             return out.data.copy(), x.grad.copy(), w.grad.copy()
 
@@ -360,7 +371,7 @@ class TestAddBias:
         b = t64(np.arange(12.0).reshape(3, 4), requires_grad=True)
         out = T.add_bias(x, b)
         np.testing.assert_array_equal(out.data[1], 1.0 + b.data)
-        T.backward(T.sum_all(out))
+        T.backward(total(out))
         assert np.array_equal(x.grad, np.ones((2, 3, 4)))
         assert np.array_equal(b.grad, np.full((3, 4), 2.0))
 
@@ -415,7 +426,7 @@ class TestFiniteDiff:
         x = t64([1.0, 2.0], requires_grad=True)
 
         def f(v):
-            return T.sum_all(T.matmul(T.reshape(v, (1, 2)), T.reshape(v, (2, 1))))
+            return total(T.matmul(T.reshape(v, (1, 2)), T.reshape(v, (2, 1))))
 
         assert T.finite_diff_check(f, x) < 1e-8
         T.backward(f(x))
@@ -424,7 +435,7 @@ class TestFiniteDiff:
 
     def test_relu_sum_away_from_kinks(self):
         x = t64([1.0, -2.0, 0.5], requires_grad=True)
-        assert T.finite_diff_check(lambda v: T.sum_all(T.relu(v)), x) < 1e-10
+        assert T.finite_diff_check(lambda v: total(T.relu(v)), x) < 1e-10
 
 
 def test_randomized_op_gradients_pass_finite_difference():
@@ -433,14 +444,14 @@ def test_randomized_op_gradients_pass_finite_difference():
             requires_grad=True)
 
     cases = [
-        lambda v: T.sum_all(T.relu(v)),
-        lambda v: T.sum_all(T.sigmoid(v)),
+        lambda v: total(T.relu(v)),
+        lambda v: total(T.sigmoid(v)),
         # weighted sum: plain sum of softmax rows is constant (zero gradient)
-        lambda v: T.sum_all(T.matmul(T.softmax_lastaxis(v),
+        lambda v: total(T.matmul(T.softmax_lastaxis(v),
                                      t64([[0.3], [-1.2], [0.8], [2.1]]))),
-        lambda v: T.sum_all(T.mean_pool(v)),
-        lambda v: T.sum_all(T.concat_lastaxis([v, T.sigmoid(v)])),
-        lambda v: T.sum_all(T.reshape(v, (4, 5))),
+        lambda v: total(T.mean_pool(v)),
+        lambda v: total(T.concat_lastaxis([v, T.sigmoid(v)])),
+        lambda v: total(T.reshape(v, (4, 5))),
     ]
     for f in cases:
         assert T.finite_diff_check(f, x) < 1e-4
@@ -455,7 +466,7 @@ def test_randomized_op_gradients_pass_finite_difference():
     block = t64(rng.normal(size=(5, 4)), requires_grad=True)
 
     def smooth(out):
-        return T.sum_all(T.sigmoid(out))
+        return total(T.sigmoid(out))
 
     batched = [
         (x3, lambda v: smooth(T.conv1d(v, w, b, padding="same_zero"))),
@@ -479,15 +490,15 @@ def test_embedding_lookup_scatter_and_bounds():
     table = t64(np.arange(8, dtype=float).reshape(4, 2), requires_grad=True)
     out = T.embedding_lookup(table, [1, 1, 3])
     assert np.array_equal(out.data, [[2, 3], [2, 3], [6, 7]])
-    T.backward(T.sum_all(out))
+    T.backward(total(out))
     assert np.array_equal(table.grad, [[0, 0], [2, 2], [0, 0], [1, 1]])
     with pytest.raises(IndexError):
         T.embedding_lookup(table, [4])
 
-    table.zero_grad()
+    table.grad = None
     out = T.embedding_lookup(table, [[0, 3], [3, 3]])
     assert out.data.shape == (2, 2, 2)
-    T.backward(T.sum_all(out))
+    T.backward(total(out))
     assert np.array_equal(table.grad, [[1, 1], [0, 0], [0, 0], [3, 3]])
 
 
@@ -513,8 +524,8 @@ def test_embedding_backward_adds_to_a_gradient_in_any_memory_order():
     table = T.Tensor(np.asfortranarray(np.zeros((3, 2))), requires_grad=True)
     ids = np.array([2, 0, 2])
     for first_lookup in (True, False):
-        table.zero_grad()
-        lookup = T.sum_all(T.embedding_lookup(table, ids))
-        dense = T.sum_all(T.matmul(t64(np.ones((1, 3))), table))
+        table.grad = None
+        lookup = total(T.embedding_lookup(table, ids))
+        dense = total(T.matmul(t64(np.ones((1, 3))), table))
         T.backward(T.add(lookup, dense) if first_lookup else T.add(dense, lookup))
         assert np.array_equal(table.grad, [[2, 2], [1, 1], [3, 3]])

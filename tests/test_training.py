@@ -7,7 +7,8 @@ from hypothesis import given, settings, strategies as st
 
 import sirm.training as training_mod
 from sirm import tensor as T
-from sirm.model import SIRMConfig, init_sirm_params, sirm_forward
+from sirm.evaluation import evaluate
+from sirm.model import MODELS, SIRMConfig, init_sirm_params, sirm_forward
 from sirm.text import DataFormatError, ParagraphGrid
 from sirm.training import (Adam, CheckpointError, TrainConfig, TrainingError,
                            load_checkpoint, save_checkpoint,
@@ -155,7 +156,7 @@ class TestTrainLoop:
         config = toy_config()
         grids = toy_grids(config)
 
-        def exploding(model_kind, grid, params, cfg):
+        def exploding(prob_loss, grid, params, cfg):
             loss = T.Tensor(np.array(np.inf), requires_grad=True)
             loss._parents = ()
             return loss, np.inf
@@ -170,7 +171,6 @@ class TestTrainLoop:
         tc = TrainConfig(max_epochs=8, early_stop_patience=8, batch_size=4,
                          seed=2, learning_rate=0.02)
         params, history = train(grids, grids, "sirm", config, tc)
-        from sirm.evaluation import evaluate
         final_report, _ = evaluate("sirm", params, config, grids)
         assert final_report["macro_f1"] >= max(h["dev_macro_f1"] for h in history) - 1e-12
 
@@ -226,6 +226,19 @@ class TestCheckpoint:
         config, params, path = self._setup(tmp_path)
         _, config2, params2 = load_checkpoint(path)
         assert serialize_checkpoint("sirm", config2, params2) == path.read_bytes()
+
+    @pytest.mark.parametrize("kind", sorted(MODELS))
+    def test_every_model_kind_round_trips(self, tmp_path, kind):
+        config = toy_config()
+        init, _ = MODELS[kind]
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(path, kind, config, init(config, seed=6))
+        kind2, config2, loaded = load_checkpoint(path)
+        assert (kind2, config2) == (kind, config)
+        assert serialize_checkpoint(kind2, config2, loaded) == path.read_bytes()
+        grids = toy_grids(config)
+        _, rows = evaluate(kind, init(config, seed=6), config, grids)
+        assert evaluate(kind2, loaded, config2, grids)[1] == rows
 
     def test_roundtrip_bit_exact(self, tmp_path):
         config, params, path = self._setup(tmp_path)
