@@ -57,11 +57,6 @@ def _load_config_file(path):
     return cfg
 
 
-def _seed_override(seed):
-    env = os.environ.get("SIRM_SEED")
-    return int(env) if env else seed
-
-
 def _assemble(args, vocab_size):
     """Merge config-file values with CLI flag overrides.
 
@@ -77,7 +72,7 @@ def _assemble(args, vocab_size):
     cfg["vocab_size"] = vocab_size
     sirm_cfg = SIRMConfig(**{k: v for k, v in cfg.items() if k in SIRM_FIELDS})
     train_cfg = TrainConfig(**{k: v for k, v in cfg.items() if k in TRAIN_FIELDS})
-    train_cfg.seed = _seed_override(train_cfg.seed)
+    train_cfg.seed = int(os.environ.get("SIRM_SEED") or train_cfg.seed)
     return sirm_cfg, train_cfg
 
 

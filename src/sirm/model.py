@@ -5,13 +5,16 @@ average-over-time pooling whose concatenated output g summarizes the whole
 paragraph. Intensive path: two levels (sentence, then paragraph) where every
 position is re-encoded from its own embedding, a zero-padded near-neighbor
 convolution, and g, through one ReLU affine layer followed by mean pooling.
-Both levels use the same two functions: the sentence level runs them once on
-the (m, n, d_e) grid, every sentence along the leading axis, and the
-paragraph level once on the (m, d_as) sentence vectors.
-An auxiliary two-class head reads g through a gradient-reversal node so that
-training-set-specific skim features are suppressed. Every function takes
-leading batch axes: a grid of (..., m, n) arrays is that many documents read
-in one graph, and a single grid is the case with no leading axes.
+That layer is split by input, W_x x'_j + W_u u_j per position plus W_g g + b
+once per document and broadcast over its positions, with W_g, W_u and W_x
+the row blocks [g; u; x'] of one stored weight. Both levels use the same two
+functions: the sentence level runs them once on the (m, n, d_e) grid, every
+sentence along the leading axis, and the paragraph level once on the
+(m, d_as) sentence vectors. An auxiliary two-class head reads g through a
+gradient-reversal node so that training-set-specific skim features are
+suppressed. Every function takes leading batch axes: a grid of (..., m, n)
+arrays is that many documents read in one graph, and a single grid is the
+case with no leading axes.
 
 The bag-of-words baseline (NBOW) sits next to SIRM; MODELS maps each model
 kind to its initializer and its probability-and-loss function.
@@ -89,9 +92,9 @@ class SIRMParams:
     embedding: T.Tensor
     src_filters: dict          # window size -> (weight, bias)
     sent_neighbor: tuple       # (weight (2k+1, d_e, d_ns), bias)
-    sent_dense: tuple          # (weight (|g|+d_ns+d_e, d_as), bias)
+    sent_dense: tuple          # (weight rows [g; u; s'] (|g|+d_ns+d_e, d_as), bias)
     para_neighbor: tuple       # (weight (2k+1, d_as, d_np), bias)
-    para_dense: tuple          # (weight (|g|+d_np+d_as, d_ap), bias)
+    para_dense: tuple          # (weight rows [g; u; o'] (|g|+d_np+d_as, d_ap), bias)
     out_head: tuple            # (weight (d_ap+|g|, 1), bias)
     adv_head: tuple            # (weight (|g|, 2), bias)
 
@@ -193,7 +196,7 @@ def embed_paragraph(grid, params, config):
     emb = T.embedding_lookup(params.embedding, ids)
     pos = positional_encoding(config.n, config.d_e, dtype)
     tiled = T.Tensor(np.tile(pos.data, (config.m, 1)))
-    return T.add_bias(emb, tiled)
+    return T.add(emb, tiled)
 
 
 def skim_forward(s_prime_flat, params, config):
@@ -214,15 +217,19 @@ def near_neighbor_encode(x, weight, bias, k):
 
 
 def dense_connect_pool(x_prime, u, g, weight, bias):
-    """Per position: relu(W [g + u_j + x'_j] + b), then mean over positions.
+    """Per position: relu(W_x x'_j + W_u u_j + (W_g g + b)), then mean over positions.
 
     x_prime and u are (..., L, d); g is the (..., |g|) skim vector of each
-    document, shared by all its positions.
+    document. weight stacks the row blocks [W_g; W_u; W_x]. The g term is one
+    product per document, reshaped to size-1 position axes and broadcast.
     """
-    rows = x_prime.data.shape[g.data.ndim - 1:-1]
-    t = T.concat_lastaxis([T.repeat_row(g, rows), u, x_prime])
-    rows = T.relu(T.add_bias(T.matmul(t, weight), bias))
-    return T.mean_pool(rows)
+    gw, du = g.data.shape[-1], u.data.shape[-1]
+    per_pos = T.add(T.matmul(x_prime, T.row_block(weight, gw + du, weight.data.shape[0])),
+                    T.matmul(u, T.row_block(weight, gw, gw + du)))
+    per_doc = T.add(T.matmul(g, T.row_block(weight, 0, gw)), bias)
+    ones = (1,) * (x_prime.data.ndim - g.data.ndim)
+    shared = T.reshape(per_doc, g.data.shape[:-1] + ones + bias.data.shape)
+    return T.mean_pool(T.relu(T.add(per_pos, shared)))
 
 
 def sirm_forward(grid, params, config, reverse_gradients=True):
@@ -244,7 +251,7 @@ def sirm_forward(grid, params, config, reverse_gradients=True):
     ds_w, ds_b = params.sent_dense
     o_sent = dense_connect_pool(s_prime, u_sent, g, ds_w, ds_b)     # (..., m, d_as)
     pos_m = positional_encoding(m, config.d_as, dtype)
-    o_prime = T.add_bias(o_sent, pos_m)                      # (..., m, d_as)
+    o_prime = T.add(o_sent, pos_m)                           # (..., m, d_as)
 
     pn_w, pn_b = params.para_neighbor
     pd_w, pd_b = params.para_dense
@@ -252,12 +259,12 @@ def sirm_forward(grid, params, config, reverse_gradients=True):
     o_para = dense_connect_pool(o_prime, u_para, g, pd_w, pd_b)
 
     ow, ob = params.out_head
-    logit = T.add_bias(T.matmul(T.concat_lastaxis([o_para, g]), ow), ob)
+    logit = T.add(T.matmul(T.concat_lastaxis([o_para, g]), ow), ob)
     y_prime = T.reshape(T.sigmoid(logit), lead)
 
     g_adv = T.grad_reverse(g, config.lambda_adv) if reverse_gradients else g
     aw, ab = params.adv_head
-    y_dprime = T.softmax_lastaxis(T.add_bias(T.matmul(g_adv, aw), ab))
+    y_dprime = T.softmax_lastaxis(T.add(T.matmul(g_adv, aw), ab))
 
     return ForwardTrace(
         s_prime=s_prime,
@@ -326,7 +333,7 @@ def nbow_forward(grid, params):
     pool[doc, np.arange(doc.size)] = 1.0 / counts[doc]
     emb = T.embedding_lookup(params.embedding, grid.token_ids[grid.word_mask])
     pooled = T.matmul(T.Tensor(pool), emb)
-    logit = T.add_bias(T.matmul(pooled, params.head_w), params.head_b)
+    logit = T.add(T.matmul(pooled, params.head_w), params.head_b)
     return T.reshape(T.sigmoid(logit), grid.word_mask.shape[:-2])
 
 

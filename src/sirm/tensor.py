@@ -2,15 +2,14 @@
 
 Only the primitives the models in model.py need: embedding lookup, matmul,
 1-D convolution, relu, sigmoid and softmax, mean pooling, concatenation,
-row broadcast, reshape, same-shape and bias addition, gradient reversal,
-and the two loss heads. Every op accepts leading batch axes (features on
-axis -1, the sequence on axis -2; add_bias broadcasts over them) and the
-losses return batch means. Graphs are
-built through parent links, except inside `no_grad()`; backward() walks a
-fresh topological order and frees the graph as it goes, so it runs once.
-A tensor's first gradient is copied into a new buffer of the tensor's own
-dtype and layout, never aliasing the upstream array; later ones are added
-to it in place.
+row block, reshape, broadcasting addition, gradient reversal, and the two
+loss heads. Every op accepts leading batch axes (features on axis -1, the
+sequence on axis -2; add broadcasts its second operand over them) and the
+losses return batch means. Graphs are built through parent links, except
+inside `no_grad()`; backward() walks a fresh topological order and frees
+the graph as it goes, so it runs once. A tensor's first gradient is copied
+into a new buffer of the tensor's own dtype and layout, never aliasing the
+upstream array; later ones are added to it in place.
 """
 
 import contextlib
@@ -297,31 +296,27 @@ def grad_reverse(x, scale_factor):
 
 
 def add(a, b):
-    if a.data.shape != b.data.shape:
-        raise ShapeError(f"add shape mismatch: {a.data.shape} vs {b.data.shape}")
+    """a + b with b broadcast onto a's shape under numpy rules; out has a's shape.
+
+    Backward sums g over a's leading axes, then over b's size-1 axes.
+    """
+    a_shape, b_shape = a.data.shape, b.data.shape
+    lead = a.data.ndim - b.data.ndim
+    if lead < 0 or any(db not in (1, da) for da, db in zip(a_shape[lead:], b_shape)):
+        raise ShapeError(f"add shapes: {a_shape} + {b_shape}")
+    ones = tuple(i for i, (da, db) in enumerate(zip(a_shape[lead:], b_shape)) if db != da)
     out_data = a.data + b.data
 
     def bwd(g):
         _accum(a, g)
-        _accum(b, g)
+        if b.requires_grad:
+            if lead:
+                g = g.reshape((-1,) + a_shape[lead:]).sum(axis=0)
+            if ones:
+                g = g.sum(axis=ones, keepdims=True)
+            _accum(b, g)
 
     return _from_op(out_data, (a, b), bwd)
-
-
-def add_bias(x, b):
-    """Add b to x at every leading index: (..., *b.shape) + b.
-
-    b is a (d,) bias row or, for position tables, any trailing block of x.
-    """
-    if b.data.ndim < 1 or x.data.shape[x.data.ndim - b.data.ndim:] != b.data.shape:
-        raise ShapeError(f"add_bias shapes: {x.data.shape} + {b.data.shape}")
-    out_data = x.data + b.data
-
-    def bwd(g):
-        _accum(x, g)
-        _accum(b, g.reshape((-1,) + b.data.shape).sum(axis=0))
-
-    return _from_op(out_data, (x, b), bwd)
 
 
 def reshape(x, shape):
@@ -333,21 +328,18 @@ def reshape(x, shape):
     return _from_op(out_data, (x,), bwd)
 
 
-def repeat_row(v, rows):
-    """Broadcast v (..., d) to (..., *rows, d); backward sums over the new axes.
-
-    rows is a tuple of sizes, inserted before the feature axis.
-    """
-    rows = tuple(rows)
-    lead = v.data.shape[:-1]
-    out_data = np.broadcast_to(v.data.reshape(lead + (1,) * len(rows) + v.data.shape[-1:]),
-                               lead + rows + v.data.shape[-1:])
-    new_axes = tuple(range(len(lead), len(lead) + len(rows)))
+def row_block(w, start, stop):
+    """Rows [start, stop) of w as a view; backward adds g into those rows of w.grad."""
+    if not 0 <= start < stop <= w.data.shape[0]:
+        raise ShapeError(f"row_block [{start}, {stop}) of shape {w.data.shape}")
+    out_data = w.data[start:stop]
 
     def bwd(g):
-        _accum(v, g.sum(axis=new_axes))
+        if w.grad is None:
+            w.grad = np.zeros_like(w.data)
+        w.grad[start:stop] += g
 
-    return _from_op(out_data, (v,), bwd)
+    return _from_op(out_data, (w,), bwd)
 
 
 def embedding_lookup(table, ids):

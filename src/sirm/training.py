@@ -130,12 +130,13 @@ def train(train_grids, dev_grids, model_kind, model_config, train_config,
             T.zero_grads(params.tensors())
             batch = stack_grids([train_grids[i]
                                  for i in order[b_start:b_start + train_config.batch_size]])
-            loss, bce = _batch_loss(prob_loss, batch, params, model_config)
-            if not np.isfinite(loss.item()):
-                raise TrainingError(
-                    f"non-finite loss in epoch {epoch}, batch {b_idx}")
-            T.backward(loss)
-            optimizer.step()
+            # a diverging step's overflow surfaces as the loss or dev-pass error
+            with np.errstate(over="ignore", invalid="ignore"):
+                loss, bce = _batch_loss(prob_loss, batch, params, model_config)
+                if not np.isfinite(loss.item()):
+                    raise TrainingError(f"non-finite loss in epoch {epoch}, batch {b_idx}")
+                T.backward(loss)
+                optimizer.step()
             losses.append(loss.item())
             bce_losses.append(bce)
 
@@ -196,6 +197,7 @@ MAGIC = b"SIRM1"
 
 
 def serialize_checkpoint(model_kind, config, params):
+    lookup_model(model_kind)    # an unknown kind fails here, not at load
     header = json.dumps({"model": model_kind, "config": config.to_dict()},
                         sort_keys=True).encode("utf-8")
     chunks = [MAGIC, struct.pack("<I", len(header)), header]

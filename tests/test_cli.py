@@ -10,7 +10,7 @@ from sirm.model import ConfigError
 from sirm.synthetic import generate, write_jsonl
 from sirm.training import load_checkpoint, save_checkpoint
 
-from test_training import with_parent_header
+from test_training import with_header, with_parent_header
 
 TOY_CONFIG = {
     "d_e": 4, "d_c": 2, "src_windows": [1, 2], "k": 1,
@@ -147,7 +147,6 @@ def failure_inputs(tmp_path_factory):
                  "--config", str(config), "--max-epochs", "1"]) == 0
     ckpt = tmp / "run" / "best.ckpt"
     kind, model_config, params = load_checkpoint(ckpt)
-    save_checkpoint(tmp / "bogus.ckpt", "bogus", model_config, params)
     params.out_head[1].data[:] = np.nan
     save_checkpoint(tmp / "nan.ckpt", kind, model_config, params)
     # finite weights whose products overflow in the first forward
@@ -162,6 +161,8 @@ def failure_inputs(tmp_path_factory):
         ckpt.read_bytes() + struct.pack("<I", len(name)) + name
         + struct.pack("<II", 1, 1) + np.zeros(1, dtype="<f4").tobytes())
     (tmp / "retired.ckpt").write_bytes(with_parent_header(ckpt.read_bytes(), True))
+    (tmp / "bogus.ckpt").write_bytes(
+        with_header(ckpt.read_bytes(), lambda h: h.update(model="bogus")))
     (tmp / "vocab5.json").write_text(json.dumps({**TOY_CONFIG, "vocab_size": 5}))
     (tmp / "empty.jsonl").write_text("")
     (tmp / "one.jsonl").write_text(data.read_text().splitlines()[0] + "\n")
@@ -203,6 +204,9 @@ FAILURES = [
     # one step per epoch: the first update overflows the epoch-0 dev pass
     ("diverge-lr", train_args(*TRAIN_DEV, "--lr", "1e30", "--batch-size", "64"), 3,
      "epoch 0 dev pass: non-finite probability"),
+    # four steps per epoch: the first update overflows the second batch's forward
+    ("diverge-in-batch", train_args(*TRAIN_DEV, "--lr", "1e30", "--batch-size", "16"), 3,
+     "non-finite loss in epoch 0"),
     ("empty-eval", eval_args(data="{empty}"), 2, "empty"),
     ("empty-predict", ["predict"] + eval_args(data="{empty}")[1:] + ["--out", "{out}"],
      2, "empty"),

@@ -227,8 +227,33 @@ class TestDenseConnectPool:
             assert T.finite_diff_check(
                 lambda v: total(dense_connect_pool(x, u, g, w, b)), param) < 1e-6
 
+    @settings(max_examples=40, deadline=None)
+    @given(lead=st.lists(st.integers(1, 3), max_size=2), m=st.lists(st.integers(1, 3), max_size=1),
+           n=st.integers(1, 5), d_g=st.integers(1, 4), d_u=st.integers(1, 4),
+           d_x=st.integers(1, 4), d_a=st.integers(1, 4), seed=st.integers(0, 2**16))
+    def test_split_form_matches_concat_oracle(self, lead, m, n, d_g, d_u, d_x, d_a, seed):
+        # lead documents; m is the sentence axis of the sentence level, absent
+        # at the paragraph level; n positions are pooled
+        rng = np.random.default_rng(seed)
+        x = rng.normal(size=(*lead, *m, n, d_x))
+        u = rng.normal(size=(*lead, *m, n, d_u))
+        g = rng.normal(size=(*lead, d_g))
+        w = rng.normal(size=(d_g + d_u + d_x, d_a))
+        b = rng.normal(size=d_a)
+        out = dense_connect_pool(*(T.Tensor(v, dtype=np.float64) for v in (x, u, g, w, b)))
+        assert out.data.shape == (*lead, *m, d_a)
+        for idx in np.ndindex(*lead, *m):
+            expected = dense_pool_oracle(x[idx], u[idx], g[idx[:len(lead)]], w, b)
+            np.testing.assert_allclose(out.data[idx], expected, rtol=0, atol=1e-10)
+
     def test_width_mismatch(self):
         w = T.Tensor(np.zeros((5, 3)))
+        with pytest.raises(T.ShapeError):
+            dense_connect_pool(T.Tensor(np.zeros((2, 3))), T.Tensor(np.zeros((2, 3))),
+                               T.Tensor(np.zeros(4)), w, T.Tensor(np.zeros(3)))
+
+    def test_weight_rows_beyond_the_inputs_rejected(self):
+        w = T.Tensor(np.zeros((12, 3)))     # the inputs take 4 + 3 + 3 rows
         with pytest.raises(T.ShapeError):
             dense_connect_pool(T.Tensor(np.zeros((2, 3))), T.Tensor(np.zeros((2, 3))),
                                T.Tensor(np.zeros(4)), w, T.Tensor(np.zeros(3)))

@@ -1,3 +1,5 @@
+import inspect
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -222,22 +224,6 @@ class TestMeanPool:
         np.testing.assert_array_equal(out.data, x.mean(axis=1))
 
 
-class TestRepeatRow:
-    def test_shared_vector_to_grid(self):
-        v = t64([1.0, 2.0], requires_grad=True)
-        out = T.repeat_row(v, (2, 3))
-        assert out.data.shape == (2, 3, 2)
-        np.testing.assert_array_equal(out.data, np.broadcast_to([1.0, 2.0], (2, 3, 2)))
-        T.backward(total(out))
-        np.testing.assert_array_equal(v.grad, [6.0, 6.0])
-
-    def test_batched_vectors_repeat_within_their_row(self):
-        v = t64([[1.0, 2.0], [3.0, 4.0]])
-        out = T.repeat_row(v, (3,))
-        assert out.data.shape == (2, 3, 2)
-        np.testing.assert_array_equal(out.data[1], [[3.0, 4.0]] * 3)
-
-
 class TestConcat:
     def test_basic(self):
         out = T.concat_lastaxis([t64([1, 2]), t64([3])])
@@ -292,8 +278,9 @@ class TestBackward:
         assert np.array_equal(x.grad, [2, 2])
 
     def test_add_takes_equal_shapes_only(self):
-        with pytest.raises(T.ShapeError, match=r"\(2,\) vs \(\)"):
-            T.add(t64([1.0, 2.0]), t64(3.0))
+        # or a second operand that broadcasts onto the first; these two do not
+        with pytest.raises(T.ShapeError, match=r"\(2,\) \+ \(3,\)"):
+            T.add(t64([1.0, 2.0]), t64([1.0, 2.0, 3.0]))
 
     def test_non_scalar_loss_rejected(self):
         with pytest.raises(T.ShapeError):
@@ -365,19 +352,92 @@ class TestNoGrad:
         assert T.relu(x)._parents == (x,)
 
 
-class TestAddBias:
+class TestAdd:
+    def test_trailing_bias_row(self):
+        x = t64(np.ones((2, 3, 4)), requires_grad=True)
+        b = t64([1.0, 2.0, 3.0, 4.0], requires_grad=True)
+        out = T.add(x, b)
+        np.testing.assert_array_equal(out.data, np.broadcast_to(1.0 + b.data, (2, 3, 4)))
+        T.backward(total(out))
+        assert np.array_equal(x.grad, np.ones((2, 3, 4)))
+        assert np.array_equal(b.grad, np.full(4, 6.0))
+
     def test_block_bias_backward_sums_over_leading_axes(self):
         x = t64(np.ones((2, 3, 4)), requires_grad=True)
         b = t64(np.arange(12.0).reshape(3, 4), requires_grad=True)
-        out = T.add_bias(x, b)
+        out = T.add(x, b)
         np.testing.assert_array_equal(out.data[1], 1.0 + b.data)
         T.backward(total(out))
         assert np.array_equal(x.grad, np.ones((2, 3, 4)))
         assert np.array_equal(b.grad, np.full((3, 4), 2.0))
 
+    def test_size_one_axes_broadcast_over_positions(self):
+        # one (d,) row per document, shared by its (m, n) positions
+        x = t64(np.zeros((2, 3, 5, 4)), requires_grad=True)
+        v = t64(np.arange(8.0).reshape(2, 1, 1, 4), requires_grad=True)
+        out = T.add(x, v)
+        assert out.data.shape == (2, 3, 5, 4)
+        np.testing.assert_array_equal(out.data[1, 2], np.broadcast_to(v.data[1, 0], (5, 4)))
+        g = np.random.default_rng(13).normal(size=(2, 3, 5, 4))
+        out._backward(g)
+        np.testing.assert_allclose(v.grad, g.sum(axis=(1, 2), keepdims=True), rtol=1e-12)
+        assert np.array_equal(x.grad, g)
+
     def test_bias_must_match_trailing_shape(self):
-        with pytest.raises(T.ShapeError, match="add_bias shapes"):
-            T.add_bias(t64(np.zeros((2, 3, 4))), t64(np.zeros((2, 4))))
+        with pytest.raises(T.ShapeError, match=r"add shapes: \(2, 3, 4\) \+ \(2, 4\)"):
+            T.add(t64(np.zeros((2, 3, 4))), t64(np.zeros((2, 4))))
+
+    def test_output_keeps_the_first_operand_shape(self):
+        with pytest.raises(T.ShapeError, match=r"\(\) \+ \(2,\)"):
+            T.add(t64(3.0), t64([1.0, 2.0]))
+        with pytest.raises(T.ShapeError):
+            T.add(t64(np.zeros((1, 4))), t64(np.zeros((3, 4))))
+
+
+@settings(max_examples=60, deadline=None)
+@given(lead=st.lists(st.integers(1, 4), max_size=3),
+       tail=st.lists(st.integers(1, 4), min_size=1, max_size=2),
+       dtype=st.sampled_from([np.float32, np.float64]), seed=st.integers(0, 2**16))
+def test_trailing_operand_gradient_bit_identical_to_bias_rule(lead, tail, dtype, seed):
+    rng = np.random.default_rng(seed)
+    x = T.Tensor(rng.normal(size=(*lead, *tail)).astype(dtype))
+    b = T.Tensor(rng.normal(size=tail).astype(dtype), requires_grad=True)
+    out = T.add(x, b)
+    g = rng.normal(size=out.data.shape).astype(dtype)
+    out._backward(g)
+    # the rule of the bias addition this op absorbed: one sum over the
+    # flattened leading axes, copied into a fresh buffer
+    expected = np.empty_like(b.data)
+    expected[...] = g.reshape((-1,) + b.data.shape).sum(axis=0)
+    assert b.grad.dtype == expected.dtype
+    assert b.grad.tobytes() == expected.tobytes()
+
+
+class TestRowBlock:
+    def test_forward_is_the_rows(self):
+        w = t64(np.arange(12.0).reshape(4, 3))
+        np.testing.assert_array_equal(T.row_block(w, 1, 3).data, w.data[1:3])
+
+    def test_backward_adds_into_the_rows(self):
+        w = t64(np.arange(12.0).reshape(4, 3), requires_grad=True)
+        T.backward(total(T.row_block(w, 1, 3)))
+        np.testing.assert_array_equal(w.grad, [[0, 0, 0], [1, 1, 1], [1, 1, 1], [0, 0, 0]])
+
+    def test_blocks_of_one_weight_accumulate_into_one_gradient(self):
+        w = t64(np.ones((5, 2)), requires_grad=True)
+        x = t64([[1.0, 2.0]])
+        y = t64([[3.0, 4.0, 5.0]])
+        out = T.add(T.matmul(x, T.row_block(w, 0, 2)), T.matmul(y, T.row_block(w, 2, 5)))
+        T.backward(total(out))
+        np.testing.assert_array_equal(w.grad, [[1, 1], [2, 2], [3, 3], [4, 4], [5, 5]])
+        w.grad = None
+        T.backward(total(T.add(T.row_block(w, 1, 3), T.row_block(w, 2, 4))))
+        np.testing.assert_array_equal(w.grad, [[0, 0], [1, 1], [2, 2], [1, 1], [0, 0]])
+
+    @pytest.mark.parametrize("start,stop", [(-1, 2), (2, 2), (3, 6)])
+    def test_out_of_range_rejected(self, start, stop):
+        with pytest.raises(T.ShapeError, match="row_block"):
+            T.row_block(t64(np.zeros((5, 2))), start, stop)
 
 
 class TestLosses:
@@ -438,23 +498,22 @@ class TestFiniteDiff:
         assert T.finite_diff_check(lambda v: total(T.relu(v)), x) < 1e-10
 
 
-def test_randomized_op_gradients_pass_finite_difference():
+def finite_difference_cases():
+    """(op name, input, scalar function of the input) for the gradient table."""
     rng = np.random.default_rng(7)
     x = t64(rng.normal(size=(5, 4)) + np.sign(rng.normal(size=(5, 4))) * 0.01,
             requires_grad=True)
 
     cases = [
-        lambda v: total(T.relu(v)),
-        lambda v: total(T.sigmoid(v)),
+        ("relu", x, lambda v: total(T.relu(v))),
+        ("sigmoid", x, lambda v: total(T.sigmoid(v))),
         # weighted sum: plain sum of softmax rows is constant (zero gradient)
-        lambda v: total(T.matmul(T.softmax_lastaxis(v),
-                                     t64([[0.3], [-1.2], [0.8], [2.1]]))),
-        lambda v: total(T.mean_pool(v)),
-        lambda v: total(T.concat_lastaxis([v, T.sigmoid(v)])),
-        lambda v: total(T.reshape(v, (4, 5))),
+        ("softmax_lastaxis", x, lambda v: total(T.matmul(T.softmax_lastaxis(v),
+                                                         t64([[0.3], [-1.2], [0.8], [2.1]])))),
+        ("mean_pool", x, lambda v: total(T.mean_pool(v))),
+        ("concat_lastaxis", x, lambda v: total(T.concat_lastaxis([v, T.sigmoid(v)]))),
+        ("reshape", x, lambda v: total(T.reshape(v, (4, 5)))),
     ]
-    for f in cases:
-        assert T.finite_diff_check(f, x) < 1e-4
 
     # rank-3 inputs to the ops that take leading batch axes; the sigmoid
     # keeps each output position's gradient distinct
@@ -464,26 +523,67 @@ def test_randomized_op_gradients_pass_finite_difference():
     m = t64(rng.normal(size=(4, 3)), requires_grad=True)
     bias = t64(rng.normal(size=4), requires_grad=True)
     block = t64(rng.normal(size=(5, 4)), requires_grad=True)
+    per_doc = t64(rng.normal(size=(2, 1, 4)), requires_grad=True)
+    stacked = t64(rng.normal(size=(7, 3)), requires_grad=True)
+    table = t64(rng.normal(size=(6, 4)), requires_grad=True)
+    ids = rng.integers(0, 6, size=(2, 5))
+    labels = rng.integers(0, 2, size=(2, 5))
 
     def smooth(out):
         return total(T.sigmoid(out))
 
-    batched = [
-        (x3, lambda v: smooth(T.conv1d(v, w, b, padding="same_zero"))),
-        (x3, lambda v: smooth(T.conv1d(v, w, b, padding="valid"))),
-        (w, lambda v: smooth(T.conv1d(x3, v, b, padding="same_zero"))),
-        (b, lambda v: smooth(T.conv1d(x3, w, v, padding="same_zero"))),
-        (x3, lambda v: smooth(T.matmul(v, m))),
-        (m, lambda v: smooth(T.matmul(x3, v))),
-        (x3, lambda v: smooth(T.add_bias(v, bias))),
-        (bias, lambda v: smooth(T.add_bias(x3, v))),
-        (x3, lambda v: smooth(T.mean_pool(v))),
-        (x3, lambda v: smooth(T.repeat_row(v, (2,)))),
-        (x3, lambda v: smooth(T.add_bias(v, block))),
-        (block, lambda v: smooth(T.add_bias(x3, v))),
+    cases += [
+        ("conv1d", x3, lambda v: smooth(T.conv1d(v, w, b, padding="same_zero"))),
+        ("conv1d", x3, lambda v: smooth(T.conv1d(v, w, b, padding="valid"))),
+        ("conv1d", w, lambda v: smooth(T.conv1d(x3, v, b, padding="same_zero"))),
+        ("conv1d", b, lambda v: smooth(T.conv1d(x3, w, v, padding="same_zero"))),
+        ("matmul", x3, lambda v: smooth(T.matmul(v, m))),
+        ("matmul", m, lambda v: smooth(T.matmul(x3, v))),
+        ("add", x3, lambda v: smooth(T.add(v, bias))),
+        ("add", bias, lambda v: smooth(T.add(x3, v))),
+        ("mean_pool", x3, lambda v: smooth(T.mean_pool(v))),
+        ("add", x3, lambda v: smooth(T.add(v, block))),
+        ("add", block, lambda v: smooth(T.add(x3, v))),
+        ("add", per_doc, lambda v: smooth(T.add(x3, v))),
+        ("row_block", stacked, lambda v: smooth(T.matmul(x3, T.row_block(v, 2, 6)))),
+        # overlapping blocks of one weight
+        ("row_block", stacked, lambda v: smooth(T.add(T.matmul(x3, T.row_block(v, 0, 4)),
+                                                      T.matmul(x3, T.row_block(v, 3, 7))))),
+        ("embedding_lookup", table, lambda v: smooth(T.embedding_lookup(v, ids))),
+        ("bce_loss", x3, lambda v: T.bce_loss(T.sigmoid(T.mean_pool(v)), labels[:, :4])),
+        ("nll_loss", x3, lambda v: T.nll_loss(T.softmax_lastaxis(v), labels)),
     ]
-    for t, f in batched:
+    return cases
+
+
+# ops whose backward is checked against exact values instead: grad_reverse
+# flips the gradient's sign on purpose, so central differences disagree
+EXACT_GRADIENT_TESTS = {"grad_reverse": "TestGradReverse"}
+
+
+def test_randomized_op_gradients_pass_finite_difference():
+    for _op, t, f in finite_difference_cases():
         assert T.finite_diff_check(f, t) < 1e-4
+
+
+def test_every_op_has_a_gradient_check(monkeypatch):
+    ops = sorted(name for name, fn in inspect.getmembers(T, inspect.isfunction)
+                 if fn.__module__ == T.__name__ and name != "_from_op"
+                 and "_from_op(" in inspect.getsource(fn))
+    assert len(ops) == 14, ops
+    cases = finite_difference_cases()
+    assert set(ops) == {op for op, _, _ in cases} | set(EXACT_GRADIENT_TESTS)
+    for test in EXACT_GRADIENT_TESTS.values():
+        assert test in globals()
+    # each case really runs the op it is filed under
+    called = set()
+    for op in ops:
+        fn = getattr(T, op)
+        monkeypatch.setattr(T, op, lambda *a, _op=op, _fn=fn, **k: called.add(_op) or _fn(*a, **k))
+    for op, t, f in cases:
+        called.clear()
+        f(t)
+        assert op in called, op
 
 
 def test_embedding_lookup_scatter_and_bounds():

@@ -22,15 +22,20 @@ def toy_config(**overrides):
     return SIRMConfig(**defaults)
 
 
-def with_parent_header(blob, mask_aware):
-    """A checkpoint blob rewritten with the header of the earlier format,
-    whose config always carried a mask_aware_pooling flag."""
+def with_header(blob, edit):
+    """A checkpoint blob whose JSON header is rewritten by edit(header)."""
     start = len(training_mod.MAGIC) + 4
     (length,) = struct.unpack("<I", blob[start - 4:start])
     header = json.loads(blob[start:start + length])
-    header["config"]["mask_aware_pooling"] = mask_aware
+    edit(header)
     new = json.dumps(header, sort_keys=True).encode("utf-8")
     return blob[:start - 4] + struct.pack("<I", len(new)) + new + blob[start + length:]
+
+
+def with_parent_header(blob, mask_aware):
+    """A checkpoint blob rewritten with the header of the earlier format,
+    whose config always carried a mask_aware_pooling flag."""
+    return with_header(blob, lambda h: h["config"].update(mask_aware_pooling=mask_aware))
 
 
 def toy_grids(config, count=8, seed=0):
@@ -226,6 +231,13 @@ class TestCheckpoint:
         config, params, path = self._setup(tmp_path)
         _, config2, params2 = load_checkpoint(path)
         assert serialize_checkpoint("sirm", config2, params2) == path.read_bytes()
+
+    def test_unknown_kind_rejected_before_writing(self, tmp_path):
+        config = toy_config()
+        path = tmp_path / "model.ckpt"
+        with pytest.raises(ValueError, match="unknown model kind 'bogus'"):
+            save_checkpoint(path, "bogus", config, init_sirm_params(config, seed=6))
+        assert not path.exists()
 
     @pytest.mark.parametrize("kind", sorted(MODELS))
     def test_every_model_kind_round_trips(self, tmp_path, kind):
