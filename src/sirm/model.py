@@ -21,7 +21,8 @@ kind to its initializer and its probability-and-loss function.
 """
 
 import math
-from dataclasses import dataclass, asdict
+import numbers
+from dataclasses import dataclass, asdict, fields
 
 import numpy as np
 
@@ -30,6 +31,22 @@ from . import tensor as T
 
 class ConfigError(ValueError):
     """Architecture hyperparameters are inconsistent."""
+
+
+def _is_int(value):
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+def check_field_types(config):
+    """Raise ConfigError unless every int field of a config dataclass holds an
+    integer and every float field a finite real number; a bool is neither."""
+    for field in fields(config):
+        value = getattr(config, field.name)
+        if field.type is int and not _is_int(value):
+            raise ConfigError(f"{field.name} must be an integer, got {value!r}")
+        if field.type is float and (isinstance(value, bool) or not isinstance(
+                value, numbers.Real) or not math.isfinite(value)):
+            raise ConfigError(f"{field.name} must be a finite number, got {value!r}")
 
 
 @dataclass
@@ -48,18 +65,24 @@ class SIRMConfig:
     n: int = 32
 
     def __post_init__(self):
-        self.src_windows = tuple(sorted(self.src_windows))
         self.validate()
+        self.src_windows = tuple(sorted(self.src_windows))
 
     def validate(self):
+        check_field_types(self)
+        if (not isinstance(self.src_windows, (list, tuple))
+                or not all(_is_int(h) for h in self.src_windows)):
+            raise ConfigError(f"src_windows must be a list of integers, got {self.src_windows!r}")
         dims = (self.vocab_size, self.d_e, self.d_c, self.k, self.d_ns,
-                self.d_np, self.d_as, self.d_ap, self.m, self.n)
+                self.d_np, self.d_as, self.d_ap, self.m, self.n, *self.src_windows)
         if any(d < 1 for d in dims):
-            raise ConfigError("all dimensions must be >= 1")
+            raise ConfigError("all dimensions and skim windows must be >= 1")
         if self.lambda_adv < 0:
             raise ConfigError("lambda_adv must be >= 0")
         if not self.src_windows:
             raise ConfigError("src_windows must be non-empty")
+        if len(set(self.src_windows)) != len(self.src_windows):
+            raise ConfigError(f"src_windows must be distinct, got {self.src_windows!r}")
         if max(self.src_windows) > self.m * self.n:
             raise ConfigError("largest skim window exceeds grid size m*n")
         if self.d_e % 2 or self.d_as % 2:
@@ -80,8 +103,6 @@ class SIRMConfig:
         # retired field: older checkpoints always store it, as false
         if d.pop("mask_aware_pooling", False):
             raise ConfigError("mask_aware_pooling is no longer supported")
-        if "src_windows" in d:
-            d["src_windows"] = tuple(d["src_windows"])
         return cls(**d)
 
 

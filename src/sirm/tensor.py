@@ -3,9 +3,12 @@
 Only the primitives the models in model.py need: embedding lookup, matmul,
 1-D convolution, relu, sigmoid and softmax, mean pooling, concatenation,
 row block, reshape, broadcasting addition, gradient reversal, and the two
-loss heads. Every op accepts leading batch axes (features on axis -1, the
-sequence on axis -2; add broadcasts its second operand over them) and the
-losses return batch means. Graphs are built through parent links, except
+loss heads. The convolution is in tap form: one product projects every
+input row through all of its taps, and each output row sums the tap blocks
+of the input rows it covers, so boundary padding is skipped, never built.
+Every op accepts leading batch axes (features on axis -1, the sequence on
+axis -2; add broadcasts its second operand over them) and the losses
+return batch means. Graphs are built through parent links, except
 inside `no_grad()`; backward() walks a fresh topological order and frees
 the graph as it goes, so it runs once. A tensor's first gradient is copied
 into a new buffer of the tensor's own dtype and layout, never aliasing the
@@ -19,10 +22,6 @@ import numpy as np
 
 class ShapeError(ValueError):
     """Operand shapes are inconsistent with the operation's contract."""
-
-
-class SequenceTooShortError(ShapeError):
-    """Input sequence shorter than the convolution window under valid padding."""
 
 
 _FLOAT_TYPES = (np.float32, np.float64)
@@ -175,7 +174,10 @@ def conv1d(x, w, b, padding="valid"):
 
     x: (..., L, d_in); w: (h, d_in, d_out); b: (d_out,). Each leading index
     is its own sequence: padding never mixes rows of different sequences.
-    valid: output length L-h+1. same_zero: zero-padded so output length is L.
+    valid: output length L-h+1. same_zero: output length L, as if zero rows
+    were padded on; they are never built. Tap form: P = x @ taps holds every
+    input row through all h taps, and output row i is b plus tap j's block of
+    P at input row i + j - pad_l, for each such row that exists.
     """
     if w.data.ndim != 3:
         raise ShapeError(f"conv1d weight must be rank 3, got {w.data.shape}")
@@ -185,38 +187,35 @@ def conv1d(x, w, b, padding="valid"):
     L = x.data.shape[-2]
     if padding == "valid":
         if L < h:
-            raise SequenceTooShortError(f"sequence length {L} shorter than window {h}")
-        pad_l = pad_r = 0
-        xp = x.data
+            raise ShapeError(f"sequence length {L} shorter than window {h}")
+        pad_l, l_out = 0, L - h + 1
     elif padding == "same_zero":
-        pad_l = h // 2
-        pad_r = h - 1 - pad_l
-        xp = np.pad(x.data, [(0, 0)] * (x.data.ndim - 2) + [(pad_l, pad_r), (0, 0)])
+        pad_l, l_out = h // 2, L
     else:
         raise ValueError(f"unknown padding mode {padding!r}")
-    l_out = xp.shape[-2] - h + 1
-    cols = np.concatenate([xp[..., j:j + l_out, :] for j in range(h)], axis=-1)
-    cols2 = cols.reshape(-1, h * d_in)
-    w2 = w.data.reshape(h * d_in, d_out)
-    out_data = (cols2 @ w2 + b.data).reshape(cols.shape[:-1] + (d_out,))
+    x2 = x.data.reshape(-1, d_in)
+    taps = w.data.transpose(1, 0, 2).reshape(d_in, h * d_out)
+    P = (x2 @ taps).reshape(x.data.shape[:-1] + (h, d_out))
+    # tap j of output rows [lo, hi) reads input rows [lo + s, hi + s), s = j - pad_l;
+    # taps that see only padding (a sequence shorter than pad_l) drop out
+    spans = [(j, lo, hi, j - pad_l) for j in range(h)
+             for lo, hi in [(max(0, pad_l - j), min(l_out, L + pad_l - j))] if lo < hi]
+    out_data = np.full(x.data.shape[:-2] + (l_out, d_out), b.data, np.result_type(P, b.data))
+    for j, lo, hi, s in spans:
+        out_data[..., lo:hi, :] += P[..., lo + s:hi + s, j, :]
 
     def bwd(g):
-        g2 = g.reshape(-1, d_out)
-        if x.requires_grad:
-            dcols = (g2 @ w2.T).reshape(cols.shape)
-            dx = np.zeros_like(x.data)
-            for j in range(h):
-                # output row i read input row i + j - pad_l; skip padding rows,
-                # and taps that see only padding (a sequence shorter than pad)
-                lo, hi = max(0, pad_l - j), min(l_out, L + pad_l - j)
-                if lo < hi:
-                    dx[..., lo + j - pad_l:hi + j - pad_l, :] += \
-                        dcols[..., lo:hi, j * d_in:(j + 1) * d_in]
-            _accum(x, dx)
-        if w.requires_grad:
-            _accum(w, (cols2.T @ g2).reshape(h, d_in, d_out))
+        if x.requires_grad or w.requires_grad:
+            dP = np.zeros(P.shape, g.dtype)
+            for j, lo, hi, s in spans:
+                dP[..., lo + s:hi + s, j, :] = g[..., lo:hi, :]
+            dP2 = dP.reshape(-1, h * d_out)
+            if x.requires_grad:
+                _accum(x, (dP2 @ taps.T).reshape(x.data.shape))
+            if w.requires_grad:
+                _accum(w, (x2.T @ dP2).reshape(d_in, h, d_out).transpose(1, 0, 2))
         if b.requires_grad:
-            _accum(b, g2.sum(axis=0))
+            _accum(b, g.reshape(-1, d_out).sum(axis=0))
 
     return _from_op(out_data, (x, w, b), bwd)
 

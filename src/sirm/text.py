@@ -30,6 +30,19 @@ class DataFormatError(ValueError):
     """Dataset file is unreadable or mostly malformed."""
 
 
+def _numbered_lines(path):
+    """(line number from 1, line without its newline) for each line of a UTF-8
+    text file; a file that cannot be opened or decoded is a DataFormatError."""
+    try:
+        with open(path, encoding="utf-8") as f:
+            for lineno, line in enumerate(f, start=1):
+                yield lineno, line.rstrip("\n")
+    except OSError as e:
+        raise DataFormatError(f"cannot read {path}: {e}") from e
+    except UnicodeDecodeError as e:
+        raise DataFormatError(f"{path}: not UTF-8 text: {e}") from e
+
+
 def atomic_write_bytes(path, payload):
     """Write to a temp file in the target directory, rename on success."""
     directory = os.path.dirname(os.path.abspath(path))
@@ -105,21 +118,24 @@ class Vocabulary:
 
     @classmethod
     def load(cls, path):
-        tokens, freqs = [], []
-        with open(path, encoding="utf-8") as f:
-            for lineno, line in enumerate(f):
-                line = line.rstrip("\n")
-                if not line:
-                    continue
-                try:
-                    tok, freq = line.split("\t")
-                except ValueError:
-                    raise DataFormatError(f"{path}:{lineno + 1}: bad vocabulary line")
-                tokens.append(tok)
-                freqs.append(int(freq))
-        if tokens[:2] != [PAD_TOKEN, UNK_TOKEN]:
+        rows = []
+        for lineno, line in _numbered_lines(path):
+            if not line:
+                continue
+            try:
+                tok, freq = line.split("\t")
+                rows.append((lineno, tok, int(freq)))
+            except ValueError:
+                raise DataFormatError(f"{path}:{lineno}: bad vocabulary line {line!r}") from None
+        if [tok for _, tok, _ in rows[:2]] != [PAD_TOKEN, UNK_TOKEN]:
             raise DataFormatError(f"{path}: missing reserved {PAD_TOKEN}/{UNK_TOKEN} entries")
-        return cls(tokens[2:], freqs[2:])
+        vocab = cls()
+        for lineno, tok, freq in rows[2:]:
+            try:
+                vocab._add(tok, freq)
+            except ValueError as e:     # a repeated token
+                raise DataFormatError(f"{path}:{lineno}: {e}") from None
+        return vocab
 
 
 def build_vocab(split, min_frequency=2, max_size=30000):
@@ -195,37 +211,31 @@ def load_dataset(path, fmt="jsonl", name="train"):
     examples = []
     bad = 0
     total = 0
-    try:
-        f = open(path, encoding="utf-8")
-    except OSError as e:
-        raise DataFormatError(f"cannot read {path}: {e}") from e
-    with f:
-        for lineno, line in enumerate(f, start=1):
-            line = line.rstrip("\n")
-            if not line.strip():
-                continue
-            total += 1
-            text, label = None, None
-            if fmt == "jsonl":
+    for lineno, line in _numbered_lines(path):
+        if not line.strip():
+            continue
+        total += 1
+        text, label = None, None
+        if fmt == "jsonl":
+            try:
+                obj = json.loads(line)
+                text, label = obj["text"], obj["label"]
+            except (json.JSONDecodeError, KeyError, TypeError):
+                pass
+        elif fmt == "tsv":
+            parts = line.split("\t", 1)
+            if len(parts) == 2:
                 try:
-                    obj = json.loads(line)
-                    text, label = obj["text"], obj["label"]
-                except (json.JSONDecodeError, KeyError, TypeError):
+                    label, text = int(parts[0]), parts[1]
+                except ValueError:
                     pass
-            elif fmt == "tsv":
-                parts = line.split("\t", 1)
-                if len(parts) == 2:
-                    try:
-                        label, text = int(parts[0]), parts[1]
-                    except ValueError:
-                        pass
-            else:
-                raise ValueError(f"unknown dataset format {fmt!r}")
-            if not isinstance(text, str) or not text.strip() or label not in (0, 1):
-                logger.warning("%s:%d: malformed line skipped", path, lineno)
-                bad += 1
-                continue
-            examples.append((text, int(label)))
+        else:
+            raise ValueError(f"unknown dataset format {fmt!r}")
+        if not isinstance(text, str) or not text.strip() or label not in (0, 1):
+            logger.warning("%s:%d: malformed line skipped", path, lineno)
+            bad += 1
+            continue
+        examples.append((text, int(label)))
     if total and bad / total > 0.10:
         raise DataFormatError(f"{path}: {bad}/{total} malformed lines")
     logger.info("loaded %d examples from %s (%d skipped)", len(examples), path, bad)

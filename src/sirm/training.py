@@ -10,7 +10,7 @@ import numpy as np
 
 from . import tensor as T
 from .evaluation import evaluate
-from .model import SIRMConfig, lookup_model
+from .model import SIRMConfig, check_field_types, lookup_model
 from .text import DataFormatError, atomic_write_bytes, stack_grids
 
 logger = logging.getLogger(__name__)
@@ -36,6 +36,7 @@ class TrainConfig:
     early_stop_patience: int = 5
 
     def __post_init__(self):
+        check_field_types(self)
         if self.learning_rate <= 0:
             raise ValueError("learning_rate must be positive")
         for name, low in (("batch_size", 1), ("max_epochs", 1),

@@ -133,6 +133,17 @@ class TestTrainEvalPredict:
         assert runs["a"] != runs["c"]
 
 
+# (id, config-file values of the wrong type, fragment of the error message)
+WRONG_TYPES = [
+    ("string_dim", {"d_e": "64"}, "d_e must be an integer, got '64'"),
+    ("null_lambda", {"lambda_adv": None}, "lambda_adv must be a finite number, got None"),
+    ("int_windows", {"src_windows": 3}, "src_windows must be a list of integers, got 3"),
+    ("string_lr", {"learning_rate": "0.1"}, "learning_rate must be a finite number, got '0.1'"),
+    ("float_grid", {"m": 2.5}, "m must be an integer, got 2.5"),
+    ("bool_batch", {"batch_size": True}, "batch_size must be an integer, got True"),
+]
+
+
 @pytest.fixture(scope="module")
 def failure_inputs(tmp_path_factory):
     """A trained checkpoint and broken variants of it and of the data."""
@@ -164,14 +175,23 @@ def failure_inputs(tmp_path_factory):
     (tmp / "bogus.ckpt").write_bytes(
         with_header(ckpt.read_bytes(), lambda h: h.update(model="bogus")))
     (tmp / "vocab5.json").write_text(json.dumps({**TOY_CONFIG, "vocab_size": 5}))
+    (tmp / "wrong_type.ckpt").write_bytes(
+        with_header(ckpt.read_bytes(), lambda h: h["config"].update(m=2.5)))
     (tmp / "empty.jsonl").write_text("")
     (tmp / "one.jsonl").write_text(data.read_text().splitlines()[0] + "\n")
-    return {"data": data, "config": config, "vocab": vocab, "ckpt": ckpt,
+    (tmp / "not_utf8.jsonl").write_bytes(b"\xff" + data.read_bytes())
+    (tmp / "bad_count.tsv").write_text(vocab.read_text() + "foo\tabc\n")
+    (tmp / "dup_token.tsv").write_text(vocab.read_text() + "foo\t1\nfoo\t1\n")
+    paths = {f"config_{name}": tmp / f"config_{name}.json" for name, _, _ in WRONG_TYPES}
+    for name, override, _ in WRONG_TYPES:
+        paths[f"config_{name}"].write_text(json.dumps({**TOY_CONFIG, **override}))
+    return {**paths, "data": data, "config": config, "vocab": vocab, "ckpt": ckpt,
             "nan_ckpt": tmp / "nan.ckpt", "huge_ckpt": tmp / "huge.ckpt",
             "dup_ckpt": tmp / "dup.ckpt", "vocab5_config": tmp / "vocab5.json",
             "retired_ckpt": tmp / "retired.ckpt", "bogus_ckpt": tmp / "bogus.ckpt",
-            "empty": tmp / "empty.jsonl",
-            "one": tmp / "one.jsonl"}
+            "wrong_type_ckpt": tmp / "wrong_type.ckpt", "empty": tmp / "empty.jsonl",
+            "one": tmp / "one.jsonl", "not_utf8": tmp / "not_utf8.jsonl",
+            "bad_count_vocab": tmp / "bad_count.tsv", "dup_token_vocab": tmp / "dup_token.tsv"}
 
 
 def train_args(*extra, config="{config}"):
@@ -182,8 +202,8 @@ def train_args(*extra, config="{config}"):
 TRAIN_DEV = ("--train", "{data}", "--dev", "{data}")
 
 
-def eval_args(ckpt="{ckpt}", data="{data}"):
-    return ["eval", "--checkpoint", ckpt, "--data", data, "--vocab", "{vocab}"]
+def eval_args(ckpt="{ckpt}", data="{data}", vocab="{vocab}"):
+    return ["eval", "--checkpoint", ckpt, "--data", data, "--vocab", vocab]
 
 
 # (id, argv, exit code, fragment of the error message); {out} names the
@@ -210,6 +230,14 @@ FAILURES = [
     ("empty-eval", eval_args(data="{empty}"), 2, "empty"),
     ("empty-predict", ["predict"] + eval_args(data="{empty}")[1:] + ["--out", "{out}"],
      2, "empty"),
+    ("not-utf8-data", eval_args(data="{not_utf8}"), 2, "not_utf8.jsonl: not UTF-8 text"),
+    ("bad-vocab-count", eval_args(vocab="{bad_count_vocab}"), 2,
+     "bad vocabulary line 'foo\\tabc'"),
+    ("duplicate-vocab-token", eval_args(vocab="{dup_token_vocab}"), 2,
+     "duplicate vocabulary token 'foo'"),
+    ("wrong-type-header", eval_args("{wrong_type_ckpt}"), 2, "m must be an integer, got 2.5"),
+    *[(f"config-{name}", train_args(*TRAIN_DEV, config=f"{{config_{name}}}"), 1, fragment)
+      for name, _, fragment in WRONG_TYPES],
 ]
 
 

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -533,6 +535,26 @@ class TestConfigValidation:
     def test_odd_embedding_width(self):
         with pytest.raises(ConfigError):
             toy_config(d_e=5)
+
+    @pytest.mark.parametrize("field,value,fragment", [
+        ("d_e", "64", "d_e must be an integer, got '64'"),
+        ("m", 2.5, "m must be an integer, got 2.5"),
+        ("n", True, "n must be an integer, got True"),
+        ("lambda_adv", None, "lambda_adv must be a finite number, got None"),
+        ("lambda_adv", "0.1", "lambda_adv must be a finite number"),
+        ("src_windows", 3, "src_windows must be a list of integers, got 3"),
+        ("src_windows", (1, 2.0), "src_windows must be a list of integers"),
+        ("src_windows", (0, 2), "skim windows must be >= 1"),
+        ("src_windows", (2, 2), "src_windows must be distinct, got (2, 2)"),
+        ("lambda_adv", float("nan"), "lambda_adv must be a finite number, got nan"),
+    ])
+    def test_wrong_types_and_values_rejected(self, field, value, fragment):
+        with pytest.raises(ConfigError, match=re.escape(fragment)):
+            toy_config(**{field: value})
+
+    def test_numeric_types_accepted(self):
+        config = toy_config(lambda_adv=0, d_e=np.int64(4), src_windows=[2, 1])
+        assert config.src_windows == (1, 2) and config.lambda_adv == 0
 
     def test_roundtrip_dict(self):
         config = toy_config()

@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 import sirm.training as training_mod
 from sirm import tensor as T
 from sirm.evaluation import evaluate
-from sirm.model import MODELS, SIRMConfig, init_sirm_params, sirm_forward
+from sirm.model import MODELS, ConfigError, SIRMConfig, init_sirm_params, sirm_forward
 from sirm.text import DataFormatError, ParagraphGrid
 from sirm.training import (Adam, CheckpointError, TrainConfig, TrainingError,
                            load_checkpoint, save_checkpoint,
@@ -336,3 +336,9 @@ def test_train_config_validation():
     for field, value in (("max_epochs", 0), ("early_stop_patience", -1)):
         with pytest.raises(ValueError, match=field):
             TrainConfig(**{field: value})
+    for field, value in (("learning_rate", "0.1"), ("batch_size", True), ("seed", 1.0),
+                         ("max_epochs", None), ("adam_eps", False),
+                         ("learning_rate", float("inf"))):
+        with pytest.raises(ConfigError, match=f"{field} must be an? "):
+            TrainConfig(**{field: value})
+    assert TrainConfig(learning_rate=1, adam_beta1=np.float32(0.5)).learning_rate == 1
