@@ -40,14 +40,18 @@ def metrics(predictions, labels):
     }
 
 
-# Documents per evaluation forward. Peak memory grows with the batch's live
-# activations: at the paper grid 64 documents cost a third more than one at a
-# time, 16 under 5%, and 16 also ran faster than 8 or 64.
-EVAL_BATCH = 16
+# Grid cells per evaluation forward; a batch holds this many cells' worth of
+# documents, at least one. Peak memory grows with the batch's live
+# activations: at the paper grid (m=8, n=32) 64 documents cost a third more
+# than one at a time, 16 under 5%, and 16 also ran faster than 8 or 64. On
+# small grids the same budget takes in more documents, so fewer forwards pay
+# the per-op dispatch cost.
+EVAL_CELLS = 16 * 8 * 32
 
 
 def evaluate(model_kind, params, config, grids, threshold=0.5):
-    """Deterministic pass over encoded examples in order, EVAL_BATCH per graph-free forward.
+    """Deterministic pass over encoded examples in order, EVAL_CELLS // (m * n)
+    documents (at least one) per graph-free forward.
 
     Returns (metrics dict with example count, rows) where each row is (index,
     probability, predicted label, gold label); non-finite probabilities raise
@@ -56,12 +60,13 @@ def evaluate(model_kind, params, config, grids, threshold=0.5):
     if not grids:
         raise EvaluationError("cannot evaluate an empty split")
     _, prob_loss = lookup_model(model_kind)
+    batch_size = max(1, EVAL_CELLS // (config.m * config.n))
     probs = []
     # huge finite weights may overflow on the way; the finiteness check
     # below turns that into one error instead of a stream of numpy warnings
     with T.no_grad(), np.errstate(over="ignore", invalid="ignore"):
-        for start in range(0, len(grids), EVAL_BATCH):
-            batch = stack_grids(grids[start:start + EVAL_BATCH])
+        for start in range(0, len(grids), batch_size):
+            batch = stack_grids(grids[start:start + batch_size])
             y, _ = prob_loss(batch, params, config)
             if not np.isfinite(y.data).all():
                 raise FloatingPointError(

@@ -72,19 +72,14 @@ def segment_sentences(tokens, n):
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    raw = []
-    current = []
-    for tok in tokens:
-        current.append(tok)
-        if tok in SENTENCE_FINAL:
-            raw.append(current)
-            current = []
-    if current:
-        raw.append(current)
+    ends = [i + 1 for i, tok in enumerate(tokens) if tok in SENTENCE_FINAL]
+    if not ends or ends[-1] != len(tokens):
+        ends.append(len(tokens))
     sentences = []
-    for sent in raw:
-        for start in range(0, len(sent), n):
-            sentences.append(sent[start:start + n])
+    start = 0
+    for end in ends:
+        sentences.extend(tokens[i:min(i + n, end)] for i in range(start, end, n))
+        start = end
     return sentences
 
 
@@ -144,20 +139,14 @@ def build_vocab(split, min_frequency=2, max_size=30000):
     Ties are broken by first occurrence order so id assignment is deterministic.
     """
     counts = Counter()
-    first_seen = {}
-    pos = 0
     for text, _label in split.examples:
-        for tok in tokenize(text):
-            counts[tok] += 1
-            if tok not in first_seen:
-                first_seen[tok] = pos
-                pos += 1
+        counts.update(tokenize(text))
     if not counts:
         raise DataFormatError("cannot build a vocabulary from an empty corpus")
-    kept = [t for t in counts if counts[t] >= min_frequency]
-    kept.sort(key=lambda t: (-counts[t], first_seen[t]))
+    # a Counter keeps first-occurrence order and most_common's sort is stable
+    kept = [(t, c) for t, c in counts.most_common() if c >= min_frequency]
     kept = kept[:max(0, max_size - 2)]
-    return Vocabulary(kept, [counts[t] for t in kept])
+    return Vocabulary([t for t, _ in kept], [c for _, c in kept])
 
 
 @dataclass
@@ -180,20 +169,7 @@ def stack_grids(grids):
 
 def grid_encode(text, vocab, m, n):
     """Tokenize, segment, and render a document onto a fixed (m, n) grid."""
-    if m < 1 or n < 1:
-        raise ValueError("grid dimensions must be >= 1")
-    sentences = segment_sentences(tokenize(text), n)[:m]
-    if not sentences:
-        sentences = [[UNK_TOKEN]]
-    token_ids = np.full((m, n), PAD_ID, dtype=np.int64)
-    word_mask = np.zeros((m, n), dtype=bool)
-    sentence_mask = np.zeros(m, dtype=bool)
-    for i, sent in enumerate(sentences):
-        sentence_mask[i] = True
-        for j, tok in enumerate(sent[:n]):
-            token_ids[i, j] = vocab.lookup(tok)
-            word_mask[i, j] = True
-    return ParagraphGrid(token_ids, word_mask, sentence_mask, label=0)
+    return encode_split(DatasetSplit([(text, 0)]), vocab, m, n)[0]
 
 
 @dataclass
@@ -231,11 +207,13 @@ def load_dataset(path, fmt="jsonl", name="train"):
                     pass
         else:
             raise ValueError(f"unknown dataset format {fmt!r}")
-        if not isinstance(text, str) or not text.strip() or label not in (0, 1):
+        # true and 1.0 equal 1 but are a bool and a float, not a 0/1 label
+        if (not isinstance(text, str) or not text.strip()
+                or type(label) is not int or label not in (0, 1)):
             logger.warning("%s:%d: malformed line skipped", path, lineno)
             bad += 1
             continue
-        examples.append((text, int(label)))
+        examples.append((text, label))
     if total and bad / total > 0.10:
         raise DataFormatError(f"{path}: {bad}/{total} malformed lines")
     logger.info("loaded %d examples from %s (%d skipped)", len(examples), path, bad)
@@ -243,10 +221,24 @@ def load_dataset(path, fmt="jsonl", name="train"):
 
 
 def encode_split(split, vocab, m, n):
-    """grid_encode every example of a split, carrying labels over."""
-    grids = []
-    for text, label in split.examples:
-        grid = grid_encode(text, vocab, m, n)
-        grid.label = label
-        grids.append(grid)
-    return grids
+    """Render every document of a split onto a fixed (m, n) grid, carrying
+    labels over.
+
+    A document keeps its first m sentences, each cut to n tokens; one
+    without tokens becomes a single <unk> sentence. The grids are views into
+    one (N, m, n) array per field.
+    """
+    if m < 1 or n < 1:
+        raise ValueError("grid dimensions must be >= 1")
+    token_ids = np.full((len(split.examples), m, n), PAD_ID, dtype=np.int64)
+    lengths = np.zeros((len(split.examples), m), dtype=np.int64)
+    lookup = vocab.lookup
+    for d, (text, _label) in enumerate(split.examples):
+        sentences = segment_sentences(tokenize(text), n)[:m] or [[UNK_TOKEN]]
+        for i, sent in enumerate(sentences):
+            token_ids[d, i, :len(sent)] = [lookup(tok) for tok in sent]
+            lengths[d, i] = len(sent)
+    word_mask = np.arange(n) < lengths[..., None]
+    sentence_mask = lengths > 0
+    return [ParagraphGrid(token_ids[d], word_mask[d], sentence_mask[d], label)
+            for d, (_text, label) in enumerate(split.examples)]

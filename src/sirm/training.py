@@ -96,11 +96,6 @@ def snapshot(params):
     return {name: t.data.copy() for name, t in params.named_tensors()}
 
 
-def restore(params, snap):
-    for name, t in params.named_tensors():
-        t.data = snap[name].copy()
-
-
 def train(train_grids, dev_grids, model_kind, model_config, train_config,
           history_path=None):
     """Train a model, returning (params at the best dev epoch, history).
@@ -118,8 +113,8 @@ def train(train_grids, dev_grids, model_kind, model_config, train_config,
     rng = np.random.default_rng(train_config.seed)
     order = np.arange(len(train_grids))
     history = []
-    best_metric = -1.0
-    best_snap = snapshot(params)
+    best_metric = -1.0      # epoch 0's macro-F1 >= 0 always replaces it
+    best_snap = None
     epochs_since_improve = 0
 
     for epoch in range(train_config.max_epochs):
@@ -171,7 +166,8 @@ def train(train_grids, dev_grids, model_kind, model_config, train_config,
         if epochs_since_improve >= train_config.early_stop_patience:
             break
 
-    restore(params, best_snap)
+    for name, t in params.named_tensors():
+        t.data = best_snap[name]
     return params, history
 
 

@@ -180,6 +180,7 @@ def failure_inputs(tmp_path_factory):
     (tmp / "empty.jsonl").write_text("")
     (tmp / "one.jsonl").write_text(data.read_text().splitlines()[0] + "\n")
     (tmp / "not_utf8.jsonl").write_bytes(b"\xff" + data.read_bytes())
+    write_jsonl(tmp / "bool_labels.jsonl", [(text, True) for text, _ in generate()])
     (tmp / "bad_count.tsv").write_text(vocab.read_text() + "foo\tabc\n")
     (tmp / "dup_token.tsv").write_text(vocab.read_text() + "foo\t1\nfoo\t1\n")
     paths = {f"config_{name}": tmp / f"config_{name}.json" for name, _, _ in WRONG_TYPES}
@@ -191,6 +192,7 @@ def failure_inputs(tmp_path_factory):
             "retired_ckpt": tmp / "retired.ckpt", "bogus_ckpt": tmp / "bogus.ckpt",
             "wrong_type_ckpt": tmp / "wrong_type.ckpt", "empty": tmp / "empty.jsonl",
             "one": tmp / "one.jsonl", "not_utf8": tmp / "not_utf8.jsonl",
+            "bool_labels": tmp / "bool_labels.jsonl",
             "bad_count_vocab": tmp / "bad_count.tsv", "dup_token_vocab": tmp / "dup_token.tsv"}
 
 
@@ -231,6 +233,7 @@ FAILURES = [
     ("empty-predict", ["predict"] + eval_args(data="{empty}")[1:] + ["--out", "{out}"],
      2, "empty"),
     ("not-utf8-data", eval_args(data="{not_utf8}"), 2, "not_utf8.jsonl: not UTF-8 text"),
+    ("bool-labels", eval_args(data="{bool_labels}"), 2, "bool_labels.jsonl: 64/64 malformed"),
     ("bad-vocab-count", eval_args(vocab="{bad_count_vocab}"), 2,
      "bad vocabulary line 'foo\\tabc'"),
     ("duplicate-vocab-token", eval_args(vocab="{dup_token_vocab}"), 2,

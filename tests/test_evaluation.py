@@ -3,8 +3,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from sirm import tensor as T
-from sirm.evaluation import (EVAL_BATCH, EvaluationError, evaluate, metrics,
-                             write_predictions)
+from sirm import evaluation
+from sirm.evaluation import EvaluationError, evaluate, metrics, write_predictions
 from sirm.model import (MODELS, SIRMConfig, init_nbow_params,
                         init_sirm_params, nbow_forward)
 from sirm.text import ParagraphGrid, stack_grids
@@ -142,8 +142,10 @@ class TestEvaluate:
         assert report["n"] == len(grids)
 
     @pytest.mark.parametrize("model_kind", sorted(MODELS))
-    def test_batched_rows_match_single_grid_calls(self, setup, model_kind):
+    def test_batched_rows_match_single_grid_calls(self, setup, model_kind,
+                                                  monkeypatch):
         config, _, _ = setup
+        monkeypatch.setattr(evaluation, "EVAL_CELLS", 16 * config.m * config.n)
         init, _ = MODELS[model_kind]
         params = init(config, seed=0)
         rng = np.random.default_rng(1)
@@ -152,13 +154,38 @@ class TestEvaluate:
             ids = rng.integers(2, 12, size=(2, 3))
             grids.append(ParagraphGrid(ids, np.ones_like(ids, bool),
                                        np.ones(2, bool), label=i % 2))
-        assert len(grids) > 2 * EVAL_BATCH
+        assert len(grids) > 2 * 16
         _, rows = evaluate(model_kind, params, config, grids)
         for (idx, prob, pred, gold), grid in zip(rows, grids):
             _, [(_, single, single_pred, single_gold)] = evaluate(
                 model_kind, params, config, [grid])
             assert prob == pytest.approx(single, abs=1e-6)
             assert (pred, gold) == (single_pred, single_gold)
+
+    @pytest.mark.parametrize("model_kind", sorted(MODELS))
+    @pytest.mark.parametrize("m, n, docs, batches", [
+        (8, 32, 33, [16, 16, 1]),       # the paper grid: 16 documents a forward
+        (2, 10, 205, [204, 1]),         # the bundled grid
+        (65, 64, 2, [1, 1]),            # more than EVAL_CELLS cells a document
+    ])
+    def test_cell_budget_sets_documents_per_forward(self, model_kind, m, n, docs,
+                                                     batches, monkeypatch):
+        config = SIRMConfig(vocab_size=12, d_e=4, d_c=2, src_windows=(1, 2),
+                            d_ns=4, d_np=4, d_as=4, d_ap=4, m=m, n=n)
+        init, prob_loss = MODELS[model_kind]
+        seen = []
+
+        def counted(grid, params, config):
+            seen.append(grid.token_ids.shape[0])
+            return prob_loss(grid, params, config)
+
+        monkeypatch.setitem(MODELS, model_kind, (init, counted))
+        ids = np.full((m, n), 2)
+        grids = [ParagraphGrid(ids, np.ones((m, n), bool), np.ones(m, bool), label=i % 2)
+                 for i in range(docs)]
+        report, rows = evaluate(model_kind, init(config, seed=0), config, grids)
+        assert seen == batches
+        assert report["n"] == len(rows) == docs
 
     def test_non_finite_probability_raises(self, setup):
         config, params, grids = setup

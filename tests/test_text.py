@@ -1,12 +1,14 @@
 import json
+from collections import Counter
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from sirm.text import (PAD_ID, UNK_ID, UNK_TOKEN, DataFormatError, DatasetSplit,
-                       Vocabulary, build_vocab, grid_encode, load_dataset,
-                       segment_sentences, stack_grids, tokenize)
+from sirm.text import (PAD_ID, SENTENCE_FINAL, UNK_ID, UNK_TOKEN, DataFormatError,
+                       DatasetSplit, ParagraphGrid, Vocabulary, build_vocab,
+                       encode_split, grid_encode, load_dataset, segment_sentences,
+                       stack_grids, tokenize)
 
 
 class TestTokenize:
@@ -121,6 +123,99 @@ def test_grid_invariants_hold_for_random_text(text, m, n):
         assert vocab.id_to_token[token_id] is not None
 
 
+# The token-at-a-time text pipeline as it stood before encode_split filled one
+# batch array: the reference that the current functions must match exactly.
+def segment_sentences_reference(tokens, n):
+    raw = []
+    current = []
+    for tok in tokens:
+        current.append(tok)
+        if tok in SENTENCE_FINAL:
+            raw.append(current)
+            current = []
+    if current:
+        raw.append(current)
+    sentences = []
+    for sent in raw:
+        for start in range(0, len(sent), n):
+            sentences.append(sent[start:start + n])
+    return sentences
+
+
+def build_vocab_reference(split, min_frequency, max_size):
+    counts = Counter()
+    first_seen = {}
+    pos = 0
+    for text, _label in split.examples:
+        for tok in tokenize(text):
+            counts[tok] += 1
+            if tok not in first_seen:
+                first_seen[tok] = pos
+                pos += 1
+    kept = [t for t in counts if counts[t] >= min_frequency]
+    kept.sort(key=lambda t: (-counts[t], first_seen[t]))
+    kept = kept[:max(0, max_size - 2)]
+    return Vocabulary(kept, [counts[t] for t in kept])
+
+
+def grid_encode_reference(text, vocab, m, n):
+    sentences = segment_sentences_reference(tokenize(text), n)[:m]
+    if not sentences:
+        sentences = [[UNK_TOKEN]]
+    token_ids = np.full((m, n), PAD_ID, dtype=np.int64)
+    word_mask = np.zeros((m, n), dtype=bool)
+    sentence_mask = np.zeros(m, dtype=bool)
+    for i, sent in enumerate(sentences):
+        sentence_mask[i] = True
+        for j, tok in enumerate(sent[:n]):
+            token_ids[i, j] = vocab.lookup(tok)
+            word_mask[i, j] = True
+    return ParagraphGrid(token_ids, word_mask, sentence_mask, label=0)
+
+
+def assert_same_grid(got, expected):
+    for field in ("token_ids", "word_mask", "sentence_mask"):
+        a, b = getattr(got, field), getattr(expected, field)
+        assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes())
+    assert type(got.label) is type(expected.label) and got.label == expected.label
+
+
+# repeated short words make frequency ties; URLs, mentions, punctuation runs,
+# long runs without a full stop and many short sentences cross n and m
+_WORDS = st.sampled_from(["a", "b", "c", "Bb", "é", ".", "!", "?", ";", ",", "'",
+                          "http://x.co/p?q=1", "www.y.org", "@bob", "@Al_9", "a.b"])
+_DOCS = st.one_of(st.lists(_WORDS, max_size=40).map(" ".join), st.text(max_size=40))
+
+
+@settings(max_examples=200, deadline=None)
+@given(docs=st.lists(st.tuples(_DOCS, st.integers(0, 1)), min_size=1, max_size=8),
+       m=st.integers(1, 4), n=st.integers(1, 6), min_frequency=st.integers(1, 3),
+       max_size=st.integers(2, 12))
+def test_text_pipeline_matches_token_loop_reference(docs, m, n, min_frequency,
+                                                   max_size):
+    split = DatasetSplit(docs)
+    for text, _ in docs:
+        tokens = tokenize(text)
+        assert segment_sentences(tokens, n) == segment_sentences_reference(tokens, n)
+    if any(tokenize(text) for text, _ in docs):
+        vocab = build_vocab(split, min_frequency, max_size)
+        expected = build_vocab_reference(split, min_frequency, max_size)
+        assert vocab.id_to_token == expected.id_to_token
+        assert vocab.token_to_id == expected.token_to_id
+        assert vocab.frequencies == expected.frequencies
+    else:
+        with pytest.raises(DataFormatError):
+            build_vocab(split, min_frequency, max_size)
+        vocab = Vocabulary()
+    grids = encode_split(split, vocab, m, n)
+    assert len(grids) == len(docs)
+    for grid, (text, label) in zip(grids, docs):
+        expected = grid_encode_reference(text, vocab, m, n)
+        assert_same_grid(grid_encode(text, vocab, m, n), expected)
+        expected.label = label
+        assert_same_grid(grid, expected)
+
+
 class TestVocabularyFile:
     def test_save_load_roundtrip(self, small_vocab, tmp_path):
         path = tmp_path / "vocab.tsv"
@@ -164,6 +259,18 @@ class TestLoadDataset:
             split = load_dataset(path)
         assert len(split.examples) == 9
         assert any(":10:" in rec.message for rec in caplog.records)
+
+    # true and 1.0 compare equal to 1 but are not the integer label promised
+    @pytest.mark.parametrize("label", [True, False, 1.0, 0.0])
+    def test_non_integer_label_is_malformed(self, tmp_path, caplog, label):
+        path = tmp_path / "d.jsonl"
+        lines = [json.dumps({"text": "ok", "label": 0})] * 9
+        lines.append(json.dumps({"text": "bad", "label": label}))
+        path.write_text("\n".join(lines) + "\n")
+        with caplog.at_level("WARNING"):
+            split = load_dataset(path)
+        assert split.examples == [("ok", 0)] * 9
+        assert any(":10: malformed line skipped" in rec.message for rec in caplog.records)
 
     def test_mostly_malformed_is_format_error(self, tmp_path):
         path = tmp_path / "d.jsonl"

@@ -179,6 +179,21 @@ class TestTrainLoop:
         final_report, _ = evaluate("sirm", params, config, grids)
         assert final_report["macro_f1"] >= max(h["dev_macro_f1"] for h in history) - 1e-12
 
+    def test_returns_the_parameters_of_the_best_epoch(self):
+        config = toy_config()
+        grids = toy_grids(config, count=12, seed=5)
+        tc = TrainConfig(max_epochs=12, early_stop_patience=2, batch_size=4,
+                         seed=1, learning_rate=0.05)
+        params, history = train(grids, grids, "sirm", config, tc)
+        scores = [h["dev_macro_f1"] for h in history]
+        best = scores.index(max(scores))
+        assert best < len(history) - 1     # training went on past the best epoch
+        tc.max_epochs = best + 1
+        at_best, _ = train(grids, grids, "sirm", config, tc)
+        for (name, got), (_, expected) in zip(params.named_tensors(),
+                                              at_best.named_tensors()):
+            assert np.array_equal(got.data, expected.data), name
+
     def test_history_file_written(self, tmp_path):
         config = toy_config()
         grids = toy_grids(config)
