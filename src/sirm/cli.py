@@ -19,8 +19,8 @@ from . import tensor as T
 from .evaluation import EvaluationError, evaluate, write_predictions
 from .model import (MODELS, ConfigError, SIRMConfig, init_sirm_params,
                     param_count, sirm_forward, sirm_loss)
-from .text import (DataFormatError, Vocabulary, atomic_write_bytes, build_vocab,
-                   encode_split, load_dataset, tokenize)
+from .text import (DataFormatError, ParagraphGrid, Vocabulary, atomic_write_bytes,
+                   build_vocab, encode_split, load_dataset, tokenize)
 from .training import (CheckpointError, TrainConfig, TrainingError,
                        load_checkpoint, save_checkpoint, split_dev, train)
 
@@ -58,7 +58,8 @@ def _load_config_file(path):
 
 
 def _assemble(args, vocab_size):
-    """Merge config-file values with CLI flag overrides.
+    """Merge config-file values, CLI flag overrides and SIRM_SEED, in rising
+    precedence, then validate them together.
 
     Each train flag's argparse dest is the config field it sets. The
     vocabulary fixes vocab_size; a config file may only repeat it.
@@ -70,9 +71,10 @@ def _assemble(args, vocab_size):
     cfg.update({key: val for key, val in vars(args).items()
                 if key in SIRM_FIELDS | TRAIN_FIELDS and val is not None})
     cfg["vocab_size"] = vocab_size
+    if os.environ.get("SIRM_SEED"):
+        cfg["seed"] = int(os.environ["SIRM_SEED"])
     sirm_cfg = SIRMConfig(**{k: v for k, v in cfg.items() if k in SIRM_FIELDS})
     train_cfg = TrainConfig(**{k: v for k, v in cfg.items() if k in TRAIN_FIELDS})
-    train_cfg.seed = int(os.environ.get("SIRM_SEED") or train_cfg.seed)
     return sirm_cfg, train_cfg
 
 
@@ -166,14 +168,11 @@ def run_grad_check(config=None, seed=7):
     on purpose, so its backward rule is verified separately and exactly.
     Returns (max error, {name: error}); 64-bit throughout.
     """
-    from .text import ParagraphGrid
-
     config = config or toy_grad_check_config()
     rng = np.random.default_rng(seed)
     params = init_sirm_params(config, seed=seed, dtype=np.float64)
     ids = rng.integers(2, config.vocab_size, size=(config.m, config.n))
-    grid = ParagraphGrid(ids, np.ones_like(ids, bool),
-                         np.ones(config.m, bool), label=1)
+    grid = ParagraphGrid(ids, label=1)
 
     errors = {}
     for name, t in params.named_tensors():
@@ -279,9 +278,9 @@ def build_parser():
 
 
 def main(argv=None):
-    logging.basicConfig(level=os.environ.get("SIRM_LOG", "WARNING"))
     parser = build_parser()
     try:
+        logging.basicConfig(level=os.environ.get("SIRM_LOG", "WARNING"))
         args = parser.parse_args(argv)
         return args.func(args)
     except SystemExit as e:

@@ -1,5 +1,7 @@
 """Classification metrics, batched evaluation and prediction output."""
 
+import math
+
 import numpy as np
 
 from . import tensor as T
@@ -57,6 +59,8 @@ def evaluate(model_kind, params, config, grids, threshold=0.5):
     probability, predicted label, gold label); non-finite probabilities raise
     FloatingPointError.
     """
+    if not math.isfinite(threshold):    # nan would predict 0 for every document
+        raise ValueError(f"threshold must be a finite number, got {threshold!r}")
     if not grids:
         raise EvaluationError("cannot evaluate an empty split")
     _, prob_loss = lookup_model(model_kind)

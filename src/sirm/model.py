@@ -343,7 +343,7 @@ def init_nbow_params(config, seed=0, dtype=np.float32):
 
 
 def nbow_forward(grid, params):
-    """Mask-aware mean of word embeddings through a sigmoid head.
+    """Mean of the real (non-padding) words' embeddings through a sigmoid head.
 
     Every document's mean is its row of a constant (documents, real words)
     matrix of 1/count weights times the real words' embeddings.
@@ -355,7 +355,7 @@ def nbow_forward(grid, params):
     emb = T.embedding_lookup(params.embedding, grid.token_ids[grid.word_mask])
     pooled = T.matmul(T.Tensor(pool), emb)
     logit = T.add(T.matmul(pooled, params.head_w), params.head_b)
-    return T.reshape(T.sigmoid(logit), grid.word_mask.shape[:-2])
+    return T.reshape(T.sigmoid(logit), grid.token_ids.shape[:-2])
 
 
 def _sirm_prob_loss(grid, params, config):

@@ -151,19 +151,21 @@ def build_vocab(split, min_frequency=2, max_size=30000):
 
 @dataclass
 class ParagraphGrid:
-    """A document, or with leading axes a batch, as m x n grids of token ids."""
+    """A document, or with leading axes a batch, as m x n grids of token ids;
+    PAD_ID marks padding and no token maps to it."""
 
     token_ids: np.ndarray   # (..., m, n) int64
-    word_mask: np.ndarray   # (..., m, n) bool
-    sentence_mask: np.ndarray  # (..., m) bool
     label: int              # an int array for a batch
+
+    @property
+    def word_mask(self):
+        """(..., m, n) bool, True at real tokens."""
+        return self.token_ids != PAD_ID
 
 
 def stack_grids(grids):
     """One batch grid of same-size grids, stacked along a new leading axis."""
     return ParagraphGrid(np.stack([g.token_ids for g in grids]),
-                         np.stack([g.word_mask for g in grids]),
-                         np.stack([g.sentence_mask for g in grids]),
                          np.array([g.label for g in grids], dtype=np.int64))
 
 
@@ -200,11 +202,9 @@ def load_dataset(path, fmt="jsonl", name="train"):
                 pass
         elif fmt == "tsv":
             parts = line.split("\t", 1)
-            if len(parts) == 2:
-                try:
-                    label, text = int(parts[0]), parts[1]
-                except ValueError:
-                    pass
+            # int() would also read +1, 01, " 0" and 0_0
+            if len(parts) == 2 and parts[0] in ("0", "1"):
+                label, text = int(parts[0]), parts[1]
         else:
             raise ValueError(f"unknown dataset format {fmt!r}")
         # true and 1.0 equal 1 but are a bool and a float, not a 0/1 label
@@ -226,19 +226,15 @@ def encode_split(split, vocab, m, n):
 
     A document keeps its first m sentences, each cut to n tokens; one
     without tokens becomes a single <unk> sentence. The grids are views into
-    one (N, m, n) array per field.
+    one (N, m, n) array of token ids.
     """
     if m < 1 or n < 1:
         raise ValueError("grid dimensions must be >= 1")
     token_ids = np.full((len(split.examples), m, n), PAD_ID, dtype=np.int64)
-    lengths = np.zeros((len(split.examples), m), dtype=np.int64)
     lookup = vocab.lookup
     for d, (text, _label) in enumerate(split.examples):
         sentences = segment_sentences(tokenize(text), n)[:m] or [[UNK_TOKEN]]
         for i, sent in enumerate(sentences):
             token_ids[d, i, :len(sent)] = [lookup(tok) for tok in sent]
-            lengths[d, i] = len(sent)
-    word_mask = np.arange(n) < lengths[..., None]
-    sentence_mask = lengths > 0
-    return [ParagraphGrid(token_ids[d], word_mask[d], sentence_mask[d], label)
+    return [ParagraphGrid(token_ids[d], label)
             for d, (_text, label) in enumerate(split.examples)]

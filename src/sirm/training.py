@@ -40,7 +40,7 @@ class TrainConfig:
         if self.learning_rate <= 0:
             raise ValueError("learning_rate must be positive")
         for name, low in (("batch_size", 1), ("max_epochs", 1),
-                          ("early_stop_patience", 0)):
+                          ("early_stop_patience", 0), ("seed", 0)):
             if getattr(self, name) < low:
                 raise ValueError(f"{name} must be >= {low}")
         for beta in (self.adam_beta1, self.adam_beta2):

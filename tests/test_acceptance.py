@@ -44,8 +44,7 @@ def toy_config(**overrides):
 
 def random_grid(config, rng, label=1):
     ids = rng.integers(2, config.vocab_size, size=(config.m, config.n))
-    return ParagraphGrid(ids, np.ones_like(ids, bool),
-                         np.ones(config.m, bool), label=label)
+    return ParagraphGrid(ids, label=label)
 
 
 @pytest.fixture(scope="module")

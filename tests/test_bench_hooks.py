@@ -49,8 +49,7 @@ def test_training_loop_clears_gradients_once_per_batch(monkeypatch):
     grids = []
     for i in range(8):
         ids = rng.integers(2, config.vocab_size, size=(config.m, config.n))
-        grids.append(ParagraphGrid(ids, np.ones_like(ids, bool),
-                                   np.ones(config.m, bool), label=i % 2))
+        grids.append(ParagraphGrid(ids, label=i % 2))
     calls = []
     zero_grads = T.zero_grads
     monkeypatch.setattr(T, "zero_grads", lambda tensors: calls.append(1) or zero_grads(tensors))

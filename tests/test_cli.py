@@ -1,16 +1,23 @@
 import json
+import os
 import struct
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import sirm
 from sirm.cli import SIRM_FIELDS, TRAIN_FIELDS, _assemble, build_parser, main
 from sirm.model import ConfigError
 from sirm.synthetic import generate, write_jsonl
 from sirm.training import load_checkpoint, save_checkpoint
 
 from test_training import with_header, with_parent_header
+
+BUNDLED = Path(__file__).resolve().parent.parent / "data" / "synthetic_64.jsonl"
 
 TOY_CONFIG = {
     "d_e": 4, "d_c": 2, "src_windows": [1, 2], "k": 1,
@@ -132,6 +139,33 @@ class TestTrainEvalPredict:
         assert runs["a"] == runs["b"]
         assert runs["a"] != runs["c"]
 
+    def test_tsv_format_matches_jsonl(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.delenv("SIRM_SEED", raising=False)
+        tsv = tmp_path / "synthetic_64.tsv"
+        tsv.write_text("".join(
+            f"{obj['label']}\t{obj['text']}\n"
+            for obj in map(json.loads, BUNDLED.read_text().splitlines())))
+        outputs = {}
+        for fmt, data in (("jsonl", BUNDLED), ("tsv", tsv)):
+            out = tmp_path / fmt
+            out.mkdir()
+            vocab, ckpt, preds = out / "vocab.tsv", out / "run" / "best.ckpt", out / "p.tsv"
+            common = ["--vocab", str(vocab), "--format", fmt]
+            assert main(["build-vocab", "--train", str(data), "--out", str(vocab),
+                         "--min-freq", "1", "--format", fmt]) == 0
+            assert main(["train", "--train", str(data), "--dev", str(data), *common,
+                         "--out-dir", str(out / "run"), "--m", "2", "--n", "10",
+                         "--seed", "0", "--max-epochs", "2"]) == 0
+            capsys.readouterr()
+            assert main(["eval", "--checkpoint", str(ckpt), "--data", str(data),
+                         *common]) == 0
+            report = capsys.readouterr().out
+            assert main(["predict", "--checkpoint", str(ckpt), "--data", str(data),
+                         *common, "--out", str(preds)]) == 0
+            outputs[fmt] = (vocab.read_bytes(), ckpt.read_bytes(), report,
+                            preds.read_bytes())
+        assert outputs["tsv"] == outputs["jsonl"]
+
 
 # (id, config-file values of the wrong type, fragment of the error message)
 WRONG_TYPES = [
@@ -181,6 +215,7 @@ def failure_inputs(tmp_path_factory):
     (tmp / "one.jsonl").write_text(data.read_text().splitlines()[0] + "\n")
     (tmp / "not_utf8.jsonl").write_bytes(b"\xff" + data.read_bytes())
     write_jsonl(tmp / "bool_labels.jsonl", [(text, True) for text, _ in generate()])
+    (tmp / "plus_one.tsv").write_text("".join(f"+1\t{text}\n" for text, _ in generate()))
     (tmp / "bad_count.tsv").write_text(vocab.read_text() + "foo\tabc\n")
     (tmp / "dup_token.tsv").write_text(vocab.read_text() + "foo\t1\nfoo\t1\n")
     paths = {f"config_{name}": tmp / f"config_{name}.json" for name, _, _ in WRONG_TYPES}
@@ -192,7 +227,7 @@ def failure_inputs(tmp_path_factory):
             "retired_ckpt": tmp / "retired.ckpt", "bogus_ckpt": tmp / "bogus.ckpt",
             "wrong_type_ckpt": tmp / "wrong_type.ckpt", "empty": tmp / "empty.jsonl",
             "one": tmp / "one.jsonl", "not_utf8": tmp / "not_utf8.jsonl",
-            "bool_labels": tmp / "bool_labels.jsonl",
+            "bool_labels": tmp / "bool_labels.jsonl", "plus_one": tmp / "plus_one.tsv",
             "bad_count_vocab": tmp / "bad_count.tsv", "dup_token_vocab": tmp / "dup_token.tsv"}
 
 
@@ -234,6 +269,14 @@ FAILURES = [
      2, "empty"),
     ("not-utf8-data", eval_args(data="{not_utf8}"), 2, "not_utf8.jsonl: not UTF-8 text"),
     ("bool-labels", eval_args(data="{bool_labels}"), 2, "bool_labels.jsonl: 64/64 malformed"),
+    ("plus-one-tsv-labels", eval_args(data="{plus_one}") + ["--format", "tsv"], 2,
+     "plus_one.tsv: 64/64 malformed"),
+    ("nan-threshold-eval", eval_args() + ["--threshold", "nan"], 1,
+     "threshold must be a finite number, got nan"),
+    ("nan-threshold-predict", ["predict"] + eval_args()[1:] + ["--threshold", "nan",
+                                                              "--out", "{out}"], 1,
+     "threshold must be a finite number, got nan"),
+    ("negative-seed", train_args(*TRAIN_DEV, "--seed", "-1"), 1, "seed must be >= 0"),
     ("bad-vocab-count", eval_args(vocab="{bad_count_vocab}"), 2,
      "bad vocabulary line 'foo\\tabc'"),
     ("duplicate-vocab-token", eval_args(vocab="{dup_token_vocab}"), 2,
@@ -256,6 +299,19 @@ def test_failure_modes(failure_inputs, argv, code, fragment, tmp_path, capsys):
     assert fragment in capsys.readouterr().err
     assert not out.exists()
     assert [str(w.message) for w in caught] == []
+
+
+def test_unknown_log_level_is_usage_error():
+    # in a fresh process: under pytest the root logger already has handlers,
+    # and logging.basicConfig then ignores its level
+    src = str(Path(sirm.__file__).resolve().parent.parent)
+    env = {**os.environ, "SIRM_LOG": "bogus",
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-m", "sirm.cli", "param-count"],
+                          env=env, capture_output=True, text=True)
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("error: ") and "bogus" in proc.stderr
+    assert "Traceback" not in proc.stderr
 
 
 # (flag, config field, value in the config file, value on the command line)

@@ -47,9 +47,7 @@ class TestMetrics:
 
 
 def make_grid(ids_row, vocab_size=10):
-    ids = np.array([ids_row])
-    mask = ids != 0
-    return ParagraphGrid(ids, mask, np.array([True]), label=1)
+    return ParagraphGrid(np.array([ids_row]), label=1)
 
 
 class TestNBOW:
@@ -86,7 +84,7 @@ class TestNBOW:
             mask = np.arange(n) < rng.integers(0, n + 1, size=(m, 1))
             mask[0, 0] = True
             ids = np.where(mask, rng.integers(2, 10, size=(m, n)), 0)
-            grids.append(ParagraphGrid(ids, mask, mask.any(axis=1), label=y))
+            grids.append(ParagraphGrid(ids, label=y))
 
         def grads(grid):
             T.zero_grads(params.tensors())
@@ -112,8 +110,7 @@ class TestEvaluate:
         grids = []
         for i in range(6):
             ids = rng.integers(2, 12, size=(2, 3))
-            grids.append(ParagraphGrid(ids, np.ones_like(ids, bool),
-                                       np.ones(2, bool), label=i % 2))
+            grids.append(ParagraphGrid(ids, label=i % 2))
         return config, params, grids
 
     def test_empty_split_is_error_not_nan(self, setup):
@@ -152,8 +149,7 @@ class TestEvaluate:
         grids = []
         for i in range(37):    # crosses two batch boundaries
             ids = rng.integers(2, 12, size=(2, 3))
-            grids.append(ParagraphGrid(ids, np.ones_like(ids, bool),
-                                       np.ones(2, bool), label=i % 2))
+            grids.append(ParagraphGrid(ids, label=i % 2))
         assert len(grids) > 2 * 16
         _, rows = evaluate(model_kind, params, config, grids)
         for (idx, prob, pred, gold), grid in zip(rows, grids):
@@ -181,8 +177,7 @@ class TestEvaluate:
 
         monkeypatch.setitem(MODELS, model_kind, (init, counted))
         ids = np.full((m, n), 2)
-        grids = [ParagraphGrid(ids, np.ones((m, n), bool), np.ones(m, bool), label=i % 2)
-                 for i in range(docs)]
+        grids = [ParagraphGrid(ids, label=i % 2) for i in range(docs)]
         report, rows = evaluate(model_kind, init(config, seed=0), config, grids)
         assert seen == batches
         assert report["n"] == len(rows) == docs

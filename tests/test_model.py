@@ -24,8 +24,7 @@ def toy_config(**overrides):
 def random_grid(config, seed=0, label=1):
     rng = np.random.default_rng(seed)
     ids = rng.integers(2, config.vocab_size, size=(config.m, config.n))
-    return ParagraphGrid(ids, np.ones_like(ids, bool),
-                         np.ones(config.m, bool), label=label)
+    return ParagraphGrid(ids, label=label)
 
 
 class TestPositionalEncoding:
@@ -370,10 +369,8 @@ class TestSIRMForward:
         config = toy_config(m=1, src_windows=(1, 2))
         params = init_sirm_params(config, seed=12)
         ids = np.array([[2, 3, 4]])
-        mask = np.ones_like(ids, bool)
-        smask = np.ones(1, bool)
-        y1 = sirm_forward(ParagraphGrid(ids, mask, smask, 0), params, config).y_prime.item()
-        y2 = sirm_forward(ParagraphGrid(ids[:, ::-1].copy(), mask, smask, 0),
+        y1 = sirm_forward(ParagraphGrid(ids, 0), params, config).y_prime.item()
+        y2 = sirm_forward(ParagraphGrid(ids[:, ::-1].copy(), 0),
                           params, config).y_prime.item()
         assert abs(y1 - y2) > 1e-6
 

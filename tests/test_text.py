@@ -1,3 +1,4 @@
+import dataclasses
 import json
 from collections import Counter
 
@@ -78,11 +79,10 @@ class TestGridEncode:
         grid = grid_encode("a b", small_vocab, m=2, n=3)
         assert grid.token_ids.tolist() == [[2, 3, 0], [0, 0, 0]]
         assert grid.word_mask.tolist() == [[True, True, False], [False, False, False]]
-        assert grid.sentence_mask.tolist() == [True, False]
 
     def test_extra_sentences_dropped(self, small_vocab):
         grid = grid_encode("a. b. a. b.", small_vocab, m=3, n=4)
-        assert grid.sentence_mask.all()
+        assert grid.word_mask[:, 0].all()
         assert grid.token_ids[0].tolist()[:2] == [2, small_vocab.lookup(".")]
 
     def test_unknown_words_map_to_unk(self, small_vocab):
@@ -96,14 +96,21 @@ class TestGridEncode:
             grid.label = label
         batch = stack_grids(grids)
         assert batch.token_ids.shape == batch.word_mask.shape == (3, 3, 4)
-        assert batch.sentence_mask.shape == (3, 3)
         np.testing.assert_array_equal(batch.token_ids[2], grids[2].token_ids)
+        np.testing.assert_array_equal(batch.word_mask[2], grids[2].word_mask)
         assert batch.label.dtype == np.int64 and batch.label.tolist() == [1, 0, 1]
 
     def test_empty_text_gets_single_unk(self, small_vocab):
         grid = grid_encode("", small_vocab, m=2, n=3)
         assert grid.token_ids[0, 0] == UNK_ID
         assert grid.word_mask.sum() == 1
+
+
+def test_a_grid_is_its_token_ids_and_label():
+    assert [f.name for f in dataclasses.fields(ParagraphGrid)] == ["token_ids", "label"]
+    # the mask follows the ids, so a hand-built grid is read one way
+    grid = ParagraphGrid(np.array([[2, PAD_ID, 3], [PAD_ID] * 3]), label=1)
+    assert grid.word_mask.tolist() == [[True, False, True], [False] * 3]
 
 
 @settings(max_examples=60, deadline=None)
@@ -113,9 +120,6 @@ def test_grid_invariants_hold_for_random_text(text, m, n):
                         min_frequency=1)
     grid = grid_encode(text, vocab, m, n)
     assert grid.token_ids.shape == grid.word_mask.shape == (m, n)
-    assert grid.sentence_mask.shape == (m,)
-    assert (grid.token_ids[~grid.word_mask] == PAD_ID).all()
-    assert not grid.word_mask[~grid.sentence_mask].any()
     assert grid.word_mask.any()
     assert int(grid.token_ids.max()) < len(vocab)
     # round-trip: every non-PAD id decodes to a vocabulary token
@@ -159,25 +163,23 @@ def build_vocab_reference(split, min_frequency, max_size):
 
 
 def grid_encode_reference(text, vocab, m, n):
+    """(token ids, word mask) of one document."""
     sentences = segment_sentences_reference(tokenize(text), n)[:m]
     if not sentences:
         sentences = [[UNK_TOKEN]]
     token_ids = np.full((m, n), PAD_ID, dtype=np.int64)
     word_mask = np.zeros((m, n), dtype=bool)
-    sentence_mask = np.zeros(m, dtype=bool)
     for i, sent in enumerate(sentences):
-        sentence_mask[i] = True
         for j, tok in enumerate(sent[:n]):
             token_ids[i, j] = vocab.lookup(tok)
             word_mask[i, j] = True
-    return ParagraphGrid(token_ids, word_mask, sentence_mask, label=0)
+    return token_ids, word_mask
 
 
-def assert_same_grid(got, expected):
-    for field in ("token_ids", "word_mask", "sentence_mask"):
-        a, b = getattr(got, field), getattr(expected, field)
+def assert_same_grid(got, expected, label):
+    for a, b in zip((got.token_ids, got.word_mask), expected):
         assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes())
-    assert type(got.label) is type(expected.label) and got.label == expected.label
+    assert type(got.label) is int and got.label == label
 
 
 # repeated short words make frequency ties; URLs, mentions, punctuation runs,
@@ -211,9 +213,8 @@ def test_text_pipeline_matches_token_loop_reference(docs, m, n, min_frequency,
     assert len(grids) == len(docs)
     for grid, (text, label) in zip(grids, docs):
         expected = grid_encode_reference(text, vocab, m, n)
-        assert_same_grid(grid_encode(text, vocab, m, n), expected)
-        expected.label = label
-        assert_same_grid(grid, expected)
+        assert_same_grid(grid_encode(text, vocab, m, n), expected, 0)
+        assert_same_grid(grid, expected, label)
 
 
 class TestVocabularyFile:
@@ -269,6 +270,16 @@ class TestLoadDataset:
         path.write_text("\n".join(lines) + "\n")
         with caplog.at_level("WARNING"):
             split = load_dataset(path)
+        assert split.examples == [("ok", 0)] * 9
+        assert any(":10: malformed line skipped" in rec.message for rec in caplog.records)
+
+    # int() reads all four, as 1, 1, 0 and 0
+    @pytest.mark.parametrize("label", ["+1", "01", " 0", "0_0"])
+    def test_tsv_label_other_than_0_or_1_is_malformed(self, tmp_path, caplog, label):
+        path = tmp_path / "d.tsv"
+        path.write_text("0\tok\n" * 9 + f"{label}\tbad\n")
+        with caplog.at_level("WARNING"):
+            split = load_dataset(path, fmt="tsv")
         assert split.examples == [("ok", 0)] * 9
         assert any(":10: malformed line skipped" in rec.message for rec in caplog.records)
 

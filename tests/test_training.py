@@ -43,8 +43,7 @@ def toy_grids(config, count=8, seed=0):
     grids = []
     for i in range(count):
         ids = rng.integers(2, config.vocab_size, size=(config.m, config.n))
-        grids.append(ParagraphGrid(ids, np.ones_like(ids, bool),
-                                   np.ones(config.m, bool), label=i % 2))
+        grids.append(ParagraphGrid(ids, label=i % 2))
     return grids
 
 
@@ -348,7 +347,7 @@ def test_train_config_validation():
         TrainConfig(batch_size=0)
     with pytest.raises(ValueError):
         TrainConfig(adam_beta1=1.0)
-    for field, value in (("max_epochs", 0), ("early_stop_patience", -1)):
+    for field, value in (("max_epochs", 0), ("early_stop_patience", -1), ("seed", -1)):
         with pytest.raises(ValueError, match=field):
             TrainConfig(**{field: value})
     for field, value in (("learning_rate", "0.1"), ("batch_size", True), ("seed", 1.0),
