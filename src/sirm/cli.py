@@ -71,8 +71,12 @@ def _assemble(args, vocab_size):
     cfg.update({key: val for key, val in vars(args).items()
                 if key in SIRM_FIELDS | TRAIN_FIELDS and val is not None})
     cfg["vocab_size"] = vocab_size
-    if os.environ.get("SIRM_SEED"):
-        cfg["seed"] = int(os.environ["SIRM_SEED"])
+    env_seed = os.environ.get("SIRM_SEED")
+    if env_seed:
+        try:
+            cfg["seed"] = int(env_seed)
+        except ValueError:
+            raise ConfigError(f"SIRM_SEED must be an integer, got {env_seed!r}") from None
     sirm_cfg = SIRMConfig(**{k: v for k, v in cfg.items() if k in SIRM_FIELDS})
     train_cfg = TrainConfig(**{k: v for k, v in cfg.items() if k in TRAIN_FIELDS})
     return sirm_cfg, train_cfg
@@ -174,14 +178,13 @@ def run_grad_check(config=None, seed=7):
     ids = rng.integers(2, config.vocab_size, size=(config.m, config.n))
     grid = ParagraphGrid(ids, label=1)
 
-    errors = {}
-    for name, t in params.named_tensors():
-        def f(_t, _grid=grid):
-            T.zero_grads(params.tensors())
-            trace = sirm_forward(_grid, params, config, reverse_gradients=False)
-            return sirm_loss(trace, _grid.label)
+    def loss(_t):
+        T.zero_grads(params.tensors())
+        trace = sirm_forward(grid, params, config, reverse_gradients=False)
+        return sirm_loss(trace, grid.label)
 
-        errors[name] = T.finite_diff_check(f, t, eps=1e-5)
+    errors = {name: T.finite_diff_check(loss, t, eps=1e-5)
+              for name, t in params.named_tensors()}
     return max(errors.values()), errors
 
 
@@ -280,7 +283,11 @@ def build_parser():
 def main(argv=None):
     parser = build_parser()
     try:
-        logging.basicConfig(level=os.environ.get("SIRM_LOG", "WARNING"))
+        log_level = os.environ.get("SIRM_LOG", "WARNING")
+        if not isinstance(logging.getLevelName(log_level), int):    # not a level name
+            raise ConfigError(f"SIRM_LOG must be a logging level name, got {log_level!r}")
+        logging.basicConfig()   # a no-op once a host has configured logging
+        logging.getLogger("sirm").setLevel(log_level)
         args = parser.parse_args(argv)
         return args.func(args)
     except SystemExit as e:

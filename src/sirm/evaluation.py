@@ -6,7 +6,7 @@ import numpy as np
 
 from . import tensor as T
 from .model import lookup_model
-from .text import atomic_write_bytes, stack_grids
+from .text import atomic_write_bytes
 
 
 class EvaluationError(ValueError):
@@ -70,18 +70,16 @@ def evaluate(model_kind, params, config, grids, threshold=0.5):
     # below turns that into one error instead of a stream of numpy warnings
     with T.no_grad(), np.errstate(over="ignore", invalid="ignore"):
         for start in range(0, len(grids), batch_size):
-            batch = stack_grids(grids[start:start + batch_size])
+            batch = grids[start:start + batch_size]
             y, _ = prob_loss(batch, params, config)
             if not np.isfinite(y.data).all():
                 raise FloatingPointError(
                     f"non-finite probability in the batch from document {start}")
             probs.extend(y.data.tolist())
-    labels = [grid.label for grid in grids]
+    labels = grids.label.tolist()
     preds = [int(prob >= threshold) for prob in probs]
     rows = list(zip(range(len(grids)), probs, preds, labels))
-    report = metrics(preds, labels)
-    report["n"] = len(grids)
-    return report, rows
+    return {**metrics(preds, labels), "n": len(grids)}, rows
 
 
 def write_predictions(rows, path):

@@ -12,9 +12,9 @@ functions: the sentence level runs them once on the (m, n, d_e) grid, every
 sentence along the leading axis, and the paragraph level once on the
 (m, d_as) sentence vectors. An auxiliary two-class head reads g through a
 gradient-reversal node so that training-set-specific skim features are
-suppressed. Every function takes leading batch axes: a grid of (..., m, n)
-arrays is that many documents read in one graph, and a single grid is the
-case with no leading axes.
+suppressed. Every function takes leading batch axes: a document, a batch
+and a split are one ParagraphGrid of (..., m, n) ids, and a training step
+indexes its minibatch out of the split and reads it in one graph.
 
 The bag-of-words baseline (NBOW) sits next to SIRM; MODELS maps each model
 kind to its initializer and its probability-and-loss function.

@@ -151,27 +151,27 @@ def build_vocab(split, min_frequency=2, max_size=30000):
 
 @dataclass
 class ParagraphGrid:
-    """A document, or with leading axes a batch, as m x n grids of token ids;
-    PAD_ID marks padding and no token maps to it."""
+    """A document, or with leading axes a batch or a split, as m x n grids of
+    token ids; PAD_ID marks padding and no token maps to it. An int, slice,
+    index array or bool mask on the leading axis gives a ParagraphGrid, and
+    iteration yields the documents in order."""
 
     token_ids: np.ndarray   # (..., m, n) int64
-    label: int              # an int array for a batch
+    label: np.ndarray       # (...) int64; a hand-built document may use an int
 
     @property
     def word_mask(self):
         """(..., m, n) bool, True at real tokens."""
         return self.token_ids != PAD_ID
 
+    def __len__(self):
+        return len(self.label)
 
-def stack_grids(grids):
-    """One batch grid of same-size grids, stacked along a new leading axis."""
-    return ParagraphGrid(np.stack([g.token_ids for g in grids]),
-                         np.array([g.label for g in grids], dtype=np.int64))
+    def __getitem__(self, index):
+        return ParagraphGrid(self.token_ids[index], self.label[index])
 
-
-def grid_encode(text, vocab, m, n):
-    """Tokenize, segment, and render a document onto a fixed (m, n) grid."""
-    return encode_split(DatasetSplit([(text, 0)]), vocab, m, n)[0]
+    def __iter__(self):
+        return (self[d] for d in range(len(self)))
 
 
 @dataclass
@@ -221,12 +221,11 @@ def load_dataset(path, fmt="jsonl", name="train"):
 
 
 def encode_split(split, vocab, m, n):
-    """Render every document of a split onto a fixed (m, n) grid, carrying
-    labels over.
+    """Render every document of a split onto a fixed (m, n) grid: one
+    ParagraphGrid of (N, m, n) token ids and (N,) int64 labels.
 
     A document keeps its first m sentences, each cut to n tokens; one
-    without tokens becomes a single <unk> sentence. The grids are views into
-    one (N, m, n) array of token ids.
+    without tokens becomes a single <unk> sentence.
     """
     if m < 1 or n < 1:
         raise ValueError("grid dimensions must be >= 1")
@@ -236,5 +235,5 @@ def encode_split(split, vocab, m, n):
         sentences = segment_sentences(tokenize(text), n)[:m] or [[UNK_TOKEN]]
         for i, sent in enumerate(sentences):
             token_ids[d, i, :len(sent)] = [lookup(tok) for tok in sent]
-    return [ParagraphGrid(token_ids[d], label)
-            for d, (_text, label) in enumerate(split.examples)]
+    return ParagraphGrid(token_ids, np.array([label for _text, label in split.examples],
+                                             dtype=np.int64))

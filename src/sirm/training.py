@@ -11,7 +11,7 @@ import numpy as np
 from . import tensor as T
 from .evaluation import evaluate
 from .model import SIRMConfig, check_field_types, lookup_model
-from .text import DataFormatError, atomic_write_bytes, stack_grids
+from .text import DataFormatError, atomic_write_bytes
 
 logger = logging.getLogger(__name__)
 
@@ -120,12 +120,10 @@ def train(train_grids, dev_grids, model_kind, model_config, train_config,
     for epoch in range(train_config.max_epochs):
         start = time.time()
         rng.shuffle(order)
-        losses = []
-        bce_losses = []
+        losses, bce_losses = [], []
         for b_idx, b_start in enumerate(range(0, len(order), train_config.batch_size)):
             T.zero_grads(params.tensors())
-            batch = stack_grids([train_grids[i]
-                                 for i in order[b_start:b_start + train_config.batch_size]])
+            batch = train_grids[order[b_start:b_start + train_config.batch_size]]
             # a diverging step's overflow surfaces as the loss or dev-pass error
             with np.errstate(over="ignore", invalid="ignore"):
                 loss, bce = _batch_loss(prob_loss, batch, params, model_config)
@@ -172,17 +170,15 @@ def train(train_grids, dev_grids, model_kind, model_config, train_config,
 
 
 def split_dev(grids, seed=0):
-    """Seeded train/dev split; dev gets a tenth (at least one), train the rest."""
+    """Seeded train/dev split in file order; dev gets a tenth (at least one), train the rest."""
     if len(grids) < 2:
         raise DataFormatError(
             f"need at least 2 examples to split off a dev set, got {len(grids)}")
     rng = np.random.default_rng(seed)
     order = rng.permutation(len(grids))
     n_dev = max(1, int(round(0.1 * len(grids))))
-    dev_idx = set(order[:n_dev].tolist())
-    train = [g for i, g in enumerate(grids) if i not in dev_idx]
-    dev = [g for i, g in enumerate(grids) if i in dev_idx]
-    return train, dev
+    is_dev = np.isin(np.arange(len(grids)), order[:n_dev])
+    return grids[~is_dev], grids[is_dev]
 
 
 # ---------------------------------------------------------------------------

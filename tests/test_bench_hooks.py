@@ -18,6 +18,8 @@ from sirm.model import SIRMConfig
 from sirm.text import ParagraphGrid
 from sirm.training import TrainConfig, train
 
+from grids import stack_documents
+
 TRACER = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
 
 
@@ -46,10 +48,9 @@ def test_training_loop_clears_gradients_once_per_batch(monkeypatch):
     config = SIRMConfig(vocab_size=12, d_e=4, d_c=4, src_windows=(1, 2), k=1,
                         d_ns=4, d_np=4, d_as=4, d_ap=4, m=2, n=3)
     rng = np.random.default_rng(0)
-    grids = []
-    for i in range(8):
-        ids = rng.integers(2, config.vocab_size, size=(config.m, config.n))
-        grids.append(ParagraphGrid(ids, label=i % 2))
+    grids = stack_documents(
+        ParagraphGrid(rng.integers(2, config.vocab_size, size=(config.m, config.n)), i % 2)
+        for i in range(8))
     calls = []
     zero_grads = T.zero_grads
     monkeypatch.setattr(T, "zero_grads", lambda tensors: calls.append(1) or zero_grads(tensors))

@@ -1,4 +1,5 @@
 import json
+import logging
 import os
 import struct
 import subprocess
@@ -244,7 +245,8 @@ def eval_args(ckpt="{ckpt}", data="{data}", vocab="{vocab}"):
 
 
 # (id, argv, exit code, fragment of the error message); {out} names the
-# output path, which a failing run must not create
+# output path, which a failing run must not create, and leading NAME=value
+# words set environment variables, as in a shell
 FAILURES = [
     ("nan-weights", eval_args("{nan_ckpt}"), 2, "non-finite"),
     ("huge-weights", eval_args("{huge_ckpt}"), 3, "non-finite probability"),
@@ -277,6 +279,8 @@ FAILURES = [
                                                               "--out", "{out}"], 1,
      "threshold must be a finite number, got nan"),
     ("negative-seed", train_args(*TRAIN_DEV, "--seed", "-1"), 1, "seed must be >= 0"),
+    ("non-integer-seed-env", ["SIRM_SEED=abc", *train_args(*TRAIN_DEV)], 1,
+     "SIRM_SEED must be an integer, got 'abc'"),
     ("bad-vocab-count", eval_args(vocab="{bad_count_vocab}"), 2,
      "bad vocabulary line 'foo\\tabc'"),
     ("duplicate-vocab-token", eval_args(vocab="{dup_token_vocab}"), 2,
@@ -289,7 +293,12 @@ FAILURES = [
 
 @pytest.mark.parametrize("argv,code,fragment", [row[1:] for row in FAILURES],
                          ids=[row[0] for row in FAILURES])
-def test_failure_modes(failure_inputs, argv, code, fragment, tmp_path, capsys):
+def test_failure_modes(failure_inputs, argv, code, fragment, tmp_path, capsys,
+                       monkeypatch):
+    while "=" in argv[0]:
+        name, value = argv[0].split("=", 1)
+        monkeypatch.setenv(name, value)
+        argv = argv[1:]
     out = tmp_path / "out"
     paths = {key: str(value) for key, value in failure_inputs.items()}
     capsys.readouterr()
@@ -302,8 +311,7 @@ def test_failure_modes(failure_inputs, argv, code, fragment, tmp_path, capsys):
 
 
 def test_unknown_log_level_is_usage_error():
-    # in a fresh process: under pytest the root logger already has handlers,
-    # and logging.basicConfig then ignores its level
+    # in a fresh process, where logging is not yet configured
     src = str(Path(sirm.__file__).resolve().parent.parent)
     env = {**os.environ, "SIRM_LOG": "bogus",
            "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
@@ -312,6 +320,22 @@ def test_unknown_log_level_is_usage_error():
     assert proc.returncode == 1
     assert proc.stderr.startswith("error: ") and "bogus" in proc.stderr
     assert "Traceback" not in proc.stderr
+
+
+def test_log_level_checked_when_logging_is_already_configured(monkeypatch, capsys):
+    # a host that set up logging first: logging.basicConfig then does nothing
+    handler = logging.NullHandler()
+    logging.getLogger().addHandler(handler)
+    try:
+        monkeypatch.setenv("SIRM_LOG", "bogus")
+        assert main(["param-count"]) == 1
+        assert "SIRM_LOG" in capsys.readouterr().err
+        monkeypatch.setenv("SIRM_LOG", "ERROR")
+        assert main(["param-count"]) == 0
+        assert logging.getLogger("sirm").level == logging.ERROR
+    finally:
+        logging.getLogger().removeHandler(handler)
+        logging.getLogger("sirm").setLevel(logging.NOTSET)
 
 
 # (flag, config field, value in the config file, value on the command line)

@@ -7,7 +7,9 @@ from sirm import evaluation
 from sirm.evaluation import EvaluationError, evaluate, metrics, write_predictions
 from sirm.model import (MODELS, SIRMConfig, init_nbow_params,
                         init_sirm_params, nbow_forward)
-from sirm.text import ParagraphGrid, stack_grids
+from sirm.text import ParagraphGrid
+
+from grids import stack_documents
 
 
 class TestMetrics:
@@ -92,7 +94,7 @@ class TestNBOW:
             T.backward(T.bce_loss(prob, grid.label))
             return prob, [t.grad.copy() for t in params.tensors()]
 
-        prob, batched = grads(stack_grids(grids))
+        prob, batched = grads(stack_documents(grids))
         assert prob.data.shape == (batch,)
         singles = [grads(grid)[1] for grid in grids]
         for i, got in enumerate(batched):
@@ -107,16 +109,14 @@ class TestEvaluate:
                             d_ns=4, d_np=4, d_as=4, d_ap=4, m=2, n=3)
         params = init_sirm_params(config, seed=0)
         rng = np.random.default_rng(0)
-        grids = []
-        for i in range(6):
-            ids = rng.integers(2, 12, size=(2, 3))
-            grids.append(ParagraphGrid(ids, label=i % 2))
+        grids = stack_documents(ParagraphGrid(rng.integers(2, 12, size=(2, 3)), i % 2)
+                                for i in range(6))
         return config, params, grids
 
     def test_empty_split_is_error_not_nan(self, setup):
-        config, params, _ = setup
+        config, params, grids = setup
         with pytest.raises(EvaluationError):
-            evaluate("sirm", params, config, [])
+            evaluate("sirm", params, config, grids[:0])
 
     def test_threshold_one_predicts_all_negative(self, setup):
         config, params, grids = setup
@@ -146,15 +146,13 @@ class TestEvaluate:
         init, _ = MODELS[model_kind]
         params = init(config, seed=0)
         rng = np.random.default_rng(1)
-        grids = []
-        for i in range(37):    # crosses two batch boundaries
-            ids = rng.integers(2, 12, size=(2, 3))
-            grids.append(ParagraphGrid(ids, label=i % 2))
+        grids = stack_documents(ParagraphGrid(rng.integers(2, 12, size=(2, 3)), i % 2)
+                                for i in range(37))    # crosses two batch boundaries
         assert len(grids) > 2 * 16
         _, rows = evaluate(model_kind, params, config, grids)
-        for (idx, prob, pred, gold), grid in zip(rows, grids):
+        for idx, prob, pred, gold in rows:
             _, [(_, single, single_pred, single_gold)] = evaluate(
-                model_kind, params, config, [grid])
+                model_kind, params, config, grids[idx:idx + 1])
             assert prob == pytest.approx(single, abs=1e-6)
             assert (pred, gold) == (single_pred, single_gold)
 
@@ -177,7 +175,7 @@ class TestEvaluate:
 
         monkeypatch.setitem(MODELS, model_kind, (init, counted))
         ids = np.full((m, n), 2)
-        grids = [ParagraphGrid(ids, label=i % 2) for i in range(docs)]
+        grids = stack_documents(ParagraphGrid(ids, i % 2) for i in range(docs))
         report, rows = evaluate(model_kind, init(config, seed=0), config, grids)
         assert seen == batches
         assert report["n"] == len(rows) == docs

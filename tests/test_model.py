@@ -9,8 +9,9 @@ from sirm.model import (ConfigError, SIRMConfig, dense_connect_pool,
                         embed_paragraph, init_sirm_params, near_neighbor_encode,
                         param_count, positional_encoding, sirm_forward,
                         sirm_loss, skim_forward)
-from sirm.text import ParagraphGrid, stack_grids
+from sirm.text import ParagraphGrid
 
+from grids import stack_documents
 from test_tensor import total
 
 
@@ -339,7 +340,7 @@ class TestSIRMForward:
         for m, batch in ((1, 1), (8, 1), (8, 8)):
             config = toy_config(m=m)
             params = init_sirm_params(config, seed=0)
-            grid = stack_grids([random_grid(config, seed=i) for i in range(batch)])
+            grid = stack_documents([random_grid(config, seed=i) for i in range(batch)])
             loss = sirm_loss(sirm_forward(grid, params, config), grid.label)
             sizes.append(len(T.Graph.trace(loss).nodes))
         assert sizes[0] == sizes[1] == sizes[2]
@@ -347,7 +348,7 @@ class TestSIRMForward:
     def test_no_grad_forward_is_bit_identical_and_graph_free(self):
         config = toy_config()
         params = init_sirm_params(config, seed=17)
-        grid = stack_grids([random_grid(config, seed=i) for i in range(3)])
+        grid = stack_documents([random_grid(config, seed=i) for i in range(3)])
         traced = sirm_forward(grid, params, config)
         with T.no_grad():
             bare = sirm_forward(grid, params, config)
@@ -479,7 +480,7 @@ class TestSIRMLoss:
             T.backward(sirm_loss(trace, grid.label))
             return trace, [t.grad.copy() for t in params.tensors()]
 
-        stacked, batched = grads(stack_grids(grids))
+        stacked, batched = grads(stack_documents(grids))
         assert stacked.y_prime.data.shape == (batch,)
         assert stacked.y_dprime.data.shape == (batch, 2)
         singles = [grads(grid)[1] for grid in grids]

@@ -8,8 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from sirm.text import (PAD_ID, SENTENCE_FINAL, UNK_ID, UNK_TOKEN, DataFormatError,
                        DatasetSplit, ParagraphGrid, Vocabulary, build_vocab,
-                       encode_split, grid_encode, load_dataset, segment_sentences,
-                       stack_grids, tokenize)
+                       encode_split, load_dataset, segment_sentences, tokenize)
 
 
 class TestTokenize:
@@ -69,6 +68,11 @@ class TestBuildVocab:
         assert "testonly" not in vocab.token_to_id
 
 
+def encode_one(text, vocab, m, n):
+    """The (m, n) grid of one document, encoded on its own."""
+    return encode_split(DatasetSplit([(text, 0)]), vocab, m, n)[0]
+
+
 @pytest.fixture
 def small_vocab():
     return build_vocab(DatasetSplit([("a a b b", 0)]), min_frequency=1)
@@ -76,32 +80,32 @@ def small_vocab():
 
 class TestGridEncode:
     def test_basic_layout(self, small_vocab):
-        grid = grid_encode("a b", small_vocab, m=2, n=3)
+        grid = encode_one("a b", small_vocab, m=2, n=3)
         assert grid.token_ids.tolist() == [[2, 3, 0], [0, 0, 0]]
         assert grid.word_mask.tolist() == [[True, True, False], [False, False, False]]
 
     def test_extra_sentences_dropped(self, small_vocab):
-        grid = grid_encode("a. b. a. b.", small_vocab, m=3, n=4)
+        grid = encode_one("a. b. a. b.", small_vocab, m=3, n=4)
         assert grid.word_mask[:, 0].all()
         assert grid.token_ids[0].tolist()[:2] == [2, small_vocab.lookup(".")]
 
     def test_unknown_words_map_to_unk(self, small_vocab):
-        grid = grid_encode("xyz qrs", small_vocab, m=1, n=4)
+        grid = encode_one("xyz qrs", small_vocab, m=1, n=4)
         assert grid.token_ids[0, 0] == UNK_ID and grid.token_ids[0, 1] == UNK_ID
         assert grid.word_mask[0, :2].all()
 
-    def test_stack_grids_adds_a_leading_axis(self, small_vocab):
-        grids = [grid_encode(t, small_vocab, 3, 4) for t in ("a b.", "c", "a. b. c.")]
-        for label, grid in zip((1, 0, 1), grids):
-            grid.label = label
-        batch = stack_grids(grids)
+    def test_split_is_one_grid_with_a_leading_axis(self, small_vocab):
+        texts = ("a b.", "c", "a. b. c.")
+        batch = encode_split(DatasetSplit(list(zip(texts, (1, 0, 1)))), small_vocab, 3, 4)
+        assert len(batch) == 3
         assert batch.token_ids.shape == batch.word_mask.shape == (3, 3, 4)
-        np.testing.assert_array_equal(batch.token_ids[2], grids[2].token_ids)
-        np.testing.assert_array_equal(batch.word_mask[2], grids[2].word_mask)
+        last = encode_one(texts[2], small_vocab, 3, 4)
+        np.testing.assert_array_equal(batch.token_ids[2], last.token_ids)
+        np.testing.assert_array_equal(batch.word_mask[2], last.word_mask)
         assert batch.label.dtype == np.int64 and batch.label.tolist() == [1, 0, 1]
 
     def test_empty_text_gets_single_unk(self, small_vocab):
-        grid = grid_encode("", small_vocab, m=2, n=3)
+        grid = encode_one("", small_vocab, m=2, n=3)
         assert grid.token_ids[0, 0] == UNK_ID
         assert grid.word_mask.sum() == 1
 
@@ -118,7 +122,7 @@ def test_a_grid_is_its_token_ids_and_label():
 def test_grid_invariants_hold_for_random_text(text, m, n):
     vocab = build_vocab(DatasetSplit([("the quick brown fox. jumps!", 0)]),
                         min_frequency=1)
-    grid = grid_encode(text, vocab, m, n)
+    grid = encode_one(text, vocab, m, n)
     assert grid.token_ids.shape == grid.word_mask.shape == (m, n)
     assert grid.word_mask.any()
     assert int(grid.token_ids.max()) < len(vocab)
@@ -162,7 +166,7 @@ def build_vocab_reference(split, min_frequency, max_size):
     return Vocabulary(kept, [counts[t] for t in kept])
 
 
-def grid_encode_reference(text, vocab, m, n):
+def encode_one_reference(text, vocab, m, n):
     """(token ids, word mask) of one document."""
     sentences = segment_sentences_reference(tokenize(text), n)[:m]
     if not sentences:
@@ -179,7 +183,7 @@ def grid_encode_reference(text, vocab, m, n):
 def assert_same_grid(got, expected, label):
     for a, b in zip((got.token_ids, got.word_mask), expected):
         assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes())
-    assert type(got.label) is int and got.label == label
+    assert type(got.label) is np.int64 and got.label == label
 
 
 # repeated short words make frequency ties; URLs, mentions, punctuation runs,
@@ -212,9 +216,41 @@ def test_text_pipeline_matches_token_loop_reference(docs, m, n, min_frequency,
     grids = encode_split(split, vocab, m, n)
     assert len(grids) == len(docs)
     for grid, (text, label) in zip(grids, docs):
-        expected = grid_encode_reference(text, vocab, m, n)
-        assert_same_grid(grid_encode(text, vocab, m, n), expected, 0)
+        expected = encode_one_reference(text, vocab, m, n)
+        assert_same_grid(encode_one(text, vocab, m, n), expected, 0)
         assert_same_grid(grid, expected, label)
+
+
+_INDEX_WORDS = ["a", "b", "c", "zz", ".", "!"]
+
+
+@settings(max_examples=100, deadline=None)
+@given(seed=st.integers(0, 2**16), count=st.integers(1, 10), data=st.data())
+def test_indexing_a_split_matches_stacked_single_encodings(seed, count, data):
+    rng = np.random.default_rng(seed)
+    docs = [(" ".join(rng.choice(_INDEX_WORDS, size=rng.integers(0, 16))),
+             int(rng.integers(0, 2))) for _ in range(count)]
+    vocab = build_vocab(DatasetSplit([("a b c . !", 0)]), min_frequency=1)
+    grids = encode_split(DatasetSplit(docs), vocab, 3, 4)
+    token_ids = np.stack([encode_one(text, vocab, 3, 4).token_ids for text, _ in docs])
+    labels = np.array([label for _, label in docs], dtype=np.int64)
+    bound = st.none() | st.integers(-count - 1, count + 1)
+    index = data.draw(st.one_of(
+        st.integers(-count, count - 1),
+        st.builds(slice, bound, bound, st.none() | st.sampled_from([1, 2, -1, -3])),
+        st.permutations(range(count)).map(lambda order: np.array(order, dtype=np.int64)),
+        st.lists(st.booleans(), min_size=count, max_size=count).map(np.array)))
+    got = grids[index]
+    assert isinstance(got, ParagraphGrid)
+    for a, b in ((got.token_ids, token_ids[index]), (got.label, labels[index])):
+        assert (type(a), a.dtype, a.shape, a.tobytes()) == (type(b), b.dtype, b.shape,
+                                                            b.tobytes())
+    if isinstance(index, int):
+        assert got.token_ids.shape == (3, 4)
+    docs_in_order = list(grids)
+    assert len(docs_in_order) == len(grids) == count
+    for doc, ids, label in zip(docs_in_order, token_ids, labels):
+        assert np.array_equal(doc.token_ids, ids) and doc.label == label
 
 
 class TestVocabularyFile:

@@ -14,6 +14,8 @@ from sirm.training import (Adam, CheckpointError, TrainConfig, TrainingError,
                            load_checkpoint, save_checkpoint,
                            serialize_checkpoint, split_dev, train)
 
+from grids import stack_documents
+
 
 def toy_config(**overrides):
     defaults = dict(vocab_size=12, d_e=4, d_c=4, src_windows=(1, 2), k=1,
@@ -40,11 +42,9 @@ def with_parent_header(blob, mask_aware):
 
 def toy_grids(config, count=8, seed=0):
     rng = np.random.default_rng(seed)
-    grids = []
-    for i in range(count):
-        ids = rng.integers(2, config.vocab_size, size=(config.m, config.n))
-        grids.append(ParagraphGrid(ids, label=i % 2))
-    return grids
+    return stack_documents(
+        ParagraphGrid(rng.integers(2, config.vocab_size, size=(config.m, config.n)), i % 2)
+        for i in range(count))
 
 
 class TestAdam:
@@ -221,8 +221,9 @@ def test_split_dev_is_seeded_and_disjoint():
     train_a, dev_a = split_dev(grids, seed=3)
     train_b, dev_b = split_dev(grids, seed=3)
     assert len(dev_a) == 2 and len(train_a) == 18
-    assert [id(g) for g in dev_a] == [id(g) for g in dev_b]
-    assert not set(id(g) for g in dev_a) & set(id(g) for g in train_a)
+    assert np.array_equal(dev_a.token_ids, dev_b.token_ids)
+    assert not ({doc.token_ids.tobytes() for doc in dev_a}
+                & {doc.token_ids.tobytes() for doc in train_a})
 
 
 def test_split_dev_needs_two_examples():
@@ -231,6 +232,24 @@ def test_split_dev_needs_two_examples():
         split_dev(grids)
     train_part, dev_part = split_dev(toy_grids(toy_config(), count=2))
     assert len(train_part) == len(dev_part) == 1
+
+
+@settings(max_examples=50, deadline=None)
+@given(count=st.integers(2, 60), seed=st.integers(0, 2**16), data=st.data())
+def test_split_dev_partitions_rows_in_file_order(count, seed, data):
+    labels = data.draw(st.lists(st.integers(0, 1), min_size=count, max_size=count))
+    # each document's ids name its row, so a split part shows where its rows came from
+    grids = ParagraphGrid(np.arange(count).repeat(6).reshape(count, 2, 3) + 2,
+                          np.array(labels, dtype=np.int64))
+    train_part, dev_part = split_dev(grids, seed=seed)
+    rows = [part.token_ids[:, 0, 0] - 2 for part in (train_part, dev_part)]
+    assert len(dev_part) == max(1, round(0.1 * count))
+    assert sorted([*rows[0], *rows[1]]) == list(range(count))
+    for part, part_rows in zip((train_part, dev_part), rows):
+        assert isinstance(part, ParagraphGrid)
+        assert np.all(np.diff(part_rows) > 0)
+        assert part.label.dtype == np.int64
+        assert part.label.tolist() == [labels[row] for row in part_rows]
 
 
 class TestCheckpoint:
