@@ -22,7 +22,7 @@ kind to its initializer and its probability-and-loss function.
 
 import math
 import numbers
-from dataclasses import dataclass, asdict, fields
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -91,11 +91,6 @@ class SIRMConfig:
     @property
     def g_width(self):
         return len(self.src_windows) * self.d_c
-
-    def to_dict(self):
-        d = asdict(self)
-        d["src_windows"] = list(self.src_windows)
-        return d
 
     @classmethod
     def from_dict(cls, d):

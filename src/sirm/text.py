@@ -84,14 +84,14 @@ def segment_sentences(tokens, n):
 
 
 class Vocabulary:
-    """Dense token ids with PAD=0 and UNK=1 reserved."""
+    """Dense token ids with PAD=0 and UNK=1 reserved; each token after them
+    comes with its training-set count."""
 
-    def __init__(self, tokens=(), frequencies=None):
+    def __init__(self, tokens=(), frequencies=()):
         self.id_to_token = [PAD_TOKEN, UNK_TOKEN]
         self.token_to_id = {PAD_TOKEN: PAD_ID, UNK_TOKEN: UNK_ID}
         self.frequencies = [0, 0]
-        freqs = frequencies if frequencies is not None else [0] * len(tokens)
-        for tok, freq in zip(tokens, freqs):
+        for tok, freq in zip(tokens, frequencies, strict=True):
             self._add(tok, freq)
 
     def _add(self, token, freq):
@@ -134,12 +134,12 @@ class Vocabulary:
 
 
 def build_vocab(split, min_frequency=2, max_size=30000):
-    """Frequency-ordered vocabulary from a training split only.
+    """Frequency-ordered vocabulary from a training split's (text, label) pairs only.
 
     Ties are broken by first occurrence order so id assignment is deterministic.
     """
     counts = Counter()
-    for text, _label in split.examples:
+    for text, _label in split:
         counts.update(tokenize(text))
     if not counts:
         raise DataFormatError("cannot build a vocabulary from an empty corpus")
@@ -174,14 +174,9 @@ class ParagraphGrid:
         return (self[d] for d in range(len(self)))
 
 
-@dataclass
-class DatasetSplit:
-    examples: list  # of (text, label) pairs
-    name: str = "train"
-
-
 def load_dataset(path, fmt="jsonl", name="train"):
-    """Load labeled documents from a JSONL or TSV file.
+    """Load labeled documents from a JSONL or TSV file as a list of
+    (text, label) pairs; name is the split's role in the log.
 
     Malformed lines are logged with their line number and skipped; more than
     10% malformed lines is treated as a format error.
@@ -216,12 +211,12 @@ def load_dataset(path, fmt="jsonl", name="train"):
         examples.append((text, label))
     if total and bad / total > 0.10:
         raise DataFormatError(f"{path}: {bad}/{total} malformed lines")
-    logger.info("loaded %d examples from %s (%d skipped)", len(examples), path, bad)
-    return DatasetSplit(examples, name=name)
+    logger.info("loaded %d %s examples from %s (%d skipped)", len(examples), name, path, bad)
+    return examples
 
 
 def encode_split(split, vocab, m, n):
-    """Render every document of a split onto a fixed (m, n) grid: one
+    """Render every (text, label) pair of a split onto a fixed (m, n) grid: one
     ParagraphGrid of (N, m, n) token ids and (N,) int64 labels.
 
     A document keeps its first m sentences, each cut to n tokens; one
@@ -229,11 +224,11 @@ def encode_split(split, vocab, m, n):
     """
     if m < 1 or n < 1:
         raise ValueError("grid dimensions must be >= 1")
-    token_ids = np.full((len(split.examples), m, n), PAD_ID, dtype=np.int64)
+    token_ids = np.full((len(split), m, n), PAD_ID, dtype=np.int64)
     lookup = vocab.lookup
-    for d, (text, _label) in enumerate(split.examples):
+    for d, (text, _label) in enumerate(split):
         sentences = segment_sentences(tokenize(text), n)[:m] or [[UNK_TOKEN]]
         for i, sent in enumerate(sentences):
             token_ids[d, i, :len(sent)] = [lookup(tok) for tok in sent]
-    return ParagraphGrid(token_ids, np.array([label for _text, label in split.examples],
+    return ParagraphGrid(token_ids, np.array([label for _text, label in split],
                                              dtype=np.int64))

@@ -2,9 +2,10 @@
 
 import json
 import logging
+import math
 import struct
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -29,9 +30,6 @@ class TrainConfig:
     learning_rate: float = 1e-3
     batch_size: int = 64
     max_epochs: int = 50
-    adam_beta1: float = 0.9
-    adam_beta2: float = 0.999
-    adam_eps: float = 1e-8
     seed: int = 0
     early_stop_patience: int = 5
 
@@ -43,13 +41,15 @@ class TrainConfig:
                           ("early_stop_patience", 0), ("seed", 0)):
             if getattr(self, name) < low:
                 raise ValueError(f"{name} must be >= {low}")
-        for beta in (self.adam_beta1, self.adam_beta2):
-            if not 0.0 < beta < 1.0:
-                raise ValueError("Adam betas must lie in (0, 1)")
+
+
+# the defaults of Kingma & Ba 2015, "Adam: A Method for Stochastic Optimization"
+ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
 
 
 class Adam:
-    """Standard Adam with bias correction over a named parameter list."""
+    """Standard Adam with bias correction over a named parameter list, at
+    config.learning_rate with the fixed ADAM_BETA1, ADAM_BETA2 and ADAM_EPS."""
 
     def __init__(self, named_params, config):
         self.named_params = list(named_params)
@@ -62,8 +62,7 @@ class Adam:
         """m = b1*m + (1-b1)*g, v = b2*v + ((1-b2)*g)*g, c = 1 - b**t and
         p -= lr*(m/c1) / (sqrt(v/c2) + eps), in that operation order, with m
         and v updated in place and the step built in two scratch arrays."""
-        cfg = self.config
-        b1, b2 = cfg.adam_beta1, cfg.adam_beta2
+        b1, b2 = ADAM_BETA1, ADAM_BETA2
         self.step_count += 1
         c1 = 1 - b1 ** self.step_count
         c2 = 1 - b2 ** self.step_count
@@ -78,9 +77,9 @@ class Adam:
             np.multiply(g, 1 - b2, out=denom)
             v += np.multiply(denom, g, out=denom)
             np.sqrt(np.divide(v, c2, out=denom), out=denom)
-            denom += cfg.adam_eps
+            denom += ADAM_EPS
             np.divide(m, c1, out=step)
-            step *= cfg.learning_rate
+            step *= self.config.learning_rate
             p.data -= np.divide(step, denom, out=step)
             p.grad = None
 
@@ -191,7 +190,7 @@ MAGIC = b"SIRM1"
 
 def serialize_checkpoint(model_kind, config, params):
     lookup_model(model_kind)    # an unknown kind fails here, not at load
-    header = json.dumps({"model": model_kind, "config": config.to_dict()},
+    header = json.dumps({"model": model_kind, "config": asdict(config)},
                         sort_keys=True).encode("utf-8")
     chunks = [MAGIC, struct.pack("<I", len(header)), header]
     for name, t in params.named_tensors():
@@ -210,13 +209,14 @@ def save_checkpoint(path, model_kind, config, params):
 
 
 class _Reader:
-    def __init__(self, blob):
+    def __init__(self, path, blob):
+        self.path = path
         self.blob = blob
         self.off = 0
 
     def take(self, n):
         if self.off + n > len(self.blob):
-            raise CheckpointError("truncated checkpoint file")
+            raise CheckpointError(f"{self.path}: truncated checkpoint file")
         out = self.blob[self.off:self.off + n]
         self.off += n
         return out
@@ -239,7 +239,7 @@ def load_checkpoint(path):
             blob = f.read()
     except OSError as e:
         raise CheckpointError(f"cannot read checkpoint {path}: {e}") from e
-    r = _Reader(blob)
+    r = _Reader(path, blob)
     if r.take(len(MAGIC)) != MAGIC:
         raise CheckpointError(f"{path}: bad magic, not a checkpoint file")
     try:
@@ -252,11 +252,14 @@ def load_checkpoint(path):
 
     loaded = {}
     while not r.exhausted:
-        name = r.take(r.u32()).decode("utf-8")
+        try:
+            name = r.take(r.u32()).decode("utf-8")
+        except UnicodeDecodeError as e:
+            raise CheckpointError(f"{path}: corrupt tensor record name: {e}") from e
         rank = r.u32()
         dims = struct.unpack(f"<{rank}I", r.take(4 * rank))
-        size = int(np.prod(dims)) if rank else 1
-        data = np.frombuffer(r.take(4 * size), dtype="<f4").reshape(dims).copy()
+        # Python ints: a product of u32 dims cannot wrap, and an empty one is 1
+        data = np.frombuffer(r.take(4 * math.prod(dims)), dtype="<f4").reshape(dims).copy()
         if name in loaded:
             raise CheckpointError(f"{path}: tensor {name!r} appears twice")
         if not np.isfinite(data).all():

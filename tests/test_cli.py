@@ -16,7 +16,7 @@ from sirm.model import ConfigError
 from sirm.synthetic import generate, write_jsonl
 from sirm.training import load_checkpoint, save_checkpoint
 
-from test_training import with_header, with_parent_header
+from test_training import with_first_record, with_header, with_parent_header
 
 BUNDLED = Path(__file__).resolve().parent.parent / "data" / "synthetic_64.jsonl"
 
@@ -212,6 +212,11 @@ def failure_inputs(tmp_path_factory):
     (tmp / "vocab5.json").write_text(json.dumps({**TOY_CONFIG, "vocab_size": 5}))
     (tmp / "wrong_type.ckpt").write_bytes(
         with_header(ckpt.read_bytes(), lambda h: h["config"].update(m=2.5)))
+    (tmp / "bad_name.ckpt").write_bytes(
+        with_first_record(ckpt.read_bytes(), lambda name, dims: (b"\xff" + name[1:], dims)))
+    (tmp / "wrapping_dims.ckpt").write_bytes(
+        with_first_record(ckpt.read_bytes(), lambda name, dims: (name, (2**32 - 1,) * 2)))
+    (tmp / "adam.json").write_text(json.dumps({"adam_beta2": 0.99}))
     (tmp / "empty.jsonl").write_text("")
     (tmp / "one.jsonl").write_text(data.read_text().splitlines()[0] + "\n")
     (tmp / "not_utf8.jsonl").write_bytes(b"\xff" + data.read_bytes())
@@ -226,7 +231,9 @@ def failure_inputs(tmp_path_factory):
             "nan_ckpt": tmp / "nan.ckpt", "huge_ckpt": tmp / "huge.ckpt",
             "dup_ckpt": tmp / "dup.ckpt", "vocab5_config": tmp / "vocab5.json",
             "retired_ckpt": tmp / "retired.ckpt", "bogus_ckpt": tmp / "bogus.ckpt",
-            "wrong_type_ckpt": tmp / "wrong_type.ckpt", "empty": tmp / "empty.jsonl",
+            "wrong_type_ckpt": tmp / "wrong_type.ckpt", "bad_name_ckpt": tmp / "bad_name.ckpt",
+            "wrapping_dims_ckpt": tmp / "wrapping_dims.ckpt",
+            "adam_config": tmp / "adam.json", "empty": tmp / "empty.jsonl",
             "one": tmp / "one.jsonl", "not_utf8": tmp / "not_utf8.jsonl",
             "bool_labels": tmp / "bool_labels.jsonl", "plus_one": tmp / "plus_one.tsv",
             "bad_count_vocab": tmp / "bad_count.tsv", "dup_token_vocab": tmp / "dup_token.tsv"}
@@ -286,6 +293,13 @@ FAILURES = [
     ("duplicate-vocab-token", eval_args(vocab="{dup_token_vocab}"), 2,
      "duplicate vocabulary token 'foo'"),
     ("wrong-type-header", eval_args("{wrong_type_ckpt}"), 2, "m must be an integer, got 2.5"),
+    ("non-utf8-tensor-name", eval_args("{bad_name_ckpt}"), 2,
+     "bad_name.ckpt: corrupt tensor record name"),
+    ("wrapping-tensor-dims", eval_args("{wrapping_dims_ckpt}"), 2,
+     "wrapping_dims.ckpt: truncated checkpoint file"),
+    # Adam's betas and epsilon are fixed, not config keys
+    ("adam-key-in-config", train_args(*TRAIN_DEV, config="{adam_config}"), 1,
+     "unknown config keys: ['adam_beta2']"),
     *[(f"config-{name}", train_args(*TRAIN_DEV, config=f"{{config_{name}}}"), 1, fragment)
       for name, _, fragment in WRONG_TYPES],
 ]

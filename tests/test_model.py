@@ -1,4 +1,5 @@
 import re
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -556,10 +557,10 @@ class TestConfigValidation:
 
     def test_roundtrip_dict(self):
         config = toy_config()
-        assert SIRMConfig.from_dict(config.to_dict()) == config
+        assert SIRMConfig.from_dict(asdict(config)) == config
 
     def test_retired_mask_aware_key(self):
-        d = toy_config().to_dict()
+        d = asdict(toy_config())
         assert SIRMConfig.from_dict(dict(d, mask_aware_pooling=False)) == toy_config()
         with pytest.raises(ConfigError, match="mask_aware_pooling"):
             SIRMConfig.from_dict(dict(d, mask_aware_pooling=True))

@@ -7,8 +7,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from sirm.text import (PAD_ID, SENTENCE_FINAL, UNK_ID, UNK_TOKEN, DataFormatError,
-                       DatasetSplit, ParagraphGrid, Vocabulary, build_vocab,
-                       encode_split, load_dataset, segment_sentences, tokenize)
+                       ParagraphGrid, Vocabulary, build_vocab, encode_split,
+                       load_dataset, segment_sentences, tokenize)
 
 
 class TestTokenize:
@@ -43,39 +43,39 @@ class TestSegment:
 
 class TestBuildVocab:
     def test_min_freq_one(self):
-        vocab = build_vocab(DatasetSplit([("a a b", 0)]), min_frequency=1)
+        vocab = build_vocab([("a a b", 0)], min_frequency=1)
         assert vocab.token_to_id == {"<pad>": 0, "<unk>": 1, "a": 2, "b": 3}
 
     def test_min_freq_two(self):
-        vocab = build_vocab(DatasetSplit([("a a b", 0)]), min_frequency=2)
+        vocab = build_vocab([("a a b", 0)], min_frequency=2)
         assert set(vocab.id_to_token) == {"<pad>", "<unk>", "a"}
 
     def test_max_size_truncation(self):
-        vocab = build_vocab(DatasetSplit([("a a b", 0)]), min_frequency=1, max_size=3)
+        vocab = build_vocab([("a a b", 0)], min_frequency=1, max_size=3)
         assert vocab.id_to_token == ["<pad>", "<unk>", "a"]
 
     def test_empty_corpus_rejected(self):
         with pytest.raises(DataFormatError):
-            build_vocab(DatasetSplit([]))
+            build_vocab([])
 
     def test_deterministic_tie_break_by_first_occurrence(self):
-        split = DatasetSplit([("zeta alpha zeta alpha", 0)])
+        split = [("zeta alpha zeta alpha", 0)]
         vocab = build_vocab(split, min_frequency=1)
         assert vocab.id_to_token[2:] == ["zeta", "alpha"]
 
     def test_built_from_train_only(self):
-        vocab = build_vocab(DatasetSplit([("common words", 0)]), min_frequency=1)
+        vocab = build_vocab([("common words", 0)], min_frequency=1)
         assert "testonly" not in vocab.token_to_id
 
 
 def encode_one(text, vocab, m, n):
     """The (m, n) grid of one document, encoded on its own."""
-    return encode_split(DatasetSplit([(text, 0)]), vocab, m, n)[0]
+    return encode_split([(text, 0)], vocab, m, n)[0]
 
 
 @pytest.fixture
 def small_vocab():
-    return build_vocab(DatasetSplit([("a a b b", 0)]), min_frequency=1)
+    return build_vocab([("a a b b", 0)], min_frequency=1)
 
 
 class TestGridEncode:
@@ -96,7 +96,7 @@ class TestGridEncode:
 
     def test_split_is_one_grid_with_a_leading_axis(self, small_vocab):
         texts = ("a b.", "c", "a. b. c.")
-        batch = encode_split(DatasetSplit(list(zip(texts, (1, 0, 1)))), small_vocab, 3, 4)
+        batch = encode_split(list(zip(texts, (1, 0, 1))), small_vocab, 3, 4)
         assert len(batch) == 3
         assert batch.token_ids.shape == batch.word_mask.shape == (3, 3, 4)
         last = encode_one(texts[2], small_vocab, 3, 4)
@@ -120,8 +120,7 @@ def test_a_grid_is_its_token_ids_and_label():
 @settings(max_examples=60, deadline=None)
 @given(st.text(max_size=120), st.integers(1, 4), st.integers(1, 8))
 def test_grid_invariants_hold_for_random_text(text, m, n):
-    vocab = build_vocab(DatasetSplit([("the quick brown fox. jumps!", 0)]),
-                        min_frequency=1)
+    vocab = build_vocab([("the quick brown fox. jumps!", 0)], min_frequency=1)
     grid = encode_one(text, vocab, m, n)
     assert grid.token_ids.shape == grid.word_mask.shape == (m, n)
     assert grid.word_mask.any()
@@ -154,7 +153,7 @@ def build_vocab_reference(split, min_frequency, max_size):
     counts = Counter()
     first_seen = {}
     pos = 0
-    for text, _label in split.examples:
+    for text, _label in split:
         for tok in tokenize(text):
             counts[tok] += 1
             if tok not in first_seen:
@@ -199,21 +198,20 @@ _DOCS = st.one_of(st.lists(_WORDS, max_size=40).map(" ".join), st.text(max_size=
        max_size=st.integers(2, 12))
 def test_text_pipeline_matches_token_loop_reference(docs, m, n, min_frequency,
                                                    max_size):
-    split = DatasetSplit(docs)
     for text, _ in docs:
         tokens = tokenize(text)
         assert segment_sentences(tokens, n) == segment_sentences_reference(tokens, n)
     if any(tokenize(text) for text, _ in docs):
-        vocab = build_vocab(split, min_frequency, max_size)
-        expected = build_vocab_reference(split, min_frequency, max_size)
+        vocab = build_vocab(docs, min_frequency, max_size)
+        expected = build_vocab_reference(docs, min_frequency, max_size)
         assert vocab.id_to_token == expected.id_to_token
         assert vocab.token_to_id == expected.token_to_id
         assert vocab.frequencies == expected.frequencies
     else:
         with pytest.raises(DataFormatError):
-            build_vocab(split, min_frequency, max_size)
+            build_vocab(docs, min_frequency, max_size)
         vocab = Vocabulary()
-    grids = encode_split(split, vocab, m, n)
+    grids = encode_split(docs, vocab, m, n)
     assert len(grids) == len(docs)
     for grid, (text, label) in zip(grids, docs):
         expected = encode_one_reference(text, vocab, m, n)
@@ -230,8 +228,8 @@ def test_indexing_a_split_matches_stacked_single_encodings(seed, count, data):
     rng = np.random.default_rng(seed)
     docs = [(" ".join(rng.choice(_INDEX_WORDS, size=rng.integers(0, 16))),
              int(rng.integers(0, 2))) for _ in range(count)]
-    vocab = build_vocab(DatasetSplit([("a b c . !", 0)]), min_frequency=1)
-    grids = encode_split(DatasetSplit(docs), vocab, 3, 4)
+    vocab = build_vocab([("a b c . !", 0)], min_frequency=1)
+    grids = encode_split(docs, vocab, 3, 4)
     token_ids = np.stack([encode_one(text, vocab, 3, 4).token_ids for text, _ in docs])
     labels = np.array([label for _, label in docs], dtype=np.int64)
     bound = st.none() | st.integers(-count - 1, count + 1)
@@ -279,13 +277,20 @@ class TestLoadDataset:
         path = tmp_path / "d.jsonl"
         path.write_text(json.dumps({"text": "x", "label": 1}) + "\n")
         split = load_dataset(path)
-        assert split.examples == [("x", 1)]
+        assert type(split) is list and split == [("x", 1)]
 
     def test_tsv(self, tmp_path):
         path = tmp_path / "d.tsv"
         path.write_text("0\thello world\n")
         split = load_dataset(path, fmt="tsv")
-        assert split.examples == [("hello world", 0)]
+        assert type(split) is list and split == [("hello world", 0)]
+
+    def test_info_line_names_the_split_role(self, tmp_path, caplog):
+        path = tmp_path / "d.jsonl"
+        path.write_text(json.dumps({"text": "x", "label": 1}) + "\n")
+        with caplog.at_level("INFO", logger="sirm.text"):
+            load_dataset(path, name="dev")
+        assert f"loaded 1 dev examples from {path} (0 skipped)" in caplog.messages
 
     def test_bad_label_skipped_with_warning(self, tmp_path, caplog):
         path = tmp_path / "d.jsonl"
@@ -294,7 +299,7 @@ class TestLoadDataset:
         path.write_text("\n".join(lines) + "\n")
         with caplog.at_level("WARNING"):
             split = load_dataset(path)
-        assert len(split.examples) == 9
+        assert len(split) == 9
         assert any(":10:" in rec.message for rec in caplog.records)
 
     # true and 1.0 compare equal to 1 but are not the integer label promised
@@ -306,7 +311,7 @@ class TestLoadDataset:
         path.write_text("\n".join(lines) + "\n")
         with caplog.at_level("WARNING"):
             split = load_dataset(path)
-        assert split.examples == [("ok", 0)] * 9
+        assert split == [("ok", 0)] * 9
         assert any(":10: malformed line skipped" in rec.message for rec in caplog.records)
 
     # int() reads all four, as 1, 1, 0 and 0
@@ -316,7 +321,7 @@ class TestLoadDataset:
         path.write_text("0\tok\n" * 9 + f"{label}\tbad\n")
         with caplog.at_level("WARNING"):
             split = load_dataset(path, fmt="tsv")
-        assert split.examples == [("ok", 0)] * 9
+        assert split == [("ok", 0)] * 9
         assert any(":10: malformed line skipped" in rec.message for rec in caplog.records)
 
     def test_mostly_malformed_is_format_error(self, tmp_path):
