@@ -3,16 +3,20 @@
 Only the primitives the models in model.py need: embedding lookup, matmul,
 1-D convolution, relu, sigmoid and softmax, mean pooling, concatenation,
 row block, reshape, broadcasting addition, gradient reversal, and the two
-loss heads. The convolution is in tap form: one product projects every
-input row through all of its taps, and each output row sums the tap blocks
-of the input rows it covers, so boundary padding is skipped, never built.
+loss heads. The convolution is in tap form: one product per tap projects
+every input row through it, and each output row sums the tap products of
+the input rows it covers, so boundary padding is skipped, never built.
 Every op accepts leading batch axes (features on axis -1, the sequence on
 axis -2; add broadcasts its second operand over them) and the losses
 return batch means. Graphs are built through parent links, except
 inside `no_grad()`; backward() walks a fresh topological order and frees
-the graph as it goes, so it runs once. A tensor's first gradient is copied
-into a new buffer of the tensor's own dtype and layout, never aliasing the
-upstream array; later ones are added to it in place.
+the graph as it goes, so it runs once. A leaf's first gradient is copied
+into a new buffer of the leaf's own dtype and layout, never aliasing the
+upstream array; later ones are added to it in place. An op node's gradient
+is read only by its own backward rule, so it borrows the first upstream
+array of its dtype and shape as a read-only view, and a second contribution
+makes a fresh sum the node owns. A rule that writes a gradient in place
+(row_block, embedding_lookup, the loss seed) first takes ownership of it.
 """
 
 import contextlib
@@ -91,10 +95,25 @@ def _accum(t, g):
     if not t.requires_grad:
         return
     if t.grad is None:
-        t.grad = np.empty_like(t.data)
-        t.grad[...] = g
-    else:
+        if t._backward is not None and g.dtype == t.data.dtype and g.shape == t.data.shape:
+            t.grad = np.asarray(g).view()
+            t.grad.flags.writeable = False      # borrowed
+        else:
+            t.grad = np.empty_like(t.data)
+            t.grad[...] = g
+    elif t.grad.flags.writeable:
         t.grad += g
+    else:
+        t.grad = np.add(t.grad, g, out=np.empty_like(t.data))
+
+
+def _own_grad(t):
+    """t.grad as a writable C-order buffer that t owns, zero if t had none."""
+    if t.grad is None:
+        t.grad = np.zeros(t.data.shape, t.data.dtype)
+    elif not (t.grad.flags.writeable and t.grad.flags.c_contiguous):
+        t.grad = np.array(t.grad, order="C")
+    return t.grad
 
 
 class Graph:
@@ -134,9 +153,7 @@ def backward(loss):
     if loss.requires_grad and loss._parents and loss._backward is None:
         raise RuntimeError("this graph has already been back-propagated")
     graph = Graph.trace(loss)
-    if loss.grad is None:
-        loss.grad = np.zeros_like(loss.data)
-    loss.grad += np.ones_like(loss.data)
+    _own_grad(loss)[...] += 1
     for node in reversed(graph.nodes):
         if node._backward is not None:
             if node.grad is not None:
@@ -175,9 +192,13 @@ def conv1d(x, w, b, padding="valid"):
     x: (..., L, d_in); w: (h, d_in, d_out); b: (d_out,). Each leading index
     is its own sequence: padding never mixes rows of different sequences.
     valid: output length L-h+1. same_zero: output length L, as if zero rows
-    were padded on; they are never built. Tap form: P = x @ taps holds every
-    input row through all h taps, and output row i is b plus tap j's block of
-    P at input row i + j - pad_l, for each such row that exists.
+    were padded on; they are never built. Tap form: P = x @ w[j] projects
+    every input row through tap j, and output row i is b plus P at input row
+    i + j - pad_l, for each tap whose row exists. The taps take turns in one
+    product buffer: each is added to every sequence in one shifted pass over
+    the flat rows, after zeroing the rows of P outside the span it reads, so
+    no sequence reads its neighbour's rows; valid output is the first L-h+1
+    rows of each sequence. The backward rule keeps shapes and spans, never P.
     """
     if w.data.ndim != 3:
         raise ShapeError(f"conv1d weight must be rank 3, got {w.data.shape}")
@@ -193,24 +214,39 @@ def conv1d(x, w, b, padding="valid"):
         pad_l, l_out = h // 2, L
     else:
         raise ValueError(f"unknown padding mode {padding!r}")
+    rows_shape = x.data.shape[:-1]
+    # tap j reads input rows [lo, hi) into output rows [lo - s, hi - s), s = j - pad_l;
+    # a tap that sees only padding (a sequence shorter than pad_l) has lo == hi
+    spans = [(j, s, max(0, s), max(0, s, min(L, l_out + s)))
+             for j, s in enumerate(range(-pad_l, h - pad_l))]
     x2 = x.data.reshape(-1, d_in)
-    taps = w.data.transpose(1, 0, 2).reshape(d_in, h * d_out)
-    P = (x2 @ taps).reshape(x.data.shape[:-1] + (h, d_out))
-    # tap j of output rows [lo, hi) reads input rows [lo + s, hi + s), s = j - pad_l;
-    # taps that see only padding (a sequence shorter than pad_l) drop out
-    spans = [(j, lo, hi, j - pad_l) for j in range(h)
-             for lo, hi in [(max(0, pad_l - j), min(l_out, L + pad_l - j))] if lo < hi]
-    out_data = np.full(x.data.shape[:-2] + (l_out, d_out), b.data, np.result_type(P, b.data))
-    for j, lo, hi, s in spans:
-        out_data[..., lo:hi, :] += P[..., lo + s:hi + s, j, :]
+    rows = x2.shape[0]
+    # one tap at a time: a batched x2 @ w would hold all h products at once
+    P = np.empty((rows, d_out), np.result_type(x.data, w.data))
+    P_seq = P.reshape(rows_shape + (d_out,))
+    out = np.empty((rows, d_out), np.result_type(P, b.data))
+    out[...] = b.data
+    for j, s, lo, hi in spans:
+        if lo < hi:
+            np.matmul(x2, w.data[j], out=P)
+            P_seq[..., :lo, :] = 0
+            P_seq[..., hi:, :] = 0
+            out[max(0, -s):rows - max(0, s)] += P[max(0, s):rows + min(0, s)]
+    out_data = out.reshape(rows_shape + (d_out,))[..., :l_out, :]
 
     def bwd(g):
         if x.requires_grad or w.requires_grad:
-            dP = np.zeros(P.shape, g.dtype)
-            for j, lo, hi, s in spans:
-                dP[..., lo + s:hi + s, j, :] = g[..., lo:hi, :]
+            # row-major taps make the two products below the unrolled rule's;
+            # every row of a tap outside its span is zero
+            dP = np.empty(rows_shape + (h, d_out), g.dtype)
+            for j, s, lo, hi in spans:
+                dP[..., :lo, j, :] = 0
+                dP[..., hi:, j, :] = 0
+                if lo < hi:
+                    dP[..., lo:hi, j, :] = g[..., lo - s:hi - s, :]
             dP2 = dP.reshape(-1, h * d_out)
             if x.requires_grad:
+                taps = w.data.transpose(1, 0, 2).reshape(d_in, h * d_out)
                 _accum(x, (dP2 @ taps.T).reshape(x.data.shape))
             if w.requires_grad:
                 _accum(w, (x2.T @ dP2).reshape(d_in, h, d_out).transpose(1, 0, 2))
@@ -334,9 +370,7 @@ def row_block(w, start, stop):
     out_data = w.data[start:stop]
 
     def bwd(g):
-        if w.grad is None:
-            w.grad = np.zeros_like(w.data)
-        w.grad[start:stop] += g
+        _own_grad(w)[start:stop] += g
 
     return _from_op(out_data, (w,), bwd)
 
@@ -354,10 +388,8 @@ def embedding_lookup(table, ids):
             d = table.data.shape[1]
             # a 1-D scatter on the flat table takes numpy's fast path and adds
             # to each element in the same order; C order makes reshape a view
-            table.grad = (np.zeros(table.data.shape, dtype=table.data.dtype)
-                          if table.grad is None else np.ascontiguousarray(table.grad))
             flat = (ids.reshape(-1, 1) * d + np.arange(d)).reshape(-1)
-            np.add.at(table.grad.reshape(-1), flat, g.reshape(-1))
+            np.add.at(_own_grad(table).reshape(-1), flat, g.reshape(-1))
 
     return _from_op(out_data, (table,), bwd)
 

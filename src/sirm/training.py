@@ -45,6 +45,10 @@ class TrainConfig:
 
 # the defaults of Kingma & Ba 2015, "Adam: A Method for Stochastic Optimization"
 ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
+# elements per block of the update: two scratch buffers of this size, not
+# two the size of the embedding table, and a block stays in cache through
+# all ten operations
+ADAM_BLOCK = 65536
 
 
 class Adam:
@@ -55,32 +59,46 @@ class Adam:
         self.named_params = list(named_params)
         self.config = config
         self.step_count = 0
-        self.m = [np.zeros_like(t.data) for _, t in self.named_params]
-        self.v = [np.zeros_like(t.data) for _, t in self.named_params]
+        self.m = [np.zeros(t.data.shape, t.data.dtype) for _, t in self.named_params]
+        self.v = [np.zeros(t.data.shape, t.data.dtype) for _, t in self.named_params]
+        scratch = {m.dtype: (np.empty(ADAM_BLOCK, m.dtype), np.empty(ADAM_BLOCK, m.dtype))
+                   for m in self.m}
+        # per parameter, per block: its start and views of m, v and the two scratch buffers
+        self._blocks = []
+        for m, v in zip(self.m, self.v):
+            bounds = [(lo, min(lo + ADAM_BLOCK, m.size)) for lo in range(0, m.size, ADAM_BLOCK)]
+            self._blocks.append([(lo, m.reshape(-1)[lo:hi], v.reshape(-1)[lo:hi],
+                                  *(buf[:hi - lo] for buf in scratch[m.dtype]))
+                                 for lo, hi in bounds])
 
     def step(self):
         """m = b1*m + (1-b1)*g, v = b2*v + ((1-b2)*g)*g, c = 1 - b**t and
-        p -= lr*(m/c1) / (sqrt(v/c2) + eps), in that operation order, with m
-        and v updated in place and the step built in two scratch arrays."""
+        p -= lr*(m/c1) / (sqrt(v/c2) + eps), in that operation order, with m,
+        v and p updated in place, ADAM_BLOCK elements at a time, and the step
+        built in two block-sized scratch buffers. A parameter's data must be
+        C-contiguous, so its flat view is the array itself."""
         b1, b2 = ADAM_BETA1, ADAM_BETA2
         self.step_count += 1
         c1 = 1 - b1 ** self.step_count
         c2 = 1 - b2 ** self.step_count
-        for (name, p), m, v in zip(self.named_params, self.m, self.v):
+        for (name, p), blocks in zip(self.named_params, self._blocks):
             if p.grad is None:
                 raise TrainingError(f"parameter {name!r} has no gradient")
-            g = p.grad
-            step, denom = np.empty_like(m), np.empty_like(v)
-            m *= b1
-            m += np.multiply(g, 1 - b1, out=step)
-            v *= b2
-            np.multiply(g, 1 - b2, out=denom)
-            v += np.multiply(denom, g, out=denom)
-            np.sqrt(np.divide(v, c2, out=denom), out=denom)
-            denom += ADAM_EPS
-            np.divide(m, c1, out=step)
-            step *= self.config.learning_rate
-            p.data -= np.divide(step, denom, out=step)
+            if not p.data.flags.c_contiguous:
+                raise TrainingError(f"parameter {name!r} data is not C-contiguous")
+            p_flat, g_flat = p.data.reshape(-1), p.grad.reshape(-1)
+            for lo, m_b, v_b, step, denom in blocks:
+                p_b, g = p_flat[lo:lo + ADAM_BLOCK], g_flat[lo:lo + ADAM_BLOCK]
+                m_b *= b1
+                m_b += np.multiply(g, 1 - b1, out=step)
+                v_b *= b2
+                np.multiply(g, 1 - b2, out=denom)
+                v_b += np.multiply(denom, g, out=denom)
+                np.sqrt(np.divide(v_b, c2, out=denom), out=denom)
+                denom += ADAM_EPS
+                np.divide(m_b, c1, out=step)
+                step *= self.config.learning_rate
+                p_b -= np.divide(step, denom, out=step)
             p.grad = None
 
 

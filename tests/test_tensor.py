@@ -1,4 +1,5 @@
 import inspect
+import itertools
 
 import numpy as np
 import pytest
@@ -185,6 +186,38 @@ class TestConv1d:
             assert actual.dtype == want.dtype and actual.shape == want.shape
             np.testing.assert_allclose(actual, want, rtol=rel, atol=rel * np.abs(want).max())
 
+    @pytest.mark.parametrize("padding", ["valid", "same_zero"])
+    @pytest.mark.parametrize("h", range(1, 10))
+    def test_exact_on_small_integers(self, h, padding):
+        # small integers make every product and sum exact in any order, so the
+        # tap form must match both references byte for byte on any BLAS
+        rng = np.random.default_rng(h)
+        lengths = range(1, h + 3) if padding == "same_zero" else range(h, h + 3)
+        for dtype, lead, L in itertools.product((np.float32, np.float64),
+                                                ((), (2,), (2, 3)), lengths):
+            x, w, b = (T.Tensor(rng.integers(-3, 4, size=shape).astype(dtype), requires_grad=True)
+                       for shape in ((*lead, L, 2), (h, 2, 3), (3,)))
+            out = T.conv1d(x, w, b, padding=padding)
+            g = rng.integers(-3, 4, size=out.data.shape).astype(dtype)
+            out._backward(g)
+            oracle = np.empty(out.data.shape, dtype)
+            for idx in np.ndindex(lead):
+                oracle[idx] = conv1d_oracle(x.data[idx], w.data, b.data, padding)
+            expected = conv1d_im2col(x.data, w.data, b.data, padding, g)
+            for actual, want in zip((out.data, out.data, x.grad, w.grad, b.grad),
+                                    (oracle, *expected)):
+                assert actual.dtype == want.dtype and actual.shape == want.shape
+                assert actual.tobytes() == want.tobytes(), (dtype, lead, L)
+
+    def test_backward_rule_holds_nothing_larger_than_its_operands(self):
+        rng = np.random.default_rng(5)
+        x = t64(rng.normal(size=(2, 6, 3)), requires_grad=True)
+        w = t64(rng.normal(size=(3, 3, 4)), requires_grad=True)   # h * d_out > d_in
+        out = T.conv1d(x, w, t64(np.zeros(4), requires_grad=True), padding="same_zero")
+        held = [cell.cell_contents for cell in out._backward.__closure__]
+        limit = max(x.data.size, w.data.size)
+        assert all(a.size <= limit for a in held if isinstance(a, np.ndarray))
+
     @pytest.mark.parametrize("L", [1, 2, 3])
     def test_same_zero_input_gradient_on_sequences_shorter_than_the_padding(self, L):
         h = 7       # pad_l = 3: taps 0..2 see only padding on short sequences
@@ -316,6 +349,52 @@ class TestBackward:
         assert np.array_equal(b.grad, [0.5, -1.5])
         assert np.array_equal(g, [0.5, -1.5])
         assert not np.shares_memory(a.grad, g) and not np.shares_memory(b.grad, g)
+
+    def assert_leaf_grads_own_their_buffers(self, leaves, upstream):
+        for i, leaf in enumerate(leaves):
+            assert leaf.grad.flags.writeable
+            for other in [*upstream, *(t.grad for t in leaves[i + 1:])]:
+                assert not np.shares_memory(leaf.grad, other)
+
+    def test_row_block_owns_a_borrowed_op_node_gradient_before_adding(self):
+        leaf = t64(np.zeros((4, 2)), requires_grad=True)
+        w = T.reshape(leaf, (4, 2))             # an op-node weight
+        whole, block = T.reshape(w, (4, 2)), T.row_block(w, 1, 3)
+        g_whole, g_block = np.ones((4, 2)), np.full((2, 2), 2.0)
+        whole._backward(g_whole)                # w borrows g_whole
+        block._backward(g_block)
+        w._backward(w.grad)
+        assert np.array_equal(g_whole, np.ones((4, 2)))
+        assert np.array_equal(g_block, np.full((2, 2), 2.0))
+        assert np.array_equal(leaf.grad, [[1, 1], [3, 3], [3, 3], [1, 1]])
+        self.assert_leaf_grads_own_their_buffers([leaf], [g_whole, g_block])
+
+    def test_embedding_lookup_owns_a_borrowed_op_node_gradient_before_adding(self):
+        leaf = t64(np.zeros((3, 2)), requires_grad=True)
+        table = T.reshape(leaf, (3, 2))         # an op-node table
+        whole, rows = T.reshape(table, (3, 2)), T.embedding_lookup(table, [2, 0, 2])
+        g_whole, g_rows = np.ones((3, 2)), np.full((3, 2), 2.0)
+        whole._backward(g_whole)                # table borrows g_whole
+        rows._backward(g_rows)
+        table._backward(table.grad)
+        assert np.array_equal(g_whole, np.ones((3, 2)))
+        assert np.array_equal(g_rows, np.full((3, 2), 2.0))
+        assert np.array_equal(leaf.grad, [[3, 3], [1, 1], [5, 5]])
+        self.assert_leaf_grads_own_their_buffers([leaf], [g_whole, g_rows])
+
+    def test_add_operands_sum_a_second_gradient_into_a_fresh_buffer(self):
+        leaf_a = t64([1.0, 2.0], requires_grad=True)
+        leaf_b = t64([3.0, 4.0], requires_grad=True)
+        a, b = T.reshape(leaf_a, (2,)), T.reshape(leaf_b, (2,))     # op-node operands
+        first, second = T.add(a, b), T.add(a, b)
+        g_first, g_second = np.array([0.5, -1.5]), np.array([2.0, 4.0])
+        first._backward(g_first)                # a and b both borrow g_first
+        second._backward(g_second)              # a second gradient for each
+        a._backward(a.grad)
+        b._backward(b.grad)
+        assert np.array_equal(g_first, [0.5, -1.5]) and np.array_equal(g_second, [2.0, 4.0])
+        assert np.array_equal(leaf_a.grad, [2.5, 2.5]) and np.array_equal(leaf_b.grad, [2.5, 2.5])
+        self.assert_leaf_grads_own_their_buffers([leaf_a, leaf_b], [g_first, g_second])
 
     def test_op_nodes_are_freed_and_leaves_keep_grads(self):
         x = t64([1.0, -2.0], requires_grad=True)

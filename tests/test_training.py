@@ -11,7 +11,7 @@ from sirm import tensor as T
 from sirm.evaluation import evaluate
 from sirm.model import MODELS, ConfigError, SIRMConfig, init_sirm_params, sirm_forward
 from sirm.text import DataFormatError, ParagraphGrid
-from sirm.training import (Adam, CheckpointError, TrainConfig, TrainingError,
+from sirm.training import (ADAM_BLOCK, Adam, CheckpointError, TrainConfig, TrainingError,
                            load_checkpoint, save_checkpoint,
                            serialize_checkpoint, split_dev, train)
 
@@ -107,8 +107,9 @@ class TestAdam:
         cfg = TrainConfig(learning_rate=lr)
         beta1, beta2, eps = 0.9, 0.999, 1e-8     # Kingma & Ba's defaults
         rng = np.random.default_rng(seed)
+        # the last spans three update blocks and a remainder
         shapes = [((3, 4), np.float32), ((5,), np.float64), ((2, 3, 2), np.float32),
-                  ((1,), np.float64)]
+                  ((1,), np.float64), ((3, ADAM_BLOCK + 5), np.float32)]
         params = [T.Tensor(rng.normal(size=s).astype(dt), requires_grad=True)
                   for s, dt in shapes]
         expected = [p.data.copy() for p in params]
@@ -120,6 +121,7 @@ class TestAdam:
                      * (rng.random() < 0.7) for p in params]   # some all zero
             for p, g in zip(params, grads):
                 p.grad = g.copy()
+            params[0].grad = np.asfortranarray(grads[0])     # not C-contiguous
             opt.step()
             # the out-of-place update this step replaced
             for i, g in enumerate(grads):
@@ -132,6 +134,14 @@ class TestAdam:
                 assert p.grad is None
                 assert p.data.dtype == e.dtype and p.data.tobytes() == e.tobytes()
                 assert om.tobytes() == mi.tobytes() and ov.tobytes() == vi.tobytes()
+
+    def test_parameter_data_must_be_c_contiguous(self):
+        p = T.Tensor(np.asfortranarray(np.ones((3, 2))), requires_grad=True)
+        opt = Adam([("wide", p)], TrainConfig())
+        p.grad = np.ones((3, 2))
+        with pytest.raises(TrainingError, match="'wide' data is not C-contiguous"):
+            opt.step()
+        assert np.array_equal(p.data, np.ones((3, 2)))
 
 
 class TestTrainLoop:
