@@ -65,10 +65,6 @@ class SIRMConfig:
     n: int = 32
 
     def __post_init__(self):
-        self.validate()
-        self.src_windows = tuple(sorted(self.src_windows))
-
-    def validate(self):
         check_field_types(self)
         if (not isinstance(self.src_windows, (list, tuple))
                 or not all(_is_int(h) for h in self.src_windows)):
@@ -87,6 +83,7 @@ class SIRMConfig:
             raise ConfigError("largest skim window exceeds grid size m*n")
         if self.d_e % 2 or self.d_as % 2:
             raise ConfigError("d_e and d_as must be even (position encoding parity)")
+        self.src_windows = tuple(sorted(self.src_windows))
 
     @property
     def g_width(self):
@@ -141,6 +138,11 @@ def _zeros(shape, dtype):
     return T.Tensor(np.zeros(shape, dtype=dtype), requires_grad=True)
 
 
+def _embedding(rng, config, dtype):
+    return T.Tensor(rng.normal(0.0, 1.0, size=(config.vocab_size, config.d_e)).astype(dtype),
+                    requires_grad=True)
+
+
 def init_sirm_params(config, seed=0, dtype=np.float32):
     """Glorot-uniform weights, zero biases, N(0, 1) embeddings.
 
@@ -149,8 +151,7 @@ def init_sirm_params(config, seed=0, dtype=np.float32):
     training at the default learning rate.
     """
     rng = np.random.default_rng(seed)
-    emb = T.Tensor(rng.normal(0.0, 1.0, size=(config.vocab_size, config.d_e)).astype(dtype),
-                   requires_grad=True)
+    emb = _embedding(rng, config, dtype)
     gw = config.g_width
     src = {h: (_glorot(rng, (h, config.d_e, config.d_c), dtype), _zeros(config.d_c, dtype))
            for h in config.src_windows}
@@ -220,8 +221,7 @@ def skim_forward(s_prime_flat, params, config):
     pooled = []
     for h in config.src_windows:
         w, b = params.src_filters[h]
-        fm = T.relu(T.conv1d(s_prime_flat, w, b, padding="valid"))
-        pooled.append(T.mean_pool(fm))
+        pooled.append(T.mean_pool(T.conv1d(s_prime_flat, w, b, padding="valid")))
     return T.concat_lastaxis(pooled)
 
 
@@ -229,7 +229,7 @@ def near_neighbor_encode(x, weight, bias, k):
     """Zero-padded window-(2k+1) convolution with ReLU; length preserved."""
     if weight.data.shape[0] != 2 * k + 1:
         raise T.ShapeError(f"near-neighbor weight window {weight.data.shape[0]} != 2k+1")
-    return T.relu(T.conv1d(x, weight, bias, padding="same_zero"))
+    return T.conv1d(x, weight, bias, padding="same_zero")
 
 
 def dense_connect_pool(x_prime, u, g, weight, bias):
@@ -327,14 +327,8 @@ class NBOWParams:
 def init_nbow_params(config, seed=0, dtype=np.float32):
     """N(0, 1) embeddings of config.vocab_size x config.d_e, Glorot head, zero bias."""
     rng = np.random.default_rng(seed)
-    bound = np.sqrt(6.0 / (config.d_e + 1))
-    return NBOWParams(
-        embedding=T.Tensor(rng.normal(0.0, 1.0, size=(config.vocab_size, config.d_e))
-                           .astype(dtype), requires_grad=True),
-        head_w=T.Tensor(rng.uniform(-bound, bound, size=(config.d_e, 1)).astype(dtype),
-                        requires_grad=True),
-        head_b=T.Tensor(np.zeros(1, dtype=dtype), requires_grad=True),
-    )
+    return NBOWParams(embedding=_embedding(rng, config, dtype),
+                      head_w=_glorot(rng, (config.d_e, 1), dtype), head_b=_zeros(1, dtype))
 
 
 def nbow_forward(grid, params):

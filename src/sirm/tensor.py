@@ -1,16 +1,18 @@
 """Minimal reverse-mode autodiff engine over dense numpy arrays.
 
 Only the primitives the models in model.py need: embedding lookup, matmul,
-1-D convolution, relu, sigmoid and softmax, mean pooling, concatenation,
-row block, reshape, broadcasting addition, gradient reversal, and the two
-loss heads. The convolution is in tap form: one product per tap projects
-every input row through it, and each output row sums the tap products of
-the input rows it covers, so boundary padding is skipped, never built.
-Every op accepts leading batch axes (features on axis -1, the sequence on
-axis -2; add broadcasts its second operand over them) and the losses
-return batch means. Graphs are built through parent links, except
-inside `no_grad()`; backward() walks a fresh topological order and frees
-the graph as it goes, so it runs once. A leaf's first gradient is copied
+rectified 1-D convolution, relu, sigmoid and softmax, mean pooling,
+concatenation, row block, reshape, broadcasting addition, gradient reversal,
+and the two loss heads. The convolution is in tap form: one product per tap
+projects every input row through it, and each output row sums the tap
+products of the input rows it covers, so boundary padding is skipped, never
+built; its ReLU is applied in place, inside the same node. Every op accepts
+leading batch axes (features on axis -1, the sequence on axis -2; add
+broadcasts its second operand over them) and the losses return batch means.
+Graphs are built through parent links, except inside `no_grad()`;
+backward() walks a fresh topological order and drops each op node's
+gradient and rule once the rule has run, so it runs once. Parent links and
+data stay until the caller drops the loss. A leaf's first gradient is copied
 into a new buffer of the leaf's own dtype and layout, never aliasing the
 upstream array; later ones are added to it in place. An op node's gradient
 is read only by its own backward rule, so it borrows the first upstream
@@ -51,10 +53,6 @@ class Tensor:
         self.grad = None
         self._parents = ()
         self._backward = None
-
-    @property
-    def shape(self):
-        return self.data.shape
 
     @property
     def dtype(self):
@@ -187,7 +185,7 @@ def matmul(a, b):
 
 
 def conv1d(x, w, b, padding="valid"):
-    """1-D convolution over the sequence axis, full width over features.
+    """Rectified 1-D convolution over the sequence axis, full width over features.
 
     x: (..., L, d_in); w: (h, d_in, d_out); b: (d_out,). Each leading index
     is its own sequence: padding never mixes rows of different sequences.
@@ -198,7 +196,10 @@ def conv1d(x, w, b, padding="valid"):
     product buffer: each is added to every sequence in one shifted pass over
     the flat rows, after zeroing the rows of P outside the span it reads, so
     no sequence reads its neighbour's rows; valid output is the first L-h+1
-    rows of each sequence. The backward rule keeps shapes and spans, never P.
+    rows of each sequence. The sum is then rectified in place, max(., 0), as
+    relu would. The backward rule first masks g with out > 0 (relu's rule: an
+    exact zero gets a zero gradient) and keeps shapes, spans and the output,
+    never P.
     """
     if w.data.ndim != 3:
         raise ShapeError(f"conv1d weight must be rank 3, got {w.data.shape}")
@@ -232,9 +233,11 @@ def conv1d(x, w, b, padding="valid"):
             P_seq[..., :lo, :] = 0
             P_seq[..., hi:, :] = 0
             out[max(0, -s):rows - max(0, s)] += P[max(0, s):rows + min(0, s)]
+    np.maximum(out, 0, out=out)
     out_data = out.reshape(rows_shape + (d_out,))[..., :l_out, :]
 
     def bwd(g):
+        g = g * (out_data > 0)
         if x.requires_grad or w.requires_grad:
             # row-major taps make the two products below the unrolled rule's;
             # every row of a tap outside its span is zero
@@ -319,15 +322,15 @@ def concat_lastaxis(parts):
 
 
 def grad_reverse(x, scale_factor):
-    """Identity forward; backward multiplies the incoming gradient by -scale."""
+    """Identity forward, sharing x's array; backward multiplies the incoming
+    gradient by -scale."""
     if scale_factor < 0:
         raise ValueError(f"grad_reverse scale must be >= 0, got {scale_factor}")
-    out_data = x.data.copy()
 
     def bwd(g):
         _accum(x, -scale_factor * g)
 
-    return _from_op(out_data, (x,), bwd)
+    return _from_op(x.data, (x,), bwd)
 
 
 def add(a, b):

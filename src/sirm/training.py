@@ -139,6 +139,7 @@ def train(train_grids, dev_grids, model_kind, model_config, train_config,
         rng.shuffle(order)
         losses, bce_losses = [], []
         for b_idx, b_start in enumerate(range(0, len(order), train_config.batch_size)):
+            # Adam.step already cleared the grads; perfbench times each step from here
             T.zero_grads(params.tensors())
             batch = train_grids[order[b_start:b_start + train_config.batch_size]]
             # a diverging step's overflow surfaces as the loss or dev-pass error

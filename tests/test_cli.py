@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 import sirm
+from sirm import tensor as T
 from sirm.cli import SIRM_FIELDS, TRAIN_FIELDS, _assemble, build_parser, main
 from sirm.model import ConfigError
 from sirm.synthetic import generate, write_jsonl
@@ -209,7 +210,12 @@ def failure_inputs(tmp_path_factory):
     (tmp / "retired.ckpt").write_bytes(with_parent_header(ckpt.read_bytes(), True))
     (tmp / "bogus.ckpt").write_bytes(
         with_header(ckpt.read_bytes(), lambda h: h.update(model="bogus")))
+    # the header names skim windows 1 and 3, the records hold windows 1 and 2
+    (tmp / "renamed.ckpt").write_bytes(
+        with_header(ckpt.read_bytes(), lambda h: h["config"].update(src_windows=[1, 3])))
     (tmp / "vocab5.json").write_text(json.dumps({**TOY_CONFIG, "vocab_size": 5}))
+    (tmp / "not_json.json").write_text("{\"d_e\": 4,")
+    (tmp / "no_windows.json").write_text(json.dumps({**TOY_CONFIG, "src_windows": []}))
     (tmp / "wrong_type.ckpt").write_bytes(
         with_header(ckpt.read_bytes(), lambda h: h["config"].update(m=2.5)))
     (tmp / "bad_name.ckpt").write_bytes(
@@ -224,12 +230,15 @@ def failure_inputs(tmp_path_factory):
     (tmp / "plus_one.tsv").write_text("".join(f"+1\t{text}\n" for text, _ in generate()))
     (tmp / "bad_count.tsv").write_text(vocab.read_text() + "foo\tabc\n")
     (tmp / "dup_token.tsv").write_text(vocab.read_text() + "foo\t1\nfoo\t1\n")
+    (tmp / "bigger.tsv").write_text(vocab.read_text() + "foo\t1\n")
     paths = {f"config_{name}": tmp / f"config_{name}.json" for name, _, _ in WRONG_TYPES}
     for name, override, _ in WRONG_TYPES:
         paths[f"config_{name}"].write_text(json.dumps({**TOY_CONFIG, **override}))
     return {**paths, "data": data, "config": config, "vocab": vocab, "ckpt": ckpt,
             "nan_ckpt": tmp / "nan.ckpt", "huge_ckpt": tmp / "huge.ckpt",
             "dup_ckpt": tmp / "dup.ckpt", "vocab5_config": tmp / "vocab5.json",
+            "renamed_ckpt": tmp / "renamed.ckpt", "not_json_config": tmp / "not_json.json",
+            "no_windows_config": tmp / "no_windows.json", "bigger_vocab": tmp / "bigger.tsv",
             "retired_ckpt": tmp / "retired.ckpt", "bogus_ckpt": tmp / "bogus.ckpt",
             "wrong_type_ckpt": tmp / "wrong_type.ckpt", "bad_name_ckpt": tmp / "bad_name.ckpt",
             "wrapping_dims_ckpt": tmp / "wrapping_dims.ckpt",
@@ -300,6 +309,14 @@ FAILURES = [
     # Adam's betas and epsilon are fixed, not config keys
     ("adam-key-in-config", train_args(*TRAIN_DEV, config="{adam_config}"), 1,
      "unknown config keys: ['adam_beta2']"),
+    ("config-not-json", train_args(*TRAIN_DEV, config="{not_json_config}"), 2,
+     "cannot read config"),
+    ("no-skim-windows", train_args(*TRAIN_DEV, config="{no_windows_config}"), 1,
+     "src_windows must be non-empty"),
+    ("eval-vocab-size-mismatch", eval_args(vocab="{bigger_vocab}"), 2,
+     "does not match checkpoint config"),
+    ("tensor-names-mismatch", eval_args("{renamed_ckpt}"), 2,
+     "renamed.ckpt: tensor names do not match the config"),
     *[(f"config-{name}", train_args(*TRAIN_DEV, config=f"{{config_{name}}}"), 1, fragment)
       for name, _, fragment in WRONG_TYPES],
 ]
@@ -412,6 +429,15 @@ class TestSelfChecks:
         config.write_text(json.dumps({"k": 3}))
         assert main(["grad-check", "--config", str(config)]) == 0
         assert "max relative gradient error" in capsys.readouterr().out
+
+    def test_failing_grad_check_names_each_failing_tensor(self, monkeypatch, capsys):
+        # every convolution weight fails, every other tensor passes
+        monkeypatch.setattr(T, "finite_diff_check",
+                            lambda f, x: 1.0 if x.data.ndim == 3 else 0.0)
+        assert main(["grad-check"]) == 3
+        assert capsys.readouterr().err.splitlines() == [
+            f"FAIL {name}: 1.000e+00" for name in ("para_neighbor.weight", "sent_neighbor.weight",
+                                                    "src_filters.1.weight", "src_filters.2.weight")]
 
     def test_param_count_default(self, capsys):
         assert main(["param-count"]) == 0

@@ -6,6 +6,8 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from sirm import tensor as T
+from sirm.model import SIRMConfig, init_sirm_params, sirm_forward, sirm_loss
+from sirm.text import ParagraphGrid
 
 
 def t64(data, requires_grad=False):
@@ -70,7 +72,7 @@ class TestMatmul:
 
 
 def conv1d_oracle(x, w, b, padding):
-    """Independent triple-loop realization of the convolution contract."""
+    """Independent triple-loop realization of the rectified convolution contract."""
     h, d_in, d_out = w.shape
     if padding == "valid":
         xp = x
@@ -85,12 +87,13 @@ def conv1d_oracle(x, w, b, padding):
                 for c in range(d_in):
                     acc += xp[i + j, c] * w[j, c, o]
             out[i, o] = acc
-    return out
+    return np.maximum(out, 0)
 
 
 def conv1d_im2col(x, w, b, padding, g):
-    """The unrolled (im2col) convolution the tap form replaced, with the
-    padded-buffer backward rule: (out, dx, dw, db) for upstream gradient g."""
+    """The unrolled (im2col) convolution the tap form replaced, rectified, with
+    the padded-buffer backward rule applied to g masked by out > 0: (out, dx,
+    dw, db) for upstream gradient g."""
     h, d_in, d_out = w.shape
     pad_l = h // 2 if padding == "same_zero" else 0
     pad_r = h - 1 - pad_l if padding == "same_zero" else 0
@@ -100,8 +103,8 @@ def conv1d_im2col(x, w, b, padding, g):
     cols = np.concatenate([xp[..., j:j + l_out, :] for j in range(h)], axis=-1)
     cols2 = cols.reshape(-1, h * d_in)
     w2 = w.reshape(h * d_in, d_out)
-    out = (cols2 @ w2 + b).reshape(cols.shape[:-1] + (d_out,))
-    g2 = g.reshape(-1, d_out)
+    out = np.maximum(cols2 @ w2 + b, 0).reshape(cols.shape[:-1] + (d_out,))
+    g2 = (g * (out > 0)).reshape(-1, d_out)
     dcols = (g2 @ w2.T).reshape(cols.shape)
     dxp = np.zeros(xp.shape, dtype=x.dtype)
     for j in range(h):
@@ -124,7 +127,7 @@ class TestConv1d:
         x = t64(rng.normal(size=(5, 3)))
         w = t64(np.eye(3)[None, :, :])
         out = T.conv1d(x, w, t64(np.zeros(3)), padding="valid")
-        np.testing.assert_allclose(out.data, x.data)
+        np.testing.assert_allclose(out.data, np.maximum(x.data, 0))
 
     def test_matches_loop_oracle_same_zero(self):
         rng = np.random.default_rng(3)
@@ -137,7 +140,7 @@ class TestConv1d:
                                    rtol=1e-12)
         for param in (x, w, b):
             err = T.finite_diff_check(
-                lambda _p: total(T.relu(T.conv1d(x, w, b, padding="same_zero"))), param)
+                lambda _p: total(T.conv1d(x, w, b, padding="same_zero")), param)
             assert err < 1e-6
 
     def test_valid_matches_oracle(self):
@@ -215,7 +218,10 @@ class TestConv1d:
         w = t64(rng.normal(size=(3, 3, 4)), requires_grad=True)   # h * d_out > d_in
         out = T.conv1d(x, w, t64(np.zeros(4), requires_grad=True), padding="same_zero")
         held = [cell.cell_contents for cell in out._backward.__closure__]
-        limit = max(x.data.size, w.data.size)
+        # the rule reads the output's sign, but must not keep the tap
+        # products: 2 * 6 rows times h * d_out = 3 * 4 columns
+        limit = max(x.data.size, w.data.size, out.data.size)
+        assert limit < 2 * 6 * 3 * 4
         assert all(a.size <= limit for a in held if isinstance(a, np.ndarray))
 
     @pytest.mark.parametrize("L", [1, 2, 3])
@@ -232,6 +238,23 @@ class TestConv1d:
         with pytest.raises(T.ShapeError, match="sequence length 2 shorter than window 3"):
             T.conv1d(t64(np.zeros((2, 1))), t64(np.zeros((3, 1, 1))), t64([0.0]),
                      padding="valid")
+
+
+@settings(max_examples=20, deadline=None)
+@given(src_windows=st.lists(st.integers(1, 6), min_size=1, max_size=4, unique=True))
+def test_sirm_graph_rectifies_only_its_dense_connections(src_windows):
+    # every convolution is rectified inside its own node; relu is left for
+    # the dense connection of each level
+    config = SIRMConfig(vocab_size=12, d_e=4, d_c=4, src_windows=src_windows, k=1,
+                        d_ns=4, d_np=4, d_as=4, d_ap=4, m=2, n=3)
+    params = init_sirm_params(config, seed=0)
+    ids = np.random.default_rng(0).integers(2, config.vocab_size, size=(2, config.m, config.n))
+    grid = ParagraphGrid(ids, np.array([0, 1]))
+    loss = sirm_loss(sirm_forward(grid, params, config), grid.label)
+    rules = [node._backward.__qualname__ for node in T.Graph.trace(loss).nodes
+             if node._backward is not None]
+    assert sum(rule.startswith("relu.") for rule in rules) == 2
+    assert sum(rule.startswith("conv1d.") for rule in rules) == len(src_windows) + 2
 
 
 class TestElementwise:

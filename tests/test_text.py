@@ -7,8 +7,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from sirm.text import (PAD_ID, SENTENCE_FINAL, UNK_ID, UNK_TOKEN, DataFormatError,
-                       ParagraphGrid, Vocabulary, build_vocab, encode_split,
-                       load_dataset, segment_sentences, tokenize)
+                       ParagraphGrid, Vocabulary, atomic_write_bytes, build_vocab,
+                       encode_split, load_dataset, segment_sentences, tokenize)
 
 
 class TestTokenize:
@@ -271,6 +271,13 @@ class TestVocabularyFile:
         with pytest.raises(DataFormatError):
             Vocabulary.load(path)
 
+    def test_blank_lines_skipped(self, tmp_path):
+        path = tmp_path / "vocab.tsv"
+        path.write_text("\n<pad>\t0\n<unk>\t0\n\na\t3\n\n")
+        loaded = Vocabulary.load(path)
+        assert loaded.id_to_token == ["<pad>", UNK_TOKEN, "a"]
+        assert loaded.frequencies[2] == 3
+
 
 class TestLoadDataset:
     def test_jsonl(self, tmp_path):
@@ -324,6 +331,15 @@ class TestLoadDataset:
         assert split == [("ok", 0)] * 9
         assert any(":10: malformed line skipped" in rec.message for rec in caplog.records)
 
+    def test_blank_lines_are_neither_examples_nor_malformed(self, tmp_path, caplog):
+        # three blank lines of four would be far past the 10% malformed limit
+        path = tmp_path / "d.jsonl"
+        path.write_text("\n" + json.dumps({"text": "x", "label": 1}) + "\n  \n\t\n")
+        with caplog.at_level("INFO", logger="sirm.text"):
+            split = load_dataset(path)
+        assert split == [("x", 1)]
+        assert f"loaded 1 train examples from {path} (0 skipped)" in caplog.messages
+
     def test_mostly_malformed_is_format_error(self, tmp_path):
         path = tmp_path / "d.jsonl"
         path.write_text("not json\n" + json.dumps({"text": "x", "label": 0}) + "\n")
@@ -333,6 +349,12 @@ class TestLoadDataset:
     def test_unreadable_file(self, tmp_path):
         with pytest.raises(DataFormatError):
             load_dataset(tmp_path / "missing.jsonl")
+
+
+def test_failed_atomic_write_leaves_no_file(tmp_path):
+    with pytest.raises(TypeError):
+        atomic_write_bytes(tmp_path / "out.bin", "not bytes")
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_pad_and_unk_ids_are_fixed():
