@@ -10,6 +10,7 @@ import argparse
 import dataclasses
 import json
 import logging
+import math
 import os
 import sys
 
@@ -128,6 +129,14 @@ def cmd_train(args):
                        (json.dumps(report, indent=2) + "\n").encode("utf-8"))
     print(f"checkpoint: {ckpt_path}")
     print(f"epochs run: {len(history)}")
+    best = max(history, key=lambda record: record["dev_macro_f1"])    # the kept epoch
+    print(f"best epoch: {best['epoch']} (dev macro-F1 {best['dev_macro_f1']:.4f})")
+    p = max(dev_grids.label.mean(), 1 - dev_grids.label.mean())      # majority-class rate
+    chance = p + math.sqrt(p * (1 - p) / len(dev_grids))
+    if best["dev_acc"] < chance:
+        print(f"warning: best dev accuracy {best['dev_acc']:.4f} is below the majority-class "
+              f"rate plus one standard error ({chance:.4f}): no better than chance",
+              file=sys.stderr)
     print(json.dumps(report))
     return EXIT_OK
 

@@ -17,7 +17,7 @@ and a split are one ParagraphGrid of (..., m, n) ids, and a training step
 indexes its minibatch out of the split and reads it in one graph.
 
 The bag-of-words baseline (NBOW) sits next to SIRM; MODELS maps each model
-kind to its initializer and its probability-and-loss function.
+kind to its builder and its probability-and-loss function.
 """
 
 import math
@@ -104,12 +104,12 @@ class SIRMParams:
 
     embedding: T.Tensor
     src_filters: dict          # window size -> (weight, bias)
-    sent_neighbor: tuple       # (weight (2k+1, d_e, d_ns), bias)
-    sent_dense: tuple          # (weight rows [g; u; s'] (|g|+d_ns+d_e, d_as), bias)
-    para_neighbor: tuple       # (weight (2k+1, d_as, d_np), bias)
-    para_dense: tuple          # (weight rows [g; u; o'] (|g|+d_np+d_as, d_ap), bias)
-    out_head: tuple            # (weight (d_ap+|g|, 1), bias)
-    adv_head: tuple            # (weight (|g|, 2), bias)
+    sent_neighbor: tuple
+    sent_dense: tuple          # weight rows [g; u; s']
+    para_neighbor: tuple
+    para_dense: tuple          # weight rows [g; u; o']
+    out_head: tuple
+    adv_head: tuple
 
     def named_tensors(self):
         items = [("embedding", self.embedding)]
@@ -126,50 +126,50 @@ class SIRMParams:
         return [t for _, t in self.named_tensors()]
 
 
-def _glorot(rng, shape, dtype):
-    fan_in = int(np.prod(shape[:-1]))
-    fan_out = int(shape[-1])
-    bound = math.sqrt(6.0 / (fan_in + fan_out))
-    return T.Tensor(rng.uniform(-bound, bound, size=shape).astype(dtype),
-                    requires_grad=True)
+def seeded_make(seed=0, dtype=np.float32):
+    """A builder's make(name, shape) for a fresh model, drawing from one
+    default_rng(seed) in call order: N(0, 1) for the embedding, zeros for a
+    1-D shape and Glorot-uniform for every other weight. Unit-scale embeddings
+    keep word content comparable to the unit-amplitude position encodings;
+    smaller scales bury the content signal and stall training at the default
+    learning rate."""
+    rng = np.random.default_rng(seed)
+
+    def make(name, shape):
+        if name == "embedding":
+            data = rng.normal(0.0, 1.0, size=shape)
+        elif len(shape) == 1:
+            data = np.zeros(shape)
+        else:
+            bound = math.sqrt(6.0 / (math.prod(shape[:-1]) + shape[-1]))
+            data = rng.uniform(-bound, bound, size=shape)
+        return T.Tensor(data, requires_grad=True, dtype=dtype)
+    return make
 
 
-def _zeros(shape, dtype):
-    return T.Tensor(np.zeros(shape, dtype=dtype), requires_grad=True)
+def build_sirm_params(config, make):
+    """SIRMParams whose every tensor is make(name, shape), called in
+    named_tensors() order under its checkpoint name."""
+    def layer(name, shape):
+        return make(f"{name}.weight", shape), make(f"{name}.bias", shape[-1:])
 
-
-def _embedding(rng, config, dtype):
-    return T.Tensor(rng.normal(0.0, 1.0, size=(config.vocab_size, config.d_e)).astype(dtype),
-                    requires_grad=True)
+    gw, win = config.g_width, 2 * config.k + 1
+    return SIRMParams(
+        embedding=make("embedding", (config.vocab_size, config.d_e)),
+        src_filters={h: layer(f"src_filters.{h}", (h, config.d_e, config.d_c))
+                     for h in config.src_windows},
+        sent_neighbor=layer("sent_neighbor", (win, config.d_e, config.d_ns)),
+        sent_dense=layer("sent_dense", (gw + config.d_ns + config.d_e, config.d_as)),
+        para_neighbor=layer("para_neighbor", (win, config.d_as, config.d_np)),
+        para_dense=layer("para_dense", (gw + config.d_np + config.d_as, config.d_ap)),
+        out_head=layer("out_head", (config.d_ap + gw, 1)),
+        adv_head=layer("adv_head", (gw, 2)),
+    )
 
 
 def init_sirm_params(config, seed=0, dtype=np.float32):
-    """Glorot-uniform weights, zero biases, N(0, 1) embeddings.
-
-    Unit-scale embeddings keep word content comparable to the unit-amplitude
-    position encodings; smaller scales bury the content signal and stall
-    training at the default learning rate.
-    """
-    rng = np.random.default_rng(seed)
-    emb = _embedding(rng, config, dtype)
-    gw = config.g_width
-    src = {h: (_glorot(rng, (h, config.d_e, config.d_c), dtype), _zeros(config.d_c, dtype))
-           for h in config.src_windows}
-    win = 2 * config.k + 1
-    return SIRMParams(
-        embedding=emb,
-        src_filters=src,
-        sent_neighbor=(_glorot(rng, (win, config.d_e, config.d_ns), dtype),
-                       _zeros(config.d_ns, dtype)),
-        sent_dense=(_glorot(rng, (gw + config.d_ns + config.d_e, config.d_as), dtype),
-                    _zeros(config.d_as, dtype)),
-        para_neighbor=(_glorot(rng, (win, config.d_as, config.d_np), dtype),
-                       _zeros(config.d_np, dtype)),
-        para_dense=(_glorot(rng, (gw + config.d_np + config.d_as, config.d_ap), dtype),
-                    _zeros(config.d_ap, dtype)),
-        out_head=(_glorot(rng, (config.d_ap + gw, 1), dtype), _zeros(1, dtype)),
-        adv_head=(_glorot(rng, (gw, 2), dtype), _zeros(2, dtype)),
-    )
+    """A fresh SIRM model: build_sirm_params drawing through seeded_make."""
+    return build_sirm_params(config, seeded_make(seed, dtype))
 
 
 @dataclass
@@ -312,9 +312,9 @@ def sirm_loss(trace, y):
 class NBOWParams:
     """Mean word embedding plus a linear sigmoid head."""
 
-    embedding: T.Tensor  # (V, d_e)
-    head_w: T.Tensor     # (d_e, 1)
-    head_b: T.Tensor     # (1,)
+    embedding: T.Tensor
+    head_w: T.Tensor
+    head_b: T.Tensor
 
     def named_tensors(self):
         return [("embedding", self.embedding), ("head_w", self.head_w),
@@ -324,11 +324,15 @@ class NBOWParams:
         return [t for _, t in self.named_tensors()]
 
 
+def build_nbow_params(config, make):
+    """NBOWParams whose every tensor is make(name, shape), in named_tensors() order."""
+    return NBOWParams(embedding=make("embedding", (config.vocab_size, config.d_e)),
+                      head_w=make("head_w", (config.d_e, 1)), head_b=make("head_b", (1,)))
+
+
 def init_nbow_params(config, seed=0, dtype=np.float32):
-    """N(0, 1) embeddings of config.vocab_size x config.d_e, Glorot head, zero bias."""
-    rng = np.random.default_rng(seed)
-    return NBOWParams(embedding=_embedding(rng, config, dtype),
-                      head_w=_glorot(rng, (config.d_e, 1), dtype), head_b=_zeros(1, dtype))
+    """A fresh NBOW model: build_nbow_params drawing through seeded_make."""
+    return build_nbow_params(config, seeded_make(seed, dtype))
 
 
 def nbow_forward(grid, params):
@@ -357,16 +361,16 @@ def _nbow_prob_loss(grid, params, config):
     return prob, T.bce_loss(prob, grid.label)
 
 
-# model kind -> (init(SIRMConfig, seed, dtype) -> params with named_tensors(),
+# model kind -> (build(SIRMConfig, make) -> params with named_tensors(),
 #                prob_loss(stacked grid, params, SIRMConfig) -> (probability, mean loss))
 MODELS = {
-    "sirm": (init_sirm_params, _sirm_prob_loss),
-    "nbow": (init_nbow_params, _nbow_prob_loss),
+    "sirm": (build_sirm_params, _sirm_prob_loss),
+    "nbow": (build_nbow_params, _nbow_prob_loss),
 }
 
 
 def lookup_model(name):
-    """The (init, prob_loss) entry of a model kind; ValueError for an unknown kind."""
+    """The (build, prob_loss) entry of a model kind; ValueError for an unknown kind."""
     if name not in MODELS:
         raise ValueError(f"unknown model kind {name!r}")
     return MODELS[name]

@@ -11,7 +11,7 @@ import numpy as np
 
 from . import tensor as T
 from .evaluation import evaluate
-from .model import SIRMConfig, check_field_types, lookup_model
+from .model import SIRMConfig, check_field_types, lookup_model, seeded_make
 from .text import DataFormatError, atomic_write_bytes
 
 logger = logging.getLogger(__name__)
@@ -123,8 +123,8 @@ def train(train_grids, dev_grids, model_kind, model_config, train_config,
     """
     if not train_grids:
         raise TrainingError("training split is empty")
-    init, prob_loss = lookup_model(model_kind)
-    params = init(model_config, seed=train_config.seed)
+    build, prob_loss = lookup_model(model_kind)
+    params = build(model_config, seeded_make(train_config.seed))
 
     optimizer = Adam(params.named_tensors(), train_config)
     rng = np.random.default_rng(train_config.seed)
@@ -135,7 +135,7 @@ def train(train_grids, dev_grids, model_kind, model_config, train_config,
     epochs_since_improve = 0
 
     for epoch in range(train_config.max_epochs):
-        start = time.time()
+        start = time.perf_counter()
         rng.shuffle(order)
         losses, bce_losses = [], []
         for b_idx, b_start in enumerate(range(0, len(order), train_config.batch_size)):
@@ -163,7 +163,7 @@ def train(train_grids, dev_grids, model_kind, model_config, train_config,
             "dev_acc": dev_report["accuracy"],
             "dev_f1": dev_report["f1"],
             "dev_macro_f1": dev_report["macro_f1"],
-            "wall_seconds": time.time() - start,
+            "wall_seconds": time.perf_counter() - start,
         }
         history.append(record)
         if history_path:
@@ -251,7 +251,7 @@ class _Reader:
 def load_checkpoint(path):
     """Read a checkpoint, validating magic and shapes against the config.
 
-    Returns (model_kind, SIRMConfig, params object).
+    Returns (model_kind, SIRMConfig, params object), built from the records.
     """
     try:
         with open(path, "rb") as f:
@@ -264,7 +264,7 @@ def load_checkpoint(path):
     try:
         header = json.loads(r.take(r.u32()).decode("utf-8"))
         model_kind = header["model"]
-        init, _ = lookup_model(model_kind)
+        build, _ = lookup_model(model_kind)
         config = SIRMConfig.from_dict(header["config"])
     except (ValueError, KeyError, TypeError) as e:
         raise CheckpointError(f"{path}: corrupt checkpoint header: {e}") from e
@@ -285,14 +285,16 @@ def load_checkpoint(path):
             raise CheckpointError(f"{path}: tensor {name!r} holds non-finite values")
         loaded[name] = data
 
-    params = init(config, seed=0)
-    expected = dict(params.named_tensors())
-    if set(loaded) != set(expected):
-        raise CheckpointError(f"{path}: tensor names do not match the config")
-    for name, t in expected.items():
-        if loaded[name].shape != t.data.shape:
+    def take(name, shape):
+        if name not in loaded:
+            raise CheckpointError(f"{path}: tensor names do not match the config")
+        data = loaded.pop(name)
+        if data.shape != shape:
             raise CheckpointError(
-                f"{path}: tensor {name!r} has shape {loaded[name].shape}, "
-                f"config expects {t.data.shape}")
-        t.data = loaded[name]
+                f"{path}: tensor {name!r} has shape {data.shape}, config expects {shape}")
+        return T.Tensor(data, requires_grad=True)
+
+    params = build(config, take)
+    if loaded:
+        raise CheckpointError(f"{path}: tensor names do not match the config")
     return model_kind, config, params

@@ -110,6 +110,28 @@ class TestTrainEvalPredict:
         assert len(lines) == 64
         assert [int(line.split("\t")[0]) for line in lines] == list(range(64))
 
+    @pytest.mark.parametrize("schedule, warns", [
+        ([], True),     # default 50 epochs, patience 5: best dev accuracy 0.515625 on 32/32
+        (["--max-epochs", "200", "--patience", "20"], False),  # the README run: 1.0
+    ])
+    def test_train_reports_best_epoch_and_warns_at_chance(self, tmp_path, capsys,
+                                                          schedule, warns):
+        vocab = build_vocab(tmp_path, BUNDLED)
+        out_dir = tmp_path / "run"
+        rc = main(["train", "--train", str(BUNDLED), "--dev", str(BUNDLED),
+                   "--vocab", str(vocab), "--out-dir", str(out_dir),
+                   "--m", "2", "--n", "10", "--seed", "0", *schedule])
+        assert rc == 0
+        captured = capsys.readouterr()
+        history = [json.loads(line)
+                   for line in (out_dir / "history.jsonl").read_text().splitlines()]
+        scores = [record["dev_macro_f1"] for record in history]
+        best = scores.index(max(scores))
+        assert f"best epoch: {best} (dev macro-F1 {scores[best]:.4f})" in captured.out
+        # 32 of 64 dev labels are 1: chance is 0.5 plus one standard error 0.0625
+        assert (history[best]["dev_acc"] < 0.5625) == warns
+        assert ("warning: best dev accuracy" in captured.err) == warns
+
     def test_nbow_model_flag(self, workspace):
         tmp_path, data, config = workspace
         vocab = build_vocab(tmp_path, data)

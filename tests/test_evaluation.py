@@ -6,7 +6,7 @@ from sirm import tensor as T
 from sirm import evaluation
 from sirm.evaluation import EvaluationError, evaluate, metrics, write_predictions
 from sirm.model import (MODELS, SIRMConfig, init_nbow_params,
-                        init_sirm_params, nbow_forward)
+                        init_sirm_params, nbow_forward, seeded_make)
 from sirm.text import ParagraphGrid
 
 from grids import stack_documents
@@ -143,8 +143,8 @@ class TestEvaluate:
                                                   monkeypatch):
         config, _, _ = setup
         monkeypatch.setattr(evaluation, "EVAL_CELLS", 16 * config.m * config.n)
-        init, _ = MODELS[model_kind]
-        params = init(config, seed=0)
+        build, _ = MODELS[model_kind]
+        params = build(config, seeded_make(0))
         rng = np.random.default_rng(1)
         grids = stack_documents(ParagraphGrid(rng.integers(2, 12, size=(2, 3)), i % 2)
                                 for i in range(37))    # crosses two batch boundaries
@@ -166,17 +166,17 @@ class TestEvaluate:
                                                      batches, monkeypatch):
         config = SIRMConfig(vocab_size=12, d_e=4, d_c=2, src_windows=(1, 2),
                             d_ns=4, d_np=4, d_as=4, d_ap=4, m=m, n=n)
-        init, prob_loss = MODELS[model_kind]
+        build, prob_loss = MODELS[model_kind]
         seen = []
 
         def counted(grid, params, config):
             seen.append(grid.token_ids.shape[0])
             return prob_loss(grid, params, config)
 
-        monkeypatch.setitem(MODELS, model_kind, (init, counted))
+        monkeypatch.setitem(MODELS, model_kind, (build, counted))
         ids = np.full((m, n), 2)
         grids = stack_documents(ParagraphGrid(ids, i % 2) for i in range(docs))
-        report, rows = evaluate(model_kind, init(config, seed=0), config, grids)
+        report, rows = evaluate(model_kind, build(config, seeded_make(0)), config, grids)
         assert seen == batches
         assert report["n"] == len(rows) == docs
 

@@ -7,9 +7,9 @@ from hypothesis import given, settings, strategies as st
 
 from sirm import tensor as T
 from sirm.model import (ConfigError, SIRMConfig, dense_connect_pool,
-                        embed_paragraph, init_sirm_params, near_neighbor_encode,
-                        param_count, positional_encoding, sirm_forward,
-                        sirm_loss, skim_forward)
+                        embed_paragraph, init_nbow_params, init_sirm_params,
+                        near_neighbor_encode, param_count, positional_encoding,
+                        sirm_forward, sirm_loss, skim_forward)
 from sirm.text import ParagraphGrid
 
 from grids import stack_documents
@@ -495,6 +495,35 @@ class TestSIRMLoss:
         trace = sirm_forward(random_grid(config), params, config)
         with pytest.raises(ValueError):
             sirm_loss(trace, 2)
+
+
+class TestInit:
+    @pytest.mark.parametrize("init", [init_sirm_params, init_nbow_params])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("overrides", [{}, {"src_windows": (3, 1)},
+                                           {"d_e": 64, "d_c": 16, "src_windows": (1, 2, 3, 4),
+                                            "d_ns": 64, "d_np": 64, "d_as": 64, "d_ap": 64,
+                                            "m": 8, "n": 32}])
+    @pytest.mark.parametrize("seed", [0, 7])
+    def test_matches_an_independent_redraw(self, init, dtype, overrides, seed):
+        """One default_rng(seed) walked in named_tensors() order: N(0, 1) for the
+        embedding, zeros for 1-D tensors, Glorot-uniform for every other weight."""
+        config = toy_config(**overrides)
+        params = init(config, seed=seed, dtype=dtype)
+        rng = np.random.default_rng(seed)
+        for name, t in params.named_tensors():
+            shape = t.data.shape
+            if name == "embedding":
+                assert shape == (config.vocab_size, config.d_e)
+                expected = rng.normal(0.0, 1.0, size=shape)
+            elif len(shape) == 1:
+                expected = np.zeros(shape)
+            else:
+                fan_in, fan_out = np.prod(shape[:-1]), shape[-1]
+                bound = np.sqrt(6.0 / (fan_in + fan_out))
+                expected = rng.uniform(-bound, bound, size=shape)
+            assert t.data.dtype == dtype and t.requires_grad, name
+            assert t.data.tobytes() == expected.astype(dtype).tobytes(), name
 
 
 class TestParamCount:

@@ -1,15 +1,19 @@
+import itertools
 import json
 import re
 import struct
+import time
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import sirm.model as model_mod
 import sirm.training as training_mod
 from sirm import tensor as T
 from sirm.evaluation import evaluate
-from sirm.model import MODELS, ConfigError, SIRMConfig, init_sirm_params, sirm_forward
+from sirm.model import (MODELS, ConfigError, SIRMConfig, init_nbow_params, init_sirm_params,
+                        seeded_make, sirm_forward)
 from sirm.text import DataFormatError, ParagraphGrid
 from sirm.training import (ADAM_BLOCK, Adam, CheckpointError, TrainConfig, TrainingError,
                            load_checkpoint, save_checkpoint,
@@ -231,6 +235,16 @@ class TestTrainLoop:
                     "wall_seconds"):
             assert key in lines[0]
 
+    def test_epoch_times_survive_a_wall_clock_that_runs_backwards(self, monkeypatch):
+        config = toy_config()
+        grids = toy_grids(config)
+        ticks = itertools.count()
+        monkeypatch.setattr(time, "time", lambda: 1e9 - 60 * next(ticks))
+        _, history = train(grids, grids, "sirm", config,
+                           TrainConfig(max_epochs=3, early_stop_patience=5))
+        assert len(history) == 3
+        assert all(record["wall_seconds"] >= 0 for record in history)
+
     def test_nbow_trains_with_same_loop(self):
         config = toy_config()
         grids = toy_grids(config)
@@ -300,15 +314,32 @@ class TestCheckpoint:
     @pytest.mark.parametrize("kind", sorted(MODELS))
     def test_every_model_kind_round_trips(self, tmp_path, kind):
         config = toy_config()
-        init, _ = MODELS[kind]
+        build, _ = MODELS[kind]
         path = tmp_path / "model.ckpt"
-        save_checkpoint(path, kind, config, init(config, seed=6))
+        save_checkpoint(path, kind, config, build(config, seeded_make(6)))
         kind2, config2, loaded = load_checkpoint(path)
         assert (kind2, config2) == (kind, config)
         assert serialize_checkpoint(kind2, config2, loaded) == path.read_bytes()
         grids = toy_grids(config)
-        _, rows = evaluate(kind, init(config, seed=6), config, grids)
+        _, rows = evaluate(kind, build(config, seeded_make(6)), config, grids)
         assert evaluate(kind2, loaded, config2, grids)[1] == rows
+
+    @pytest.mark.parametrize("kind, init", [("sirm", init_sirm_params),
+                                            ("nbow", init_nbow_params)])
+    def test_load_draws_no_random_numbers(self, tmp_path, monkeypatch, kind, init):
+        config = toy_config()
+        params = init(config, seed=6)
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(path, kind, config, params)
+
+        def no_draw(*args, **kwargs):
+            raise AssertionError("load_checkpoint drew random numbers")
+
+        monkeypatch.setattr(model_mod.np.random, "default_rng", no_draw)
+        _, _, loaded = load_checkpoint(path)
+        for (name, a), (_, b) in zip(params.named_tensors(), loaded.named_tensors()):
+            assert np.array_equal(a.data, b.data), name
+            assert b.requires_grad, name
 
     def test_roundtrip_bit_exact(self, tmp_path):
         config, params, path = self._setup(tmp_path)
@@ -388,6 +419,22 @@ class TestCheckpoint:
         assert blob.endswith(record[:-8] + params.adv_head[1].data.astype("<f4").tobytes())
         path.write_bytes(blob + record)
         with pytest.raises(CheckpointError, match="adv_head.bias.*twice"):
+            load_checkpoint(path)
+
+    def test_extra_tensor_rejected(self, tmp_path):
+        config, params, path = self._setup(tmp_path)
+        name = b"extra.bias"
+        path.write_bytes(path.read_bytes() + struct.pack("<I", len(name)) + name
+                         + struct.pack("<II", 1, 2) + np.zeros(2, dtype="<f4").tobytes())
+        with pytest.raises(CheckpointError, match=re.escape(
+                f"{path}: tensor names do not match the config")):
+            load_checkpoint(path)
+
+    def test_missing_tensor_rejected(self, tmp_path):
+        config, params, path = self._setup(tmp_path)
+        path.write_bytes(serialize_checkpoint("sirm", toy_config(src_windows=(1, 2, 3)), params))
+        with pytest.raises(CheckpointError, match=re.escape(
+                f"{path}: tensor names do not match the config")):
             load_checkpoint(path)
 
     def test_shape_mismatch_rejected(self, tmp_path):
