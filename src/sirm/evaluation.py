@@ -57,10 +57,12 @@ def evaluate(model_kind, params, config, grids, threshold=0.5):
 
     Returns (metrics dict with example count, rows) where each row is (index,
     probability, predicted label, gold label); non-finite probabilities raise
-    FloatingPointError.
+    FloatingPointError. The threshold must be a probability, in [0, 1].
     """
     if not math.isfinite(threshold):    # nan would predict 0 for every document
         raise ValueError(f"threshold must be a finite number, got {threshold!r}")
+    if not 0 <= threshold <= 1:
+        raise ValueError(f"threshold must be in [0, 1], got {threshold!r}")
     if not grids:
         raise EvaluationError("cannot evaluate an empty split")
     _, prob_loss = lookup_model(model_kind)

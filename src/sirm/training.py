@@ -121,8 +121,9 @@ def train(train_grids, dev_grids, model_kind, model_config, train_config,
     training stops once the number of epochs since the last dev improvement
     reaches the patience (patience 0 stops after one epoch).
     """
-    if not train_grids:
-        raise TrainingError("training split is empty")
+    for split, grids in (("training", train_grids), ("dev", dev_grids)):
+        if not grids:
+            raise DataFormatError(f"{split} split is empty")
     build, prob_loss = lookup_model(model_kind)
     params = build(model_config, seeded_make(train_config.seed))
 
@@ -202,7 +203,8 @@ def split_dev(grids, seed=0):
 # ---------------------------------------------------------------------------
 # checkpoint format: magic "SIRM1", u32-length-prefixed UTF-8 JSON header
 # {"model": kind, "config": {...}}, then per-tensor records
-# [u32 name length, name, u32 rank, u32 dims x rank, f32 data], little-endian.
+# [u32 name length, name, u32 rank, u32 dims x rank, f32 data], little-endian,
+# in named_tensors() order, the order the loader's one pass reads them in.
 
 MAGIC = b"SIRM1"
 
@@ -219,7 +221,7 @@ def serialize_checkpoint(model_kind, config, params):
         chunks.append(name_b)
         chunks.append(struct.pack("<I", data.ndim))
         chunks.append(struct.pack(f"<{data.ndim}I", *data.shape))
-        chunks.append(data.tobytes())
+        chunks.append(data)     # joined from its buffer, not a bytes copy
     return b"".join(chunks)
 
 
@@ -227,74 +229,67 @@ def save_checkpoint(path, model_kind, config, params):
     atomic_write_bytes(path, serialize_checkpoint(model_kind, config, params))
 
 
-class _Reader:
-    def __init__(self, path, blob):
-        self.path = path
-        self.blob = blob
-        self.off = 0
-
-    def take(self, n):
-        if self.off + n > len(self.blob):
-            raise CheckpointError(f"{self.path}: truncated checkpoint file")
-        out = self.blob[self.off:self.off + n]
-        self.off += n
-        return out
-
-    def u32(self):
-        return struct.unpack("<I", self.take(4))[0]
-
-    @property
-    def exhausted(self):
-        return self.off == len(self.blob)
-
-
 def load_checkpoint(path):
-    """Read a checkpoint, validating magic and shapes against the config.
+    """Read a checkpoint in one pass, checking it against its header's config.
 
-    Returns (model_kind, SIRMConfig, params object), built from the records.
+    The kind's builder asks for tensors in named_tensors() order and each ask
+    reads the next record, which must have that name, so records in another
+    order do not load. Returns (model_kind, SIRMConfig, params object).
     """
     try:
         with open(path, "rb") as f:
-            blob = f.read()
+            view = memoryview(f.read())
     except OSError as e:
         raise CheckpointError(f"cannot read checkpoint {path}: {e}") from e
-    r = _Reader(path, blob)
-    if r.take(len(MAGIC)) != MAGIC:
+    off = 0
+    seen = set()
+
+    def take(n):
+        nonlocal off
+        if off + n > len(view):
+            raise CheckpointError(f"{path}: truncated checkpoint file")
+        off += n
+        return view[off - n:off]
+
+    def u32():
+        return struct.unpack("<I", take(4))[0]
+
+    def next_name():
+        try:
+            name = str(take(u32()), "utf-8")
+        except UnicodeDecodeError as e:
+            raise CheckpointError(f"{path}: corrupt tensor record name: {e}") from e
+        if name in seen:
+            raise CheckpointError(f"{path}: tensor {name!r} appears twice")
+        seen.add(name)
+        return name
+
+    def make(name, shape):
+        if off == len(view) or next_name() != name:
+            raise CheckpointError(f"{path}: tensor names do not match the config")
+        rank = u32()
+        dims = struct.unpack(f"<{rank}I", take(4 * rank))
+        # Python ints: a product of u32 dims cannot wrap, and an empty one is 1
+        raw = take(4 * math.prod(dims))
+        if dims != shape:
+            raise CheckpointError(
+                f"{path}: tensor {name!r} has shape {dims}, config expects {shape}")
+        data = np.frombuffer(raw, dtype="<f4").reshape(dims).copy()
+        if not np.isfinite(data).all():
+            raise CheckpointError(f"{path}: tensor {name!r} holds non-finite values")
+        return T.Tensor(data, requires_grad=True)
+
+    if take(len(MAGIC)) != MAGIC:
         raise CheckpointError(f"{path}: bad magic, not a checkpoint file")
     try:
-        header = json.loads(r.take(r.u32()).decode("utf-8"))
+        header = json.loads(str(take(u32()), "utf-8"))
         model_kind = header["model"]
         build, _ = lookup_model(model_kind)
         config = SIRMConfig.from_dict(header["config"])
     except (ValueError, KeyError, TypeError) as e:
         raise CheckpointError(f"{path}: corrupt checkpoint header: {e}") from e
-
-    loaded = {}
-    while not r.exhausted:
-        try:
-            name = r.take(r.u32()).decode("utf-8")
-        except UnicodeDecodeError as e:
-            raise CheckpointError(f"{path}: corrupt tensor record name: {e}") from e
-        rank = r.u32()
-        dims = struct.unpack(f"<{rank}I", r.take(4 * rank))
-        # Python ints: a product of u32 dims cannot wrap, and an empty one is 1
-        data = np.frombuffer(r.take(4 * math.prod(dims)), dtype="<f4").reshape(dims).copy()
-        if name in loaded:
-            raise CheckpointError(f"{path}: tensor {name!r} appears twice")
-        if not np.isfinite(data).all():
-            raise CheckpointError(f"{path}: tensor {name!r} holds non-finite values")
-        loaded[name] = data
-
-    def take(name, shape):
-        if name not in loaded:
-            raise CheckpointError(f"{path}: tensor names do not match the config")
-        data = loaded.pop(name)
-        if data.shape != shape:
-            raise CheckpointError(
-                f"{path}: tensor {name!r} has shape {data.shape}, config expects {shape}")
-        return T.Tensor(data, requires_grad=True)
-
-    params = build(config, take)
-    if loaded:
+    params = build(config, make)
+    if off < len(view):
+        next_name()     # a repeated name says so; any other is left over
         raise CheckpointError(f"{path}: tensor names do not match the config")
     return model_kind, config, params

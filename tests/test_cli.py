@@ -17,7 +17,7 @@ from sirm.model import ConfigError
 from sirm.synthetic import generate, write_jsonl
 from sirm.training import load_checkpoint, save_checkpoint
 
-from test_training import with_first_record, with_header, with_parent_header
+from test_training import split_records, with_first_record, with_header, with_parent_header
 
 BUNDLED = Path(__file__).resolve().parent.parent / "data" / "synthetic_64.jsonl"
 
@@ -235,6 +235,10 @@ def failure_inputs(tmp_path_factory):
     # the header names skim windows 1 and 3, the records hold windows 1 and 2
     (tmp / "renamed.ckpt").write_bytes(
         with_header(ckpt.read_bytes(), lambda h: h["config"].update(src_windows=[1, 3])))
+    # every record intact, the adversarial head's two before the main head's
+    head, records = split_records(ckpt.read_bytes())
+    (tmp / "reordered.ckpt").write_bytes(
+        head + b"".join(record for _, record in records[:-4] + records[-2:] + records[-4:-2]))
     (tmp / "vocab5.json").write_text(json.dumps({**TOY_CONFIG, "vocab_size": 5}))
     (tmp / "not_json.json").write_text("{\"d_e\": 4,")
     (tmp / "no_windows.json").write_text(json.dumps({**TOY_CONFIG, "src_windows": []}))
@@ -264,6 +268,7 @@ def failure_inputs(tmp_path_factory):
             "retired_ckpt": tmp / "retired.ckpt", "bogus_ckpt": tmp / "bogus.ckpt",
             "wrong_type_ckpt": tmp / "wrong_type.ckpt", "bad_name_ckpt": tmp / "bad_name.ckpt",
             "wrapping_dims_ckpt": tmp / "wrapping_dims.ckpt",
+            "reordered_ckpt": tmp / "reordered.ckpt",
             "adam_config": tmp / "adam.json", "empty": tmp / "empty.jsonl",
             "one": tmp / "one.jsonl", "not_utf8": tmp / "not_utf8.jsonl",
             "bool_labels": tmp / "bool_labels.jsonl", "plus_one": tmp / "plus_one.tsv",
@@ -339,6 +344,17 @@ FAILURES = [
      "does not match checkpoint config"),
     ("tensor-names-mismatch", eval_args("{renamed_ckpt}"), 2,
      "renamed.ckpt: tensor names do not match the config"),
+    ("records-out-of-order", eval_args("{reordered_ckpt}"), 2,
+     "reordered.ckpt: tensor names do not match the config"),
+    ("empty-train-split", train_args("--train", "{empty}", "--dev", "{data}"), 2,
+     "training split is empty"),
+    ("empty-dev-split", train_args("--train", "{data}", "--dev", "{empty}"), 2,
+     "dev split is empty"),
+    ("threshold-above-one-eval", eval_args() + ["--threshold", "1.5"], 1,
+     "threshold must be in [0, 1], got 1.5"),
+    ("negative-threshold-predict", ["predict"] + eval_args()[1:] + ["--threshold", "-0.5",
+                                                                   "--out", "{out}"], 1,
+     "threshold must be in [0, 1], got -0.5"),
     *[(f"config-{name}", train_args(*TRAIN_DEV, config=f"{{config_{name}}}"), 1, fragment)
       for name, _, fragment in WRONG_TYPES],
 ]

@@ -123,6 +123,17 @@ class TestEvaluate:
         _, rows = evaluate("sirm", params, config, grids, threshold=1.0)
         assert all(pred == 0 for _, _, pred, _ in rows)
 
+    @pytest.mark.parametrize("threshold", [-0.5, 1.5, -1e-9, 1 + 1e-9])
+    def test_threshold_outside_unit_interval_rejected(self, setup, threshold):
+        config, params, grids = setup
+        with pytest.raises(ValueError, match=r"threshold must be in \[0, 1\]"):
+            evaluate("sirm", params, config, grids, threshold=threshold)
+
+    def test_threshold_zero_predicts_all_positive(self, setup):
+        config, params, grids = setup
+        _, rows = evaluate("sirm", params, config, grids, threshold=0.0)
+        assert all(pred == 1 for _, _, pred, _ in rows)
+
     def test_deterministic_prediction_files(self, setup, tmp_path):
         config, params, grids = setup
         _, rows1 = evaluate("sirm", params, config, grids)

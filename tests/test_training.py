@@ -1,5 +1,6 @@
 import itertools
 import json
+import math
 import re
 import struct
 import time
@@ -53,6 +54,24 @@ def with_first_record(blob, edit):
     name, dims = edit(name, dims)
     return (blob[:off] + struct.pack("<I", len(name)) + name
             + struct.pack(f"<I{len(dims)}I", len(dims), *dims) + blob[dims_at + 4 * rank:])
+
+
+def split_records(blob):
+    """A checkpoint blob cut into everything up to its first tensor record and
+    the list of its (name, record bytes) pairs in file order."""
+    start = len(training_mod.MAGIC) + 4
+    (length,) = struct.unpack("<I", blob[start - 4:start])
+    off = head_end = start + length
+    records = []
+    while off < len(blob):
+        (name_len,) = struct.unpack_from("<I", blob, off)
+        name = blob[off + 4:off + 4 + name_len].decode("utf-8")
+        (rank,) = struct.unpack_from("<I", blob, off + 4 + name_len)
+        dims = struct.unpack_from(f"<{rank}I", blob, off + 8 + name_len)
+        end = off + 8 + name_len + 4 * rank + 4 * math.prod(dims)
+        records.append((name, blob[off:end]))
+        off = end
+    return blob[:head_end], records
 
 
 def with_parent_header(blob, mask_aware):
@@ -157,8 +176,17 @@ class TestTrainLoop:
         assert len(history) == 1
 
     def test_empty_split_rejected(self):
-        with pytest.raises(TrainingError):
+        with pytest.raises(DataFormatError, match="training split is empty"):
             train([], [], "sirm", toy_config(), TrainConfig())
+
+    def test_empty_dev_split_rejected_before_any_step(self, monkeypatch):
+        def no_step(self):
+            raise AssertionError("train took a step before checking the dev split")
+
+        monkeypatch.setattr(Adam, "step", no_step)
+        config = toy_config()
+        with pytest.raises(DataFormatError, match="dev split is empty"):
+            train(toy_grids(config), toy_grids(config)[:0], "sirm", config, TrainConfig())
 
     def test_seed_determinism(self):
         config = toy_config()
@@ -420,6 +448,52 @@ class TestCheckpoint:
         path.write_bytes(blob + record)
         with pytest.raises(CheckpointError, match="adv_head.bias.*twice"):
             load_checkpoint(path)
+
+    @pytest.mark.parametrize("after", ["embedding", "src_filters.1.bias", "sent_dense.weight"])
+    def test_repeated_record_mid_file_rejected(self, tmp_path, after):
+        _, _, path = self._setup(tmp_path)
+        head, records = split_records(path.read_bytes())
+        at = [name for name, _ in records].index(after) + 1
+        records.insert(at, records[at - 1])     # the same record twice in a row
+        path.write_bytes(head + b"".join(record for _, record in records))
+        with pytest.raises(CheckpointError, match=re.escape(
+                f"{path}: tensor {after!r} appears twice")):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("first, second", [("sent_neighbor.", "sent_dense."),
+                                               ("out_head.", "adv_head."),
+                                               ("embedding", "src_filters.1.weight")])
+    def test_records_out_of_builder_order_rejected(self, tmp_path, first, second):
+        # every record stays valid and present; two adjacent groups trade places
+        _, _, path = self._setup(tmp_path)
+        head, records = split_records(path.read_bytes())
+        a = [record for record in records if record[0].startswith(first)]
+        b = [record for record in records if record[0].startswith(second)]
+        at = records.index(a[0])
+        end = at + len(a) + len(b)
+        assert records[at:end] == a + b
+        records[at:end] = b + a
+        path.write_bytes(head + b"".join(record for _, record in records))
+        with pytest.raises(CheckpointError, match=re.escape(
+                f"{path}: tensor names do not match the config")):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("kind", sorted(MODELS))
+    def test_loaded_tensors_own_one_writable_copy(self, tmp_path, kind):
+        config = toy_config()
+        build, _ = MODELS[kind]
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(path, kind, config, build(config, seeded_make(6)))
+        blob = path.read_bytes()
+        _, _, loaded = load_checkpoint(path)
+        for i, (name, t) in enumerate(loaded.named_tensors()):
+            flags = t.data.flags
+            assert t.data.dtype == np.float32, name
+            assert flags.c_contiguous and flags.aligned and flags.writeable, name
+            assert flags.owndata and t.data.base is None, name
+            t.data[...] = i
+        assert path.read_bytes() == blob
+        assert all(np.all(t.data == i) for i, t in enumerate(loaded.tensors()))
 
     def test_extra_tensor_rejected(self, tmp_path):
         config, params, path = self._setup(tmp_path)
