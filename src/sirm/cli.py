@@ -17,12 +17,12 @@ import sys
 import numpy as np
 
 from . import tensor as T
-from .evaluation import EvaluationError, evaluate, write_predictions
+from .evaluation import evaluate, write_predictions
 from .model import (MODELS, ConfigError, SIRMConfig, init_sirm_params,
                     param_count, sirm_forward, sirm_loss)
 from .text import (DataFormatError, ParagraphGrid, Vocabulary, atomic_write_bytes,
                    build_vocab, encode_split, load_dataset, tokenize)
-from .training import (CheckpointError, TrainConfig, TrainingError,
+from .training import (CheckpointError, TrainConfig, TrainingError, best_epoch,
                        load_checkpoint, save_checkpoint, split_dev, train)
 
 EXIT_OK = 0
@@ -129,7 +129,7 @@ def cmd_train(args):
                        (json.dumps(report, indent=2) + "\n").encode("utf-8"))
     print(f"checkpoint: {ckpt_path}")
     print(f"epochs run: {len(history)}")
-    best = max(history, key=lambda record: record["dev_macro_f1"])    # the kept epoch
+    best = history[best_epoch(history)]
     print(f"best epoch: {best['epoch']} (dev macro-F1 {best['dev_macro_f1']:.4f})")
     p = max(dev_grids.label.mean(), 1 - dev_grids.label.mean())      # majority-class rate
     chance = p + math.sqrt(p * (1 - p) / len(dev_grids))
@@ -300,7 +300,7 @@ def main(argv=None):
         return args.func(args)
     except SystemExit as e:
         return e.code if e.code is not None else EXIT_OK
-    except (DataFormatError, CheckpointError, EvaluationError, OSError) as e:
+    except (DataFormatError, CheckpointError, OSError) as e:
         code, error = EXIT_DATA, e
     except ValueError as e:     # ConfigError and other bad settings
         code, error = EXIT_USAGE, e

@@ -6,11 +6,7 @@ import numpy as np
 
 from . import tensor as T
 from .model import lookup_model
-from .text import atomic_write_bytes
-
-
-class EvaluationError(ValueError):
-    pass
+from .text import DataFormatError, atomic_write_bytes
 
 
 def _f1(predictions, labels, positive):
@@ -28,10 +24,10 @@ def metrics(predictions, labels):
     Precision or recall of a class never predicted or never present counts as 0.
     """
     if len(predictions) != len(labels):
-        raise EvaluationError(
+        raise ValueError(
             f"length mismatch: {len(predictions)} predictions vs {len(labels)} labels")
     if not labels:
-        raise EvaluationError("cannot compute metrics on an empty split")
+        raise DataFormatError("cannot compute metrics on an empty split")
     correct = sum(int(p == y) for p, y in zip(predictions, labels))
     f1_pos = _f1(predictions, labels, positive=1)
     f1_neg = _f1(predictions, labels, positive=0)
@@ -64,7 +60,7 @@ def evaluate(model_kind, params, config, grids, threshold=0.5):
     if not 0 <= threshold <= 1:
         raise ValueError(f"threshold must be in [0, 1], got {threshold!r}")
     if not grids:
-        raise EvaluationError("cannot evaluate an empty split")
+        raise DataFormatError("cannot evaluate an empty split")
     _, prob_loss = lookup_model(model_kind)
     batch_size = max(1, EVAL_CELLS // (config.m * config.n))
     probs = []

@@ -181,6 +181,8 @@ def load_dataset(path, fmt="jsonl", name="train"):
     Malformed lines are logged with their line number and skipped; more than
     10% malformed lines is treated as a format error.
     """
+    if fmt not in ("jsonl", "tsv"):
+        raise ValueError(f"unknown dataset format {fmt!r}")
     examples = []
     bad = 0
     total = 0
@@ -195,13 +197,11 @@ def load_dataset(path, fmt="jsonl", name="train"):
                 text, label = obj["text"], obj["label"]
             except (json.JSONDecodeError, KeyError, TypeError):
                 pass
-        elif fmt == "tsv":
+        else:
             parts = line.split("\t", 1)
             # int() would also read +1, 01, " 0" and 0_0
             if len(parts) == 2 and parts[0] in ("0", "1"):
                 label, text = int(parts[0]), parts[1]
-        else:
-            raise ValueError(f"unknown dataset format {fmt!r}")
         # true and 1.0 equal 1 but are a bool and a float, not a 0/1 label
         if (not isinstance(text, str) or not text.strip()
                 or type(label) is not int or label not in (0, 1)):

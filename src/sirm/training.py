@@ -113,13 +113,18 @@ def snapshot(params):
     return {name: t.data.copy() for name, t in params.named_tensors()}
 
 
+def best_epoch(history):
+    """Index of the kept epoch: the first record with the highest dev macro-F1."""
+    return max(range(len(history)), key=lambda epoch: history[epoch]["dev_macro_f1"])
+
+
 def train(train_grids, dev_grids, model_kind, model_config, train_config,
           history_path=None):
     """Train a model, returning (params at the best dev epoch, history).
 
-    The best epoch is the one with the highest dev macro-F1. Early stopping:
-    training stops once the number of epochs since the last dev improvement
-    reaches the patience (patience 0 stops after one epoch).
+    The best epoch is best_epoch(history). Early stopping: training stops
+    once the number of epochs since the best one reaches the patience
+    (patience 0 stops after one epoch).
     """
     for split, grids in (("training", train_grids), ("dev", dev_grids)):
         if not grids:
@@ -131,9 +136,6 @@ def train(train_grids, dev_grids, model_kind, model_config, train_config,
     rng = np.random.default_rng(train_config.seed)
     order = np.arange(len(train_grids))
     history = []
-    best_metric = -1.0      # epoch 0's macro-F1 >= 0 always replaces it
-    best_snap = None
-    epochs_since_improve = 0
 
     for epoch in range(train_config.max_epochs):
         start = time.perf_counter()
@@ -174,13 +176,10 @@ def train(train_grids, dev_grids, model_kind, model_config, train_config,
         logger.info("epoch %d: loss %.4f dev macro-F1 %.4f",
                     epoch, record["train_loss"], record["dev_macro_f1"])
 
-        if dev_report["macro_f1"] > best_metric:
-            best_metric = dev_report["macro_f1"]
+        best = best_epoch(history)
+        if best == epoch:
             best_snap = snapshot(params)
-            epochs_since_improve = 0
-        else:
-            epochs_since_improve += 1
-        if epochs_since_improve >= train_config.early_stop_patience:
+        if epoch - best >= train_config.early_stop_patience:
             break
 
     for name, t in params.named_tensors():

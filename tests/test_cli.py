@@ -15,7 +15,7 @@ from sirm import tensor as T
 from sirm.cli import SIRM_FIELDS, TRAIN_FIELDS, _assemble, build_parser, main
 from sirm.model import ConfigError
 from sirm.synthetic import generate, write_jsonl
-from sirm.training import load_checkpoint, save_checkpoint
+from sirm.training import best_epoch, load_checkpoint, save_checkpoint
 
 from test_training import split_records, with_first_record, with_header, with_parent_header
 
@@ -131,6 +131,22 @@ class TestTrainEvalPredict:
         # 32 of 64 dev labels are 1: chance is 0.5 plus one standard error 0.0625
         assert (history[best]["dev_acc"] < 0.5625) == warns
         assert ("warning: best dev accuracy" in captured.err) == warns
+
+    @pytest.mark.parametrize("model", ["sirm", "nbow"])
+    def test_dev_metrics_are_the_kept_epochs_dev_pass(self, workspace, model):
+        tmp_path, data, config = workspace
+        vocab = build_vocab(tmp_path, data)
+        out_dir = tmp_path / model
+        rc = main(["train", "--train", str(data), "--dev", str(data),
+                   "--vocab", str(vocab), "--out-dir", str(out_dir), "--config", str(config),
+                   "--model", model, "--max-epochs", "12", "--patience", "3"])
+        assert rc == 0
+        history = [json.loads(line)
+                   for line in (out_dir / "history.jsonl").read_text().splitlines()]
+        kept = history[best_epoch(history)]
+        report = json.loads((out_dir / "dev_metrics.json").read_text())
+        assert [report[key] for key in ("accuracy", "f1", "macro_f1")] == \
+            [kept[key] for key in ("dev_acc", "dev_f1", "dev_macro_f1")]
 
     def test_nbow_model_flag(self, workspace):
         tmp_path, data, config = workspace

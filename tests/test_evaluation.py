@@ -4,10 +4,10 @@ from hypothesis import given, settings, strategies as st
 
 from sirm import tensor as T
 from sirm import evaluation
-from sirm.evaluation import EvaluationError, evaluate, metrics, write_predictions
+from sirm.evaluation import evaluate, metrics, write_predictions
 from sirm.model import (MODELS, SIRMConfig, init_nbow_params,
                         init_sirm_params, nbow_forward, seeded_make)
-from sirm.text import ParagraphGrid
+from sirm.text import DataFormatError, ParagraphGrid
 
 from grids import stack_documents
 
@@ -28,8 +28,12 @@ class TestMetrics:
         assert out["f1"] == 0.0
 
     def test_length_mismatch(self):
-        with pytest.raises(EvaluationError):
+        with pytest.raises(ValueError, match="length mismatch"):
             metrics([1], [1, 0])
+
+    def test_empty_split_is_data_error(self):
+        with pytest.raises(DataFormatError, match="empty split"):
+            metrics([], [])
 
     def test_constant_classifier_below_half_macro(self):
         out = metrics([1, 1, 1, 1], [1, 1, 0, 0])
@@ -115,7 +119,7 @@ class TestEvaluate:
 
     def test_empty_split_is_error_not_nan(self, setup):
         config, params, grids = setup
-        with pytest.raises(EvaluationError):
+        with pytest.raises(DataFormatError, match="empty split"):
             evaluate("sirm", params, config, grids[:0])
 
     def test_threshold_one_predicts_all_negative(self, setup):

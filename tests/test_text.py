@@ -346,6 +346,13 @@ class TestLoadDataset:
         with pytest.raises(DataFormatError):
             load_dataset(path)
 
+    @pytest.mark.parametrize("content", ["", "\n  \n", "0\thello\n"])
+    def test_unknown_format_rejected_before_reading(self, tmp_path, content):
+        path = tmp_path / "d.csv"
+        path.write_text(content)
+        with pytest.raises(ValueError, match="unknown dataset format 'csv'"):
+            load_dataset(path, fmt="csv")
+
     def test_unreadable_file(self, tmp_path):
         with pytest.raises(DataFormatError):
             load_dataset(tmp_path / "missing.jsonl")

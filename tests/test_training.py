@@ -14,10 +14,10 @@ import sirm.training as training_mod
 from sirm import tensor as T
 from sirm.evaluation import evaluate
 from sirm.model import (MODELS, ConfigError, SIRMConfig, init_nbow_params, init_sirm_params,
-                        seeded_make, sirm_forward)
+                        seeded_make, sirm_forward, sirm_loss)
 from sirm.text import DataFormatError, ParagraphGrid
 from sirm.training import (ADAM_BLOCK, Adam, CheckpointError, TrainConfig, TrainingError,
-                           load_checkpoint, save_checkpoint,
+                           best_epoch, load_checkpoint, save_checkpoint,
                            serialize_checkpoint, split_dev, train)
 
 from grids import stack_documents
@@ -280,6 +280,68 @@ class TestTrainLoop:
                                 TrainConfig(max_epochs=2, early_stop_patience=5))
         assert params.embedding.data.shape == (config.vocab_size, config.d_e)
         assert len(history) == 2
+
+
+    def test_nbow_train_bce_is_its_train_loss(self):
+        config = toy_config()
+        grids = toy_grids(config)
+        _, history = train(grids, grids, "nbow", config,
+                           TrainConfig(max_epochs=3, early_stop_patience=5, batch_size=4))
+        assert [r["train_bce"] for r in history] == [r["train_loss"] for r in history]
+
+    def test_sirm_train_bce_is_the_main_head_bce_before_the_first_step(self):
+        config = toy_config(lambda_adv=0.5)
+        grids = toy_grids(config)
+        tc = TrainConfig(max_epochs=1, batch_size=len(grids), seed=3)
+        _, history = train(grids, grids, "sirm", config, tc)
+        # the one batch of epoch 0, in train's shuffled order, on the seeded model
+        order = np.arange(len(grids))
+        np.random.default_rng(tc.seed).shuffle(order)
+        batch = grids[order]
+        params = MODELS["sirm"][0](config, seeded_make(tc.seed))
+        with T.no_grad():
+            trace = sirm_forward(batch, params, config)
+            bce = T.bce_loss(trace.y_prime, batch.label).item()
+            loss = sirm_loss(trace, batch.label).item()
+        assert history[0]["train_bce"] == pytest.approx(bce, rel=1e-12)
+        assert history[0]["train_loss"] == pytest.approx(loss, rel=1e-12)
+
+    def test_sirm_train_loss_holds_the_bce_plus_a_non_negative_ce(self):
+        config = toy_config()
+        grids = toy_grids(config, count=12, seed=5)
+        _, history = train(grids, grids, "sirm", config,
+                           TrainConfig(max_epochs=4, early_stop_patience=5, batch_size=4))
+        assert all(r["train_loss"] - r["train_bce"] >= 0 for r in history)
+
+
+def dev_scores(monkeypatch, scores):
+    """Make train's dev pass report the given macro-F1 values, one per epoch."""
+    reports = iter(scores)
+    monkeypatch.setattr(training_mod, "evaluate", lambda *args: (
+        {"accuracy": 0.5, "f1": 0.5, "macro_f1": next(reports)}, []))
+
+
+class TestBestEpoch:
+    def test_one_record_is_epoch_zero(self):
+        assert best_epoch([{"dev_macro_f1": 0.0}]) == 0
+
+    def test_a_tie_keeps_the_first_epoch(self):
+        history = [{"dev_macro_f1": f1} for f1 in (0.5, 0.7, 0.6, 0.7)]
+        assert best_epoch(history) == 1
+
+    def test_a_later_tie_does_not_reset_patience(self, monkeypatch):
+        config = toy_config()
+        grids = toy_grids(config)
+        tc = TrainConfig(max_epochs=2, early_stop_patience=2, batch_size=4)
+        dev_scores(monkeypatch, [0.5, 0.7])
+        at_best, _ = train(grids, grids, "sirm", config, tc)
+        dev_scores(monkeypatch, [0.5, 0.7, 0.7, 0.6, 0.9])
+        tc.max_epochs = 5
+        params, history = train(grids, grids, "sirm", config, tc)
+        assert len(history) == 4    # epoch 3 is two past epoch 1, the tie at 2 aside
+        for (name, got), (_, expected) in zip(params.named_tensors(),
+                                              at_best.named_tensors()):
+            assert np.array_equal(got.data, expected.data), name
 
 
 def test_split_dev_is_seeded_and_disjoint():
