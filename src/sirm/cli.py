@@ -114,19 +114,25 @@ def cmd_train(args):
     made_out_dir = not os.path.isdir(args.out_dir)
     os.makedirs(args.out_dir, exist_ok=True)
     history_path = os.path.join(args.out_dir, "history.jsonl")
+    # moved into place after the checkpoint and report, so the three files
+    # in an --out-dir always come from one run
+    partial_history = history_path + ".partial"
+    ckpt_path = os.path.join(args.out_dir, "best.ckpt")
     try:
         params, history = train(train_grids, dev_grids, args.model, sirm_cfg,
-                                train_cfg, history_path=history_path)
+                                train_cfg, history_path=partial_history)
+        report, _ = evaluate(args.model, params, sirm_cfg, dev_grids)
+        save_checkpoint(ckpt_path, args.model, sirm_cfg, params)
+        atomic_write_bytes(os.path.join(args.out_dir, "dev_metrics.json"),
+                           (json.dumps(report, indent=2) + "\n").encode("utf-8"))
     except Exception:
-        # a run that failed before its first epoch wrote nothing: leave no directory
+        # a failed run leaves the --out-dir as it found it
+        if os.path.exists(partial_history):
+            os.remove(partial_history)
         if made_out_dir and not os.listdir(args.out_dir):
             os.rmdir(args.out_dir)
         raise
-    ckpt_path = os.path.join(args.out_dir, "best.ckpt")
-    save_checkpoint(ckpt_path, args.model, sirm_cfg, params)
-    report, _ = evaluate(args.model, params, sirm_cfg, dev_grids)
-    atomic_write_bytes(os.path.join(args.out_dir, "dev_metrics.json"),
-                       (json.dumps(report, indent=2) + "\n").encode("utf-8"))
+    os.replace(partial_history, history_path)
     print(f"checkpoint: {ckpt_path}")
     print(f"epochs run: {len(history)}")
     best = history[best_epoch(history)]

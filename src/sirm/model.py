@@ -237,15 +237,14 @@ def dense_connect_pool(x_prime, u, g, weight, bias):
 
     x_prime and u are (..., L, d); g is the (..., |g|) skim vector of each
     document. weight stacks the row blocks [W_g; W_u; W_x]. The g term is one
-    product per document, reshaped to size-1 position axes and broadcast.
+    product per document, broadcast over its positions; the rest is one
+    affine_relu_mean node.
     """
     gw, du = g.data.shape[-1], u.data.shape[-1]
-    per_pos = T.add(T.matmul(x_prime, T.row_block(weight, gw + du, weight.data.shape[0])),
-                    T.matmul(u, T.row_block(weight, gw, gw + du)))
     per_doc = T.add(T.matmul(g, T.row_block(weight, 0, gw)), bias)
-    ones = (1,) * (x_prime.data.ndim - g.data.ndim)
-    shared = T.reshape(per_doc, g.data.shape[:-1] + ones + bias.data.shape)
-    return T.mean_pool(T.relu(T.add(per_pos, shared)))
+    return T.affine_relu_mean(
+        [(x_prime, T.row_block(weight, gw + du, weight.data.shape[0])),
+         (u, T.row_block(weight, gw, gw + du))], per_doc)
 
 
 def sirm_forward(grid, params, config, reverse_gradients=True):

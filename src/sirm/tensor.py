@@ -1,7 +1,8 @@
 """Minimal reverse-mode autodiff engine over dense numpy arrays.
 
 Only the primitives the models in model.py need: embedding lookup, matmul,
-rectified 1-D convolution, relu, sigmoid and softmax, mean pooling,
+rectified 1-D convolution, affine_relu_mean (a dense connection's rectified
+affine map and mean pooling in one node), sigmoid and softmax, mean pooling,
 concatenation, row block, reshape, broadcasting addition, gradient reversal,
 and the two loss heads. The convolution is in tap form: one product per tap
 projects every input row through it, and each output row sums the tap
@@ -22,8 +23,39 @@ makes a fresh sum the node owns. A rule that writes a gradient in place
 """
 
 import contextlib
+import ctypes
+import os
+import sys
 
 import numpy as np
+
+# glibc's mallopt parameters, from <malloc.h>
+_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3
+
+
+def _keep_freed_heap_mapped():
+    """On Linux with glibc, keep freed memory mapped for the next allocation.
+
+    A training step frees and reallocates arrays of the same sizes each step.
+    glibc's defaults hand large blocks back to the kernel (mmap, and heap
+    trimming), so every step would fault the same pages in again. Here blocks
+    under 32 MiB (the cap older glibc accepts) come from the heap, and the
+    heap is trimmed only past 256 MiB of free top. A no-op elsewhere.
+    Returns whether the policy was set.
+    """
+    if not sys.platform.startswith("linux"):
+        return False
+    try:
+        if not (os.confstr("CS_GNU_LIBC_VERSION") or "").startswith("glibc"):
+            return False
+    except ValueError:      # a libc without the name
+        return False
+    mallopt = ctypes.CDLL(None).mallopt
+    mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
+    return all([mallopt(_M_MMAP_THRESHOLD, 32 << 20), mallopt(_M_TRIM_THRESHOLD, 256 << 20)])
+
+
+_HEAP_KEPT_MAPPED = _keep_freed_heap_mapped()
 
 
 class ShapeError(ValueError):
@@ -196,10 +228,9 @@ def conv1d(x, w, b, padding="valid"):
     product buffer: each is added to every sequence in one shifted pass over
     the flat rows, after zeroing the rows of P outside the span it reads, so
     no sequence reads its neighbour's rows; valid output is the first L-h+1
-    rows of each sequence. The sum is then rectified in place, max(., 0), as
-    relu would. The backward rule first masks g with out > 0 (relu's rule: an
-    exact zero gets a zero gradient) and keeps shapes, spans and the output,
-    never P.
+    rows of each sequence. The sum is then rectified in place, max(., 0). The
+    backward rule first masks g with out > 0 (an exact zero gets a zero
+    gradient) and keeps shapes, spans and the output, never P.
     """
     if w.data.ndim != 3:
         raise ShapeError(f"conv1d weight must be rank 3, got {w.data.shape}")
@@ -259,15 +290,6 @@ def conv1d(x, w, b, padding="valid"):
     return _from_op(out_data, (x, w, b), bwd)
 
 
-def relu(x):
-    out_data = np.maximum(x.data, 0)
-
-    def bwd(g):
-        _accum(x, g * (x.data > 0))
-
-    return _from_op(out_data, (x,), bwd)
-
-
 def sigmoid(x):
     out_data = 1.0 / (1.0 + np.exp(-x.data))
 
@@ -300,6 +322,53 @@ def mean_pool(x):
         _accum(x, np.broadcast_to(g[..., None, :] / float(L), x.data.shape))
 
     return _from_op(out_data, (x,), bwd)
+
+
+def affine_relu_mean(terms, shared):
+    """Mean over the sequence axis of relu(sum_i x_i @ w_i + shared), as one node.
+
+    terms: (x_i, w_i) pairs, every x_i (..., L, d_i) with one leading shape
+    and w_i (d_i, d). shared: (P..., d) with P a prefix of the axes before L;
+    it gets size-1 axes up to L's rank and broadcasts over the rest. Forward
+    and backward make the numpy calls of the matmul, add, reshape, relu and
+    mean_pool chain they replace, in its order, so the values are its values;
+    the node keeps a bool mask of the pre-activation instead of the products,
+    their sums and the activation.
+    """
+    terms = list(terms)
+    if not terms or terms[0][0].data.ndim < 2 or shared.data.ndim < 1:
+        raise ShapeError("affine_relu_mean needs a term of rank >= 2 and a shared row")
+    seq_shape, d = terms[0][0].data.shape[:-1], shared.data.shape[-1]
+    lead = shared.data.shape[:-1]
+    if len(lead) >= len(seq_shape) or seq_shape[:len(lead)] != lead:
+        raise ShapeError(f"affine_relu_mean shared {shared.data.shape} "
+                         f"does not lead the inputs {seq_shape}")
+    for x, w in terms:
+        if (x.data.shape[:-1] != seq_shape or w.data.ndim != 2
+                or x.data.shape[-1] != w.data.shape[0] or w.data.shape[1] != d):
+            raise ShapeError(f"affine_relu_mean term {x.data.shape} x {w.data.shape} "
+                             f"with shared {shared.data.shape}")
+    pre_shape = seq_shape + (d,)
+    shared_shape = lead + (1,) * (len(seq_shape) - len(lead)) + (d,)
+    ones = tuple(i for i, (dp, ds) in enumerate(zip(pre_shape, shared_shape)) if ds != dp)
+    rows = [x.data.reshape(-1, x.data.shape[-1]) for x, _ in terms]
+    pre = (rows[0] @ terms[0][1].data).reshape(pre_shape)
+    for x2, (_, w) in zip(rows[1:], terms[1:]):
+        pre += (x2 @ w.data).reshape(pre_shape)
+    pre += shared.data.reshape(shared_shape)
+    mask = pre > 0
+    L = seq_shape[-1]
+    out_data = np.maximum(pre, 0, out=pre).sum(axis=-2) / float(L)
+
+    def bwd(g):
+        dpre = np.broadcast_to(g[..., None, :] / float(L), pre_shape) * mask
+        g2 = dpre.reshape(-1, d)
+        for x2, (x, w) in zip(rows, terms):
+            _accum(x, (g2 @ w.data.T).reshape(x.data.shape))
+            _accum(w, x2.T @ g2)
+        _accum(shared, dpre.sum(axis=ones, keepdims=True).reshape(shared.data.shape))
+
+    return _from_op(out_data, [t for term in terms for t in term] + [shared], bwd)
 
 
 def concat_lastaxis(parts):

@@ -148,11 +148,12 @@ def train(train_grids, dev_grids, model_kind, model_config, train_config,
             # a diverging step's overflow surfaces as the loss or dev-pass error
             with np.errstate(over="ignore", invalid="ignore"):
                 loss, bce = _batch_loss(prob_loss, batch, params, model_config)
-                if not np.isfinite(loss.item()):
+                losses.append(loss.item())
+                if not np.isfinite(losses[-1]):
                     raise TrainingError(f"non-finite loss in epoch {epoch}, batch {b_idx}")
                 T.backward(loss)
+                del loss    # frees this step's graph now, not once the next forward is built
                 optimizer.step()
-            losses.append(loss.item())
             bce_losses.append(bce)
 
         try:

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 import sirm
+import sirm.training as training_mod
 from sirm import tensor as T
 from sirm.cli import SIRM_FIELDS, TRAIN_FIELDS, _assemble, build_parser, main
 from sirm.model import ConfigError
@@ -147,6 +148,30 @@ class TestTrainEvalPredict:
         report = json.loads((out_dir / "dev_metrics.json").read_text())
         assert [report[key] for key in ("accuracy", "f1", "macro_f1")] == \
             [kept[key] for key in ("dev_acc", "dev_f1", "dev_macro_f1")]
+
+    def test_failed_rerun_leaves_the_earlier_runs_files(self, workspace, monkeypatch):
+        tmp_path, data, config = workspace
+        vocab = build_vocab(tmp_path, data)
+        out_dir = tmp_path / "run"
+        argv = ["train", "--train", str(data), "--dev", str(data), "--vocab", str(vocab),
+                "--out-dir", str(out_dir), "--config", str(config), "--max-epochs", "5"]
+        assert main(argv) == 0
+        names = ["best.ckpt", "dev_metrics.json", "history.jsonl"]
+        before = {name: (out_dir / name).read_bytes() for name in names}
+        dev_pass = training_mod.evaluate
+        calls = []
+
+        def failing_at_epoch_2(*args, **kwargs):
+            calls.append(None)
+            if len(calls) == 3:
+                raise FloatingPointError("non-finite probability")
+            return dev_pass(*args, **kwargs)
+
+        monkeypatch.setattr(training_mod, "evaluate", failing_at_epoch_2)
+        assert main(argv) == 3
+        assert len(calls) == 3
+        assert sorted(os.listdir(out_dir)) == names
+        assert {name: (out_dir / name).read_bytes() for name in names} == before
 
     def test_nbow_model_flag(self, workspace):
         tmp_path, data, config = workspace

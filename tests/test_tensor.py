@@ -243,8 +243,8 @@ class TestConv1d:
 @settings(max_examples=20, deadline=None)
 @given(src_windows=st.lists(st.integers(1, 6), min_size=1, max_size=4, unique=True))
 def test_sirm_graph_rectifies_only_its_dense_connections(src_windows):
-    # every convolution is rectified inside its own node; relu is left for
-    # the dense connection of each level
+    # every convolution is rectified inside its own node, and so is the dense
+    # connection of each level: no separate relu node is left
     config = SIRMConfig(vocab_size=12, d_e=4, d_c=4, src_windows=src_windows, k=1,
                         d_ns=4, d_np=4, d_as=4, d_ap=4, m=2, n=3)
     params = init_sirm_params(config, seed=0)
@@ -253,14 +253,12 @@ def test_sirm_graph_rectifies_only_its_dense_connections(src_windows):
     loss = sirm_loss(sirm_forward(grid, params, config), grid.label)
     rules = [node._backward.__qualname__ for node in T.Graph.trace(loss).nodes
              if node._backward is not None]
-    assert sum(rule.startswith("relu.") for rule in rules) == 2
+    assert sum(rule.startswith("affine_relu_mean.") for rule in rules) == 2
+    assert not any(rule.startswith("relu.") for rule in rules)
     assert sum(rule.startswith("conv1d.") for rule in rules) == len(src_windows) + 2
 
 
 class TestElementwise:
-    def test_relu(self):
-        assert np.array_equal(T.relu(t64([-1, 0, 2])).data, [0, 0, 2])
-
     def test_sigmoid_symmetry(self):
         assert T.sigmoid(t64(0.0)).item() == 0.5
 
@@ -276,6 +274,92 @@ class TestElementwise:
         np.testing.assert_allclose(s.data.sum(axis=-1), 1.0, atol=1e-9)
         shifted = T.softmax_lastaxis(t64(x + 3.7))
         np.testing.assert_allclose(s.data, shifted.data, atol=1e-9)
+
+
+def dense_chain(xs, ws, shared, g):
+    """The matmul, add, reshape, relu and mean_pool chain affine_relu_mean
+    replaced, as the numpy calls of those ops' forward and backward rules:
+    (out, dxs, dws, dshared) for upstream gradient g."""
+    d = shared.shape[-1]
+    seq_shape = xs[0].shape[:-1]
+    rows = [x.reshape(-1, x.shape[-1]) for x in xs]
+    per_pos = (rows[0] @ ws[0]).reshape(seq_shape + (d,))
+    for x2, w in zip(rows[1:], ws[1:]):
+        per_pos = per_pos + (x2 @ w).reshape(seq_shape + (d,))
+    ones = (1,) * (len(seq_shape) + 1 - shared.ndim)
+    shared_b = shared.reshape(shared.shape[:-1] + ones + (d,))
+    pre = per_pos + shared_b
+    act = np.maximum(pre, 0)
+    L = act.shape[-2]
+    out = act.sum(axis=-2) / float(L)
+    g_pre = np.broadcast_to(g[..., None, :] / float(L), act.shape) * (pre > 0)
+    axes = tuple(i for i, (da, db) in enumerate(zip(pre.shape, shared_b.shape)) if db != da)
+    dshared = g_pre.sum(axis=axes, keepdims=True).reshape(shared.shape)
+    g2 = g_pre.reshape(-1, d)
+    dxs = [(g2 @ w.T).reshape(x.shape) for x, w in zip(xs, ws)]
+    dws = [x2.T @ g2 for x2 in rows]
+    return out, dxs, dws, dshared
+
+
+class TestAffineReluMean:
+    def test_rectifies_then_pools(self):
+        x = t64([[-1.0], [0.0], [2.0]])
+        out = T.affine_relu_mean([(x, t64([[1.0]]))], t64([0.5]))
+        assert np.array_equal(out.data, [(0.0 + 0.5 + 2.5) / 3])
+
+    @settings(max_examples=60, deadline=None)
+    @given(lead=st.lists(st.integers(1, 3), max_size=2), mid=st.lists(st.integers(1, 3), max_size=1),
+           n=st.integers(1, 5), widths=st.lists(st.integers(1, 4), min_size=1, max_size=3),
+           d=st.integers(1, 4), seed=st.integers(0, 2**16))
+    def test_float32_bit_identical_to_the_chain(self, lead, mid, n, widths, d, seed):
+        rng = np.random.default_rng(seed)
+
+        def f32(*shape):
+            return rng.normal(size=shape).astype(np.float32)
+
+        xs = [f32(*lead, *mid, n, k) for k in widths]
+        ws = [f32(k, d) for k in widths]
+        shared = f32(*lead, d)
+        g = f32(*lead, *mid, d)
+        x_ts = [T.Tensor(x, requires_grad=True) for x in xs]
+        w_ts = [T.Tensor(w, requires_grad=True) for w in ws]
+        shared_t = T.Tensor(shared, requires_grad=True)
+        out = T.affine_relu_mean(list(zip(x_ts, w_ts)), shared_t)
+        out._backward(g)
+        expected, dxs, dws, dshared = dense_chain(xs, ws, shared, g)
+        for got, want in [(out.data, expected), (shared_t.grad, dshared),
+                          *zip([t.grad for t in x_ts], dxs), *zip([t.grad for t in w_ts], dws)]:
+            assert got.dtype == want.dtype == np.float32
+            assert got.tobytes() == want.tobytes()
+
+    def test_keeps_a_mask_not_the_activation(self):
+        x = t64(np.ones((4, 6, 3)), requires_grad=True)
+        out = T.affine_relu_mean([(x, t64(np.ones((3, 5))))], t64(np.zeros((4, 5))))
+        cells = [c.cell_contents for c in out._backward.__closure__]
+        held = [c for c in cells if isinstance(c, np.ndarray) and c.shape == (4, 6, 5)]
+        assert [a.dtype for a in held] == [np.bool_]
+
+    @pytest.mark.parametrize("x_shape, w_shape, shared_shape", [
+        ((2, 3), (4, 3), (3,)),         # x width is not w's rows
+        ((2, 3), (3, 3), (4,)),         # shared width is not w's columns
+        ((2, 3), (3, 3), (2, 3)),       # shared leads over the sequence axis
+        ((2, 4, 3), (3, 3), (3, 3)),    # shared's leading axes are not the inputs'
+        ((3,), (3, 3), (3,)),           # no sequence axis
+        ((2, 3), (3,), (3,)),           # weight not rank 2
+        ((2, 3), (3, 3), ()),           # shared is a scalar
+    ])
+    def test_shape_mismatch_rejected(self, x_shape, w_shape, shared_shape):
+        with pytest.raises(T.ShapeError, match="affine_relu_mean"):
+            T.affine_relu_mean([(t64(np.zeros(x_shape)), t64(np.zeros(w_shape)))],
+                               t64(np.zeros(shared_shape)))
+
+    def test_terms_must_share_their_positions(self):
+        w = t64(np.zeros((3, 2)))
+        with pytest.raises(T.ShapeError, match="affine_relu_mean"):
+            T.affine_relu_mean([(t64(np.zeros((2, 3))), w), (t64(np.zeros((4, 3))), w)],
+                               t64(np.zeros(2)))
+        with pytest.raises(T.ShapeError, match="affine_relu_mean"):
+            T.affine_relu_mean([], t64(np.zeros(2)))
 
 
 class TestMeanPool:
@@ -464,7 +548,7 @@ class TestNoGrad:
         with pytest.raises(ValueError):
             with T.no_grad():
                 raise ValueError("inside")
-        assert T.relu(x)._parents == (x,)
+        assert T.sigmoid(x)._parents == (x,)
 
 
 class TestAdd:
@@ -608,9 +692,10 @@ class TestFiniteDiff:
         # grad accumulated twice by finite_diff_check's own run plus this one
         np.testing.assert_allclose(x.grad[-2:], [4.0, 8.0])
 
-    def test_relu_sum_away_from_kinks(self):
-        x = t64([1.0, -2.0, 0.5], requires_grad=True)
-        assert T.finite_diff_check(lambda v: total(T.relu(v)), x) < 1e-10
+    def test_affine_relu_mean_away_from_kinks(self):
+        x = t64([[1.0], [-2.0], [0.5]], requires_grad=True)
+        f = lambda v: total(T.affine_relu_mean([(v, t64([[1.0]]))], t64([0.0])))
+        assert T.finite_diff_check(f, x) < 1e-10
 
 
 def finite_difference_cases():
@@ -620,7 +705,6 @@ def finite_difference_cases():
             requires_grad=True)
 
     cases = [
-        ("relu", x, lambda v: total(T.relu(v))),
         ("sigmoid", x, lambda v: total(T.sigmoid(v))),
         # weighted sum: plain sum of softmax rows is constant (zero gradient)
         ("softmax_lastaxis", x, lambda v: total(T.matmul(T.softmax_lastaxis(v),
@@ -643,9 +727,16 @@ def finite_difference_cases():
     table = t64(rng.normal(size=(6, 4)), requires_grad=True)
     ids = rng.integers(0, 6, size=(2, 5))
     labels = rng.integers(0, 2, size=(2, 5))
+    u3 = t64(rng.normal(size=(2, 5, 2)), requires_grad=True)
+    w_u = t64(rng.normal(size=(2, 3)), requires_grad=True)
+    shared = t64(rng.normal(size=(2, 3)), requires_grad=True)
+    row = t64(rng.normal(size=3))
 
     def smooth(out):
         return total(T.sigmoid(out))
+
+    def dense(x_=x3, m_=m, u_=u3, w_u_=w_u, shared_=shared):
+        return smooth(T.affine_relu_mean([(x_, m_), (u_, w_u_)], shared_))
 
     cases += [
         ("conv1d", x3, lambda v: smooth(T.conv1d(v, w, b, padding="same_zero"))),
@@ -665,6 +756,13 @@ def finite_difference_cases():
         ("row_block", stacked, lambda v: smooth(T.add(T.matmul(x3, T.row_block(v, 0, 4)),
                                                       T.matmul(x3, T.row_block(v, 3, 7))))),
         ("embedding_lookup", table, lambda v: smooth(T.embedding_lookup(v, ids))),
+        ("affine_relu_mean", x3, lambda v: dense(x_=v)),
+        ("affine_relu_mean", m, lambda v: dense(m_=v)),
+        ("affine_relu_mean", u3, lambda v: dense(u_=v)),
+        ("affine_relu_mean", w_u, lambda v: dense(w_u_=v)),
+        ("affine_relu_mean", shared, lambda v: dense(shared_=v)),
+        # one term, a rank-2 sequence and a shared row with no leading axes
+        ("affine_relu_mean", x, lambda v: total(T.affine_relu_mean([(v, m)], row))),
         ("bce_loss", x3, lambda v: T.bce_loss(T.sigmoid(T.mean_pool(v)), labels[:, :4])),
         ("nll_loss", x3, lambda v: T.nll_loss(T.softmax_lastaxis(v), labels)),
     ]
