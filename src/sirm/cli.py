@@ -185,11 +185,14 @@ def run_grad_check(config, seed=7):
     Runs with the gradient-reversal node bypassed: reversal makes analytic
     gradients upstream of the skim features differ from the loss derivative
     on purpose, so its backward rule is verified separately and exactly.
-    Returns (max error, {name: error}); 64-bit throughout.
+    With m >= 2 the grid's last sentence repeats its first, so the sum over
+    a sentence's copies is checked too. Returns (max error, {name: error});
+    64-bit throughout.
     """
     rng = np.random.default_rng(seed)
     params = init_sirm_params(config, seed=seed, dtype=np.float64)
     ids = rng.integers(2, config.vocab_size, size=(config.m, config.n))
+    ids[-1] = ids[0]
     grid = ParagraphGrid(ids, label=1)
 
     def loss(_t):

@@ -8,9 +8,11 @@ convolution, and g, through one ReLU affine layer followed by mean pooling.
 That layer is split by input, W_x x'_j + W_u u_j per position plus W_g g + b
 once per document and broadcast over its positions, with W_g, W_u and W_x
 the row blocks [g; u; x'] of one stored weight. Both levels use the same two
-functions: the sentence level runs them once on the (m, n, d_e) grid, every
-sentence along the leading axis, and the paragraph level once on the
-(m, d_as) sentence vectors. An auxiliary two-class head reads g through a
+functions. A sentence's encoding depends only on its own token ids until the
+W_g g + b term, so the sentence level runs them once on the distinct
+sentences of the batch, (U, n, d_e), and gathers the products to every copy
+before that term; the paragraph level runs them once on the (m, d_as)
+sentence vectors. An auxiliary two-class head reads g through a
 gradient-reversal node so that training-set-specific skim features are
 suppressed. Every function takes leading batch axes: a document, a batch
 and a split are one ParagraphGrid of (..., m, n) ids, and a training step
@@ -174,11 +176,14 @@ def init_sirm_params(config, seed=0, dtype=np.float32):
 
 @dataclass
 class ForwardTrace:
-    """Intermediate activations of one forward pass; each is a node of its graph."""
+    """Intermediate activations of one forward pass; each tensor is a node of
+    its graph. The sentence level holds distinct sentences: grid sentence i of
+    a document is row sentence_rows[..., i] of s_prime and u_sent."""
 
-    s_prime: T.Tensor    # (..., m, n, d_e)
+    s_prime: T.Tensor    # (U, n, d_e), the U distinct sentences of the grid
+    sentence_rows: np.ndarray   # (..., m), each sentence's row of s_prime
     g: T.Tensor          # (..., |g|)
-    u_sent: T.Tensor     # (..., m, n, d_ns)
+    u_sent: T.Tensor     # (U, n, d_ns)
     o_sent: T.Tensor     # (..., m, d_as)
     o_prime: T.Tensor    # (..., m, d_as)
     u_para: T.Tensor     # (..., m, d_np)
@@ -232,19 +237,20 @@ def near_neighbor_encode(x, weight, bias, k):
     return T.conv1d(x, weight, bias, padding="same_zero")
 
 
-def dense_connect_pool(x_prime, u, g, weight, bias):
+def dense_connect_pool(x_prime, u, g, weight, bias, rows=None):
     """Per position: relu(W_x x'_j + W_u u_j + (W_g g + b)), then mean over positions.
 
-    x_prime and u are (..., L, d); g is the (..., |g|) skim vector of each
-    document. weight stacks the row blocks [W_g; W_u; W_x]. The g term is one
-    product per document, broadcast over its positions; the rest is one
-    affine_relu_mean node.
+    x_prime and u are (..., L, d) or, given rows, distinct rows (U, L, d)
+    that the int array rows (..., m) maps to m sequences per document; g is
+    the (..., |g|) skim vector of each document. weight stacks the row blocks
+    [W_g; W_u; W_x]. The g term is one product per document, broadcast over
+    its positions; the rest is one affine_relu_mean node.
     """
     gw, du = g.data.shape[-1], u.data.shape[-1]
     per_doc = T.add(T.matmul(g, T.row_block(weight, 0, gw)), bias)
     return T.affine_relu_mean(
         [(x_prime, T.row_block(weight, gw + du, weight.data.shape[0])),
-         (u, T.row_block(weight, gw, gw + du))], per_doc)
+         (u, T.row_block(weight, gw, gw + du))], per_doc, rows)
 
 
 def sirm_forward(grid, params, config, reverse_gradients=True):
@@ -260,11 +266,17 @@ def sirm_forward(grid, params, config, reverse_gradients=True):
     s_flat = embed_paragraph(grid, params, config)          # (..., m*n, d_e)
     g = skim_forward(s_flat, params, config)                # (..., |g|)
 
-    s_prime = T.reshape(s_flat, lead + (m, n, config.d_e))
+    # each distinct sentence once: repeats and all-PAD rows collapse. Viewing
+    # a sentence's ids as one opaque key sorts them faster than axis=0 does.
+    sentences = np.ascontiguousarray(grid.token_ids).reshape(-1, n)
+    keys = sentences.view(np.dtype((np.void, sentences.strides[0]))).reshape(-1)
+    _, first, rows = np.unique(keys, return_index=True, return_inverse=True)
+    rows = rows.reshape(lead + (m,))
+    s_prime = T.gather_rows(T.reshape(s_flat, (-1, n, config.d_e)), first)   # (U, n, d_e)
     nb_w, nb_b = params.sent_neighbor
-    u_sent = near_neighbor_encode(s_prime, nb_w, nb_b, config.k)   # (..., m, n, d_ns)
+    u_sent = near_neighbor_encode(s_prime, nb_w, nb_b, config.k)   # (U, n, d_ns)
     ds_w, ds_b = params.sent_dense
-    o_sent = dense_connect_pool(s_prime, u_sent, g, ds_w, ds_b)     # (..., m, d_as)
+    o_sent = dense_connect_pool(s_prime, u_sent, g, ds_w, ds_b, rows)   # (..., m, d_as)
     pos_m = positional_encoding(m, config.d_as, dtype)
     o_prime = T.add(o_sent, pos_m)                           # (..., m, d_as)
 
@@ -283,6 +295,7 @@ def sirm_forward(grid, params, config, reverse_gradients=True):
 
     return ForwardTrace(
         s_prime=s_prime,
+        sentence_rows=rows,
         g=g,
         u_sent=u_sent,
         o_sent=o_sent,

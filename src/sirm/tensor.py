@@ -1,18 +1,20 @@
 """Minimal reverse-mode autodiff engine over dense numpy arrays.
 
-Only the primitives the models in model.py need: embedding lookup, matmul,
-rectified 1-D convolution, affine_relu_mean (a dense connection's rectified
-affine map and mean pooling in one node), sigmoid and softmax, mean pooling,
-concatenation, row block, reshape, broadcasting addition, gradient reversal,
-and the two loss heads. The convolution is in tap form: one product per tap
-projects every input row through it, and each output row sums the tap
-products of the input rows it covers, so boundary padding is skipped, never
-built; its ReLU is applied in place, inside the same node. Every op accepts
-leading batch axes (features on axis -1, the sequence on axis -2; add
-broadcasts its second operand over them) and the losses return batch means.
-Graphs are built through parent links, except inside `no_grad()`;
-backward() walks a fresh topological order and drops each op node's
-gradient and rule once the rule has run, so it runs once. Parent links and
+Only the primitives the models in model.py need: embedding lookup, a gather
+of distinct rows, matmul, rectified 1-D convolution, affine_relu_mean (a
+dense connection's rectified affine map and mean pooling in one node, whose
+products can run once per distinct row and be gathered to every copy),
+sigmoid and softmax, mean pooling, concatenation, row block, reshape,
+broadcasting addition, gradient reversal, and the two loss heads. The
+convolution is in tap form: one product per tap projects every input row
+through it, and each output row sums the tap products of the input rows it
+covers, so boundary padding is skipped, never built; its ReLU is applied in
+place, inside the same node. Every op accepts leading batch axes (features
+on axis -1, the sequence on axis -2; add broadcasts its second operand over
+them) and the losses return batch means. Graphs are built through parent
+links, except inside `no_grad()`; backward() walks a fresh topological
+order and drops each op node's gradient and rule once the rule has run, so
+it runs once. Parent links and
 data stay until the caller drops the loss. A leaf's first gradient is copied
 into a new buffer of the leaf's own dtype and layout, never aliasing the
 upstream array; later ones are added to it in place. An op node's gradient
@@ -324,37 +326,66 @@ def mean_pool(x):
     return _from_op(out_data, (x,), bwd)
 
 
-def affine_relu_mean(terms, shared):
+def _sum_copies(g, rows, copies):
+    """Row u of the result is the sum of g's rows i with rows[i] == u, where
+    every u has copies[u] >= 1 of them: a gather of each row's first copy, then
+    one sum for each row with more."""
+    order = np.argsort(rows, kind="stable")
+    starts = np.cumsum(copies) - copies
+    out = g[order[starts]]
+    for u in np.flatnonzero(copies > 1):
+        out[u] = g[order[starts[u]:starts[u] + copies[u]]].sum(axis=0)
+    return out
+
+
+def affine_relu_mean(terms, shared, rows=None):
     """Mean over the sequence axis of relu(sum_i x_i @ w_i + shared), as one node.
 
     terms: (x_i, w_i) pairs, every x_i (..., L, d_i) with one leading shape
     and w_i (d_i, d). shared: (P..., d) with P a prefix of the axes before L;
-    it gets size-1 axes up to L's rank and broadcasts over the rest. Forward
-    and backward make the numpy calls of the matmul, add, reshape, relu and
-    mean_pool chain they replace, in its order, so the values are its values;
-    the node keeps a bool mask of the pre-activation instead of the products,
-    their sums and the activation.
+    it gets size-1 axes up to L's rank and broadcasts over the rest. Without
+    rows, forward and backward make the numpy calls of the matmul, add,
+    reshape, relu and mean_pool chain they replace, in its order, so the
+    values are its values; the node keeps a bool mask of the pre-activation
+    instead of the products, their sums and the activation.
+
+    rows: an optional int array that maps onto every row of the terms' first
+    axis. The terms then stand for x_i[rows], of shape rows.shape +
+    x_i.shape[1:]: the products run once per row and are gathered to every
+    copy before shared is added, and backward sums each row's copies before
+    the products.
     """
     terms = list(terms)
-    if not terms or terms[0][0].data.ndim < 2 or shared.data.ndim < 1:
-        raise ShapeError("affine_relu_mean needs a term of rank >= 2 and a shared row")
-    seq_shape, d = terms[0][0].data.shape[:-1], shared.data.shape[-1]
+    if not terms or shared.data.ndim < 1:
+        raise ShapeError("affine_relu_mean needs a term and a shared row")
+    term_shape, d = terms[0][0].data.shape[:-1], shared.data.shape[-1]
+    seq_shape, copies = term_shape, None
+    if rows is not None:
+        rows = np.asarray(rows)
+        valid = bool(term_shape) and rows.dtype.kind == "i" and not (rows < 0).any()
+        copies = np.bincount(rows.reshape(-1)) if valid else None
+        if copies is None or copies.size != term_shape[0] or not copies.all():
+            raise ShapeError(f"affine_relu_mean rows {rows.shape} do not map onto "
+                             f"every row of the terms {term_shape}")
+        seq_shape = rows.shape + term_shape[1:]
     lead = shared.data.shape[:-1]
     if len(lead) >= len(seq_shape) or seq_shape[:len(lead)] != lead:
         raise ShapeError(f"affine_relu_mean shared {shared.data.shape} "
                          f"does not lead the inputs {seq_shape}")
     for x, w in terms:
-        if (x.data.shape[:-1] != seq_shape or w.data.ndim != 2
+        if (x.data.shape[:-1] != term_shape or w.data.ndim != 2
                 or x.data.shape[-1] != w.data.shape[0] or w.data.shape[1] != d):
             raise ShapeError(f"affine_relu_mean term {x.data.shape} x {w.data.shape} "
                              f"with shared {shared.data.shape}")
     pre_shape = seq_shape + (d,)
     shared_shape = lead + (1,) * (len(seq_shape) - len(lead)) + (d,)
     ones = tuple(i for i, (dp, ds) in enumerate(zip(pre_shape, shared_shape)) if ds != dp)
-    rows = [x.data.reshape(-1, x.data.shape[-1]) for x, _ in terms]
-    pre = (rows[0] @ terms[0][1].data).reshape(pre_shape)
-    for x2, (_, w) in zip(rows[1:], terms[1:]):
-        pre += (x2 @ w.data).reshape(pre_shape)
+    flat = [x.data.reshape(-1, x.data.shape[-1]) for x, _ in terms]
+    pre = (flat[0] @ terms[0][1].data).reshape(term_shape + (d,))
+    for x2, (_, w) in zip(flat[1:], terms[1:]):
+        pre += (x2 @ w.data).reshape(term_shape + (d,))
+    if rows is not None:
+        pre = pre[rows]
     pre += shared.data.reshape(shared_shape)
     mask = pre > 0
     L = seq_shape[-1]
@@ -362,8 +393,10 @@ def affine_relu_mean(terms, shared):
 
     def bwd(g):
         dpre = np.broadcast_to(g[..., None, :] / float(L), pre_shape) * mask
-        g2 = dpre.reshape(-1, d)
-        for x2, (x, w) in zip(rows, terms):
+        g2 = (dpre if rows is None else
+              _sum_copies(dpre.reshape(rows.size, -1), rows.reshape(-1), copies))
+        g2 = g2.reshape(-1, d)
+        for x2, (x, w) in zip(flat, terms):
             _accum(x, (g2 @ w.data.T).reshape(x.data.shape))
             _accum(w, x2.T @ g2)
         _accum(shared, dpre.sum(axis=ones, keepdims=True).reshape(shared.data.shape))
@@ -445,6 +478,25 @@ def row_block(w, start, stop):
         _own_grad(w)[start:stop] += g
 
     return _from_op(out_data, (w,), bwd)
+
+
+def gather_rows(x, index):
+    """Rows x[index] of x's first axis for distinct indices; backward assigns g
+    into those rows of a zero gradient."""
+    index = np.asarray(index)
+    valid = (x.data.ndim >= 1 and index.ndim == 1 and index.dtype.kind == "i"
+             and not (index < 0).any())
+    copies = np.bincount(index, minlength=len(x.data)) if valid else None
+    if copies is None or copies.size != len(x.data) or copies.max(initial=0) > 1:
+        raise ShapeError(f"gather_rows needs distinct row indices of shape {x.data.shape}")
+    out_data = x.data[index]
+
+    def bwd(g):
+        grad = np.zeros(x.data.shape, g.dtype)
+        grad[index] = g
+        _accum(x, grad)
+
+    return _from_op(out_data, (x,), bwd)
 
 
 def embedding_lookup(table, ids):

@@ -67,12 +67,14 @@ def tokenize(text):
 def segment_sentences(tokens, n):
     """Split a token list into sentences of at most n tokens.
 
-    Splits after sentence-final punctuation; any longer run is chunked into
-    consecutive length-n pieces.
+    Splits after sentence-final punctuation, once after a run of marks such
+    as "!!!" or "?!"; any longer sentence is chunked into consecutive
+    length-n pieces.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    ends = [i + 1 for i, tok in enumerate(tokens) if tok in SENTENCE_FINAL]
+    ends = [i + 1 for i, tok in enumerate(tokens) if tok in SENTENCE_FINAL
+            and (i + 1 == len(tokens) or tokens[i + 1] not in SENTENCE_FINAL)]
     if not ends or ends[-1] != len(tokens):
         ends.append(len(tokens))
     sentences = []

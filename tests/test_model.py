@@ -10,7 +10,7 @@ from sirm.model import (ConfigError, SIRMConfig, dense_connect_pool,
                         embed_paragraph, init_nbow_params, init_sirm_params,
                         near_neighbor_encode, param_count, positional_encoding,
                         sirm_forward, sirm_loss, skim_forward)
-from sirm.text import ParagraphGrid
+from sirm.text import PAD_ID, ParagraphGrid
 
 from grids import stack_documents
 from test_tensor import total
@@ -289,11 +289,14 @@ class TestSIRMForward:
             n=int(rng.integers(2, 6)),
         )
         params = init_sirm_params(config, seed=seed)
-        trace = sirm_forward(random_grid(config, seed=seed), params, config)
+        grid = random_grid(config, seed=seed)
+        trace = sirm_forward(grid, params, config)
         m, n = config.m, config.n
-        assert trace.s_prime.data.shape == (m, n, config.d_e)
+        distinct = len(np.unique(grid.token_ids, axis=0))
+        assert trace.s_prime.data.shape == (distinct, n, config.d_e)
+        assert trace.sentence_rows.shape == (m,)
         assert trace.g.data.shape == (config.g_width,)
-        assert trace.u_sent.data.shape == (m, n, config.d_ns)
+        assert trace.u_sent.data.shape == (distinct, n, config.d_ns)
         assert trace.o_sent.data.shape == (m, config.d_as)
         assert trace.o_prime.data.shape == (m, config.d_as)
         assert trace.u_para.data.shape == (m, config.d_np)
@@ -319,16 +322,24 @@ class TestSIRMForward:
     @pytest.mark.parametrize("seed", range(3))
     def test_sentence_level_matches_per_sentence_oracles(self, seed):
         rng = np.random.default_rng(100 + seed)
-        m, n, k = (int(v) for v in rng.integers([1, 2, 1], [6, 7, 3], endpoint=True))
+        m, n, k = (int(v) for v in rng.integers([3, 2, 1], [6, 7, 3], endpoint=True))
         config = toy_config(m=m, n=n, k=k, d_ns=3, d_as=4)
         params = init_sirm_params(config, seed=seed, dtype=np.float64)
-        trace = sirm_forward(random_grid(config, seed=seed), params, config)
+        ids = random_grid(config, seed=seed).token_ids
+        ids[1] = PAD_ID             # an all-PAD sentence
+        ids[-1] = ids[0]            # a repeated sentence
+        trace = sirm_forward(ParagraphGrid(ids, label=1), params, config)
+        assert len(trace.s_prime.data) == m - 1
+        assert trace.sentence_rows[0] == trace.sentence_rows[-1]
+        pos = positional_encoding(n, config.d_e, np.float64).data
         nb_w, nb_b = (t.data for t in params.sent_neighbor)
         ds_w, ds_b = (t.data for t in params.sent_dense)
         for i in range(m):
-            x_i = trace.s_prime.data[i]
+            row = trace.sentence_rows[i]
+            x_i = trace.s_prime.data[row]
+            np.testing.assert_array_equal(x_i, params.embedding.data[ids[i]] + pos)
             u_i = neighbor_oracle(x_i, nb_w, nb_b, k)
-            np.testing.assert_allclose(trace.u_sent.data[i], u_i, rtol=0, atol=1e-12)
+            np.testing.assert_allclose(trace.u_sent.data[row], u_i, rtol=0, atol=1e-12)
             np.testing.assert_allclose(
                 trace.o_sent.data[i],
                 dense_pool_oracle(x_i, u_i, trace.g.data, ds_w, ds_b),
@@ -488,6 +499,25 @@ class TestSIRMLoss:
         for i, got in enumerate(batched):
             expected = np.mean([single[i] for single in singles], axis=0)
             np.testing.assert_allclose(got, expected, rtol=0, atol=1e-10)
+
+    def test_batch_with_repeated_and_empty_sentences_passes_finite_difference(self):
+        # a sentence repeated within and across documents and all-PAD rows:
+        # every parameter's gradient sums over each distinct sentence's copies
+        config = toy_config(m=3, n=3)
+        params = init_sirm_params(config, seed=21, dtype=np.float64)
+        ids = np.array([[[2, 3, 4], [5, 6, 0], [2, 3, 4]],
+                        [[5, 6, 0], [0, 0, 0], [0, 0, 0]],
+                        [[7, 8, 9], [2, 3, 4], [0, 0, 0]]])
+        grid = ParagraphGrid(ids, np.array([1, 0, 1]))
+
+        def loss(_t):
+            T.zero_grads(params.tensors())
+            trace = sirm_forward(grid, params, config, reverse_gradients=False)
+            return sirm_loss(trace, grid.label)
+
+        assert len(sirm_forward(grid, params, config).s_prime.data) == 4
+        for name, t in params.named_tensors():
+            assert T.finite_diff_check(loss, t) < 1e-4, name
 
     def test_bad_label_rejected(self):
         config = toy_config()

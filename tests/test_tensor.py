@@ -361,6 +361,73 @@ class TestAffineReluMean:
         with pytest.raises(T.ShapeError, match="affine_relu_mean"):
             T.affine_relu_mean([], t64(np.zeros(2)))
 
+    @pytest.mark.parametrize("rows", [
+        np.array([0, 2]),               # row 1 has no copy
+        np.array([0, 1, 3]),            # row 3 does not exist
+        np.array([0, -1, 1, 2]),        # negative
+        np.array([0.0, 1.0, 2.0]),      # not integers
+    ])
+    def test_rows_must_map_onto_every_term_row(self, rows):
+        with pytest.raises(T.ShapeError, match="affine_relu_mean rows"):
+            T.affine_relu_mean([(t64(np.zeros((3, 2, 4))), t64(np.zeros((4, 5))))],
+                               t64(np.zeros(5)), rows)
+
+    @settings(max_examples=80, deadline=None)
+    @given(lead=st.lists(st.integers(1, 4), min_size=1, max_size=2), n=st.integers(1, 4),
+           widths=st.lists(st.integers(1, 3), min_size=1, max_size=2), d=st.integers(1, 4),
+           rows_kind=st.sampled_from(["distinct", "one", "repeats"]), data=st.data())
+    def test_row_map_is_the_function_of_the_gathered_terms(self, lead, n, widths, d,
+                                                            rows_kind, data):
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**16)))
+        size = int(np.prod(lead))
+        if rows_kind == "distinct":
+            rows = rng.permutation(size)
+        elif rows_kind == "one":
+            rows = np.zeros(size, dtype=np.int64)
+        else:
+            distinct = int(rng.integers(1, size + 1))
+            rows = np.concatenate([np.arange(distinct),
+                                   rng.integers(0, distinct, size - distinct)])
+            rng.shuffle(rows)
+        rows = rows.reshape(lead)
+        xs = [rng.normal(size=(rows.max() + 1, n, k)) for k in widths]
+        ws = [rng.normal(size=(k, d)) for k in widths]
+        shared = rng.normal(size=tuple(lead[:data.draw(st.integers(0, len(lead)))]) + (d,))
+        g = rng.normal(size=tuple(lead) + (d,))
+
+        def run(xs, rows=None):
+            x_ts = [t64(x, requires_grad=True) for x in xs]
+            w_ts = [t64(w, requires_grad=True) for w in ws]
+            shared_t = t64(shared, requires_grad=True)
+            out = T.affine_relu_mean(list(zip(x_ts, w_ts)), shared_t, rows)
+            out._backward(g)
+            return out.data, [t.grad for t in x_ts], [t.grad for t in w_ts], shared_t.grad
+
+        mapped = run(xs, rows)
+        full = run([x[rows] for x in xs])
+        summed = []
+        for x, dx in zip(xs, full[1]):
+            expected = np.zeros_like(x)
+            np.add.at(expected, rows.reshape(-1), dx.reshape((-1,) + x.shape[1:]))
+            summed.append(expected)
+        for got, want in [(mapped[0], full[0]), (mapped[3], full[3]),
+                          *zip(mapped[1], summed), *zip(mapped[2], full[2])]:
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+
+
+class TestGatherRows:
+    def test_rows_and_assigned_gradient(self):
+        x = t64(np.arange(12.0).reshape(4, 3), requires_grad=True)
+        out = T.gather_rows(x, np.array([2, 0]))
+        assert np.array_equal(out.data, [[6, 7, 8], [0, 1, 2]])
+        out._backward(np.array([[1.0, 2, 3], [4, 5, 6]]))
+        assert np.array_equal(x.grad, [[4, 5, 6], [0, 0, 0], [1, 2, 3], [0, 0, 0]])
+
+    @pytest.mark.parametrize("index", [[0, 0], [4], [-1], [[0, 1]], [0.0]])
+    def test_indices_must_be_distinct_rows(self, index):
+        with pytest.raises(T.ShapeError, match="gather_rows"):
+            T.gather_rows(t64(np.zeros((4, 3))), np.array(index))
+
 
 class TestMeanPool:
     def test_fixed(self):
@@ -731,12 +798,18 @@ def finite_difference_cases():
     w_u = t64(rng.normal(size=(2, 3)), requires_grad=True)
     shared = t64(rng.normal(size=(2, 3)), requires_grad=True)
     row = t64(rng.normal(size=3))
+    # three distinct rows, one with a copy in each document, one twice in one
+    distinct = t64(rng.normal(size=(3, 5, 4)), requires_grad=True)
+    copies = np.array([[2, 0, 2], [1, 2, 0]])
 
     def smooth(out):
         return total(T.sigmoid(out))
 
     def dense(x_=x3, m_=m, u_=u3, w_u_=w_u, shared_=shared):
         return smooth(T.affine_relu_mean([(x_, m_), (u_, w_u_)], shared_))
+
+    def mapped(x_=distinct, m_=m, shared_=shared):
+        return smooth(T.affine_relu_mean([(x_, m_)], shared_, copies))
 
     cases += [
         ("conv1d", x3, lambda v: smooth(T.conv1d(v, w, b, padding="same_zero"))),
@@ -763,6 +836,12 @@ def finite_difference_cases():
         ("affine_relu_mean", shared, lambda v: dense(shared_=v)),
         # one term, a rank-2 sequence and a shared row with no leading axes
         ("affine_relu_mean", x, lambda v: total(T.affine_relu_mean([(v, m)], row))),
+        ("affine_relu_mean", distinct, lambda v: mapped(x_=v)),
+        ("affine_relu_mean", m, lambda v: mapped(m_=v)),
+        ("affine_relu_mean", shared, lambda v: mapped(shared_=v)),
+        # the rows left out get a zero gradient
+        ("gather_rows", x3, lambda v: smooth(T.gather_rows(v, [1]))),
+        ("gather_rows", distinct, lambda v: smooth(T.gather_rows(v, [2, 0, 1]))),
         ("bce_loss", x3, lambda v: T.bce_loss(T.sigmoid(T.mean_pool(v)), labels[:, :4])),
         ("nll_loss", x3, lambda v: T.nll_loss(T.softmax_lastaxis(v), labels)),
     ]
@@ -783,7 +862,7 @@ def test_every_op_has_a_gradient_check(monkeypatch):
     ops = sorted(name for name, fn in inspect.getmembers(T, inspect.isfunction)
                  if fn.__module__ == T.__name__ and name != "_from_op"
                  and "_from_op(" in inspect.getsource(fn))
-    assert len(ops) == 14, ops
+    assert len(ops) == 15, ops
     cases = finite_difference_cases()
     assert set(ops) == {op for op, _, _ in cases} | set(EXACT_GRADIENT_TESTS)
     for test in EXACT_GRADIENT_TESTS.values():

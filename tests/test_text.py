@@ -38,7 +38,13 @@ class TestSegment:
         assert [len(s) for s in sents] == [32, 32, 6]
 
     def test_no_empty_sentences(self):
-        assert segment_sentences([".", ".", "."], 4) == [["."], ["."], ["."]]
+        assert segment_sentences([".", ".", "."], 4) == [[".", ".", "."]]
+
+    def test_a_run_of_final_marks_ends_one_sentence(self):
+        tokens = tokenize("Great!!! Just great... oh well?!")
+        assert segment_sentences(tokens, 32) == [
+            ["great", "!", "!", "!"], ["just", "great", ".", ".", "."],
+            ["oh", "well", "?", "!"]]
 
 
 class TestBuildVocab:
@@ -136,10 +142,11 @@ def segment_sentences_reference(tokens, n):
     raw = []
     current = []
     for tok in tokens:
-        current.append(tok)
-        if tok in SENTENCE_FINAL:
+        # a word after a run of sentence-final marks starts a new sentence
+        if current and current[-1] in SENTENCE_FINAL and tok not in SENTENCE_FINAL:
             raw.append(current)
             current = []
+        current.append(tok)
     if current:
         raw.append(current)
     sentences = []
