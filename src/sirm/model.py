@@ -5,16 +5,16 @@ average-over-time pooling whose concatenated output g summarizes the whole
 paragraph. Intensive path: two levels (sentence, then paragraph) where every
 position is re-encoded from its own embedding, a zero-padded near-neighbor
 convolution, and g, through one ReLU affine layer followed by mean pooling.
-That layer is split by input, W_x x'_j + W_u u_j per position plus W_g g + b
-once per document and broadcast over its positions, with W_g, W_u and W_x
-the row blocks [g; u; x'] of one stored weight. Both levels use the same two
-functions. A sentence's encoding depends only on its own token ids until the
-W_g g + b term, so the sentence level runs them once on the distinct
-sentences of the batch, (U, n, d_e), and gathers the products to every copy
-before that term; the paragraph level runs them once on the (m, d_as)
-sentence vectors. An auxiliary two-class head reads g through a
-gradient-reversal node so that training-set-specific skim features are
-suppressed. Every function takes leading batch axes: a document, a batch
+That layer is one node, tensor.affine_relu_mean: W_x x'_j + W_u u_j per
+position plus W_g g + b once per document and broadcast over its positions,
+with W_g, W_u and W_x the row blocks [g; u; x'] of one stored weight. Both
+levels use the same two functions. A sentence's encoding depends only on its
+own token ids until the W_g g + b term, so the sentence level runs them once
+on the distinct sentences of the batch, (U, n, d_e), and gathers the
+products to every copy before that term; the paragraph level runs them once
+on the (m, d_as) sentence vectors. An auxiliary two-class head reads g
+through a gradient-reversal node so that training-set-specific skim features
+are suppressed. Every function takes leading batch axes: a document, a batch
 and a split are one ParagraphGrid of (..., m, n) ids, and a training step
 indexes its minibatch out of the split and reads it in one graph.
 
@@ -238,19 +238,15 @@ def near_neighbor_encode(x, weight, bias, k):
 
 
 def dense_connect_pool(x_prime, u, g, weight, bias, rows=None):
-    """Per position: relu(W_x x'_j + W_u u_j + (W_g g + b)), then mean over positions.
+    """Per position: relu(W_g g + W_u u_j + W_x x'_j + b), then mean over positions.
 
     x_prime and u are (..., L, d) or, given rows, distinct rows (U, L, d)
     that the int array rows (..., m) maps to m sequences per document; g is
     the (..., |g|) skim vector of each document. weight stacks the row blocks
-    [W_g; W_u; W_x]. The g term is one product per document, broadcast over
-    its positions; the rest is one affine_relu_mean node.
+    [W_g; W_u; W_x]. One affine_relu_mean node: the g term and b once per
+    document, broadcast over its positions.
     """
-    gw, du = g.data.shape[-1], u.data.shape[-1]
-    per_doc = T.add(T.matmul(g, T.row_block(weight, 0, gw)), bias)
-    return T.affine_relu_mean(
-        [(x_prime, T.row_block(weight, gw + du, weight.data.shape[0])),
-         (u, T.row_block(weight, gw, gw + du))], per_doc, rows)
+    return T.affine_relu_mean(x_prime, u, g, weight, bias, rows)
 
 
 def sirm_forward(grid, params, config, reverse_gradients=True):

@@ -2,26 +2,26 @@
 
 Only the primitives the models in model.py need: embedding lookup, a gather
 of distinct rows, matmul, rectified 1-D convolution, affine_relu_mean (a
-dense connection's rectified affine map and mean pooling in one node, whose
-products can run once per distinct row and be gathered to every copy),
-sigmoid and softmax, mean pooling, concatenation, row block, reshape,
-broadcasting addition, gradient reversal, and the two loss heads. The
-convolution is in tap form: one product per tap projects every input row
-through it, and each output row sums the tap products of the input rows it
-covers, so boundary padding is skipped, never built; its ReLU is applied in
-place, inside the same node. Every op accepts leading batch axes (features
-on axis -1, the sequence on axis -2; add broadcasts its second operand over
-them) and the losses return batch means. Graphs are built through parent
-links, except inside `no_grad()`; backward() walks a fresh topological
-order and drops each op node's gradient and rule once the rule has run, so
-it runs once. Parent links and
-data stay until the caller drops the loss. A leaf's first gradient is copied
-into a new buffer of the leaf's own dtype and layout, never aliasing the
-upstream array; later ones are added to it in place. An op node's gradient
-is read only by its own backward rule, so it borrows the first upstream
-array of its dtype and shape as a read-only view, and a second contribution
-makes a fresh sum the node owns. A rule that writes a gradient in place
-(row_block, embedding_lookup, the loss seed) first takes ownership of it.
+dense connection in one node: relu([g; u_j; x_j] @ W + b) mean-pooled over
+positions j, with g's product once per document, and x's and u's once per
+distinct row if asked, gathered to every copy), sigmoid and softmax, mean
+pooling, concatenation, reshape, broadcasting addition, gradient reversal,
+and the two loss heads. The convolution is in tap form: one product per tap
+projects every input row through it, and each output row sums the tap
+products of the input rows it covers, so boundary padding is skipped, never
+built; its ReLU is applied in place, inside the same node. Every op accepts
+leading batch axes (features on axis -1, the sequence on axis -2; add
+broadcasts its second operand over them) and the losses return batch means.
+Graphs are built through parent links, except inside `no_grad()`; backward()
+walks a fresh topological order and drops each op node's gradient and rule
+once the rule has run, so it runs once. Parent links and data stay until the
+caller drops the loss. A leaf's first gradient is copied into a new buffer
+of the leaf's own dtype and layout, never aliasing the upstream array; later
+ones are added to it in place. An op node's gradient is read only by its own
+backward rule, so it borrows the first upstream array of its dtype and shape
+as a read-only view, and a second contribution makes a fresh sum the node
+owns. A rule that writes a gradient in place (affine_relu_mean's weight,
+embedding_lookup, the loss seed) first takes ownership of it.
 """
 
 import contextlib
@@ -338,27 +338,33 @@ def _sum_copies(g, rows, copies):
     return out
 
 
-def affine_relu_mean(terms, shared, rows=None):
-    """Mean over the sequence axis of relu(sum_i x_i @ w_i + shared), as one node.
+def affine_relu_mean(x, u, g, weight, bias, rows=None):
+    """A dense connection as one node: the mean over the sequence axis of
+    relu([g; u_j; x_j] @ weight + bias).
 
-    terms: (x_i, w_i) pairs, every x_i (..., L, d_i) with one leading shape
-    and w_i (d_i, d). shared: (P..., d) with P a prefix of the axes before L;
-    it gets size-1 axes up to L's rank and broadcasts over the rest. Without
-    rows, forward and backward make the numpy calls of the matmul, add,
-    reshape, relu and mean_pool chain they replace, in its order, so the
-    values are its values; the node keeps a bool mask of the pre-activation
-    instead of the products, their sums and the activation.
+    x: (..., L, d_x) and u: (..., L, d_u) with one leading shape; g: (P...,
+    d_g) with P a prefix of the axes before L; weight: (d_g + d_u + d_x, d),
+    the row blocks [W_g; W_u; W_x]; bias: (d,). g @ W_g + bias is one row per
+    g row, broadcast over the positions it leads. Forward and backward make
+    the numpy calls of the matmul, add, row_block, reshape, relu and
+    mean_pool chain they replace, so the values are its values; the node
+    keeps a bool mask of the pre-activation instead of the products, their
+    sums and the activation.
 
-    rows: an optional int array that maps onto every row of the terms' first
-    axis. The terms then stand for x_i[rows], of shape rows.shape +
-    x_i.shape[1:]: the products run once per row and are gathered to every
-    copy before shared is added, and backward sums each row's copies before
-    the products.
+    rows: an optional int array that maps onto every row of x's and u's first
+    axis. They then stand for x[rows] and u[rows], of shape rows.shape +
+    x.shape[1:]: their products run once per row and are gathered to every
+    copy before the g row is added, and backward sums each row's copies
+    before the products.
     """
-    terms = list(terms)
-    if not terms or shared.data.ndim < 1:
-        raise ShapeError("affine_relu_mean needs a term and a shared row")
-    term_shape, d = terms[0][0].data.shape[:-1], shared.data.shape[-1]
+    if (min(x.data.ndim, u.data.ndim, g.data.ndim) < 1 or weight.data.ndim != 2
+            or u.data.shape[:-1] != x.data.shape[:-1]
+            or weight.data.shape[0] != g.data.shape[-1] + u.data.shape[-1] + x.data.shape[-1]
+            or bias.data.shape != weight.data.shape[1:]):
+        raise ShapeError(f"affine_relu_mean x {x.data.shape}, u {u.data.shape}, "
+                         f"g {g.data.shape}, weight {weight.data.shape}, bias {bias.data.shape}")
+    term_shape, d = x.data.shape[:-1], weight.data.shape[1]
+    d_g, d_u = g.data.shape[-1], u.data.shape[-1]
     seq_shape, copies = term_shape, None
     if rows is not None:
         rows = np.asarray(rows)
@@ -366,42 +372,47 @@ def affine_relu_mean(terms, shared, rows=None):
         copies = np.bincount(rows.reshape(-1)) if valid else None
         if copies is None or copies.size != term_shape[0] or not copies.all():
             raise ShapeError(f"affine_relu_mean rows {rows.shape} do not map onto "
-                             f"every row of the terms {term_shape}")
+                             f"every row of the inputs {term_shape}")
         seq_shape = rows.shape + term_shape[1:]
-    lead = shared.data.shape[:-1]
+    lead = g.data.shape[:-1]
     if len(lead) >= len(seq_shape) or seq_shape[:len(lead)] != lead:
-        raise ShapeError(f"affine_relu_mean shared {shared.data.shape} "
-                         f"does not lead the inputs {seq_shape}")
-    for x, w in terms:
-        if (x.data.shape[:-1] != term_shape or w.data.ndim != 2
-                or x.data.shape[-1] != w.data.shape[0] or w.data.shape[1] != d):
-            raise ShapeError(f"affine_relu_mean term {x.data.shape} x {w.data.shape} "
-                             f"with shared {shared.data.shape}")
+        raise ShapeError(f"affine_relu_mean g {g.data.shape} does not lead the inputs {seq_shape}")
     pre_shape = seq_shape + (d,)
     shared_shape = lead + (1,) * (len(seq_shape) - len(lead)) + (d,)
     ones = tuple(i for i, (dp, ds) in enumerate(zip(pre_shape, shared_shape)) if ds != dp)
-    flat = [x.data.reshape(-1, x.data.shape[-1]) for x, _ in terms]
-    pre = (flat[0] @ terms[0][1].data).reshape(term_shape + (d,))
-    for x2, (_, w) in zip(flat[1:], terms[1:]):
-        pre += (x2 @ w.data).reshape(term_shape + (d,))
+    w_g, w_u, w_x = weight.data[:d_g], weight.data[d_g:d_g + d_u], weight.data[d_g + d_u:]
+    g2 = g.data.reshape(-1, d_g)
+    shared = (g2 @ w_g).reshape(lead + (d,)) + bias.data
+    x2, u2 = x.data.reshape(-1, x.data.shape[-1]), u.data.reshape(-1, d_u)
+    pre = (x2 @ w_x).reshape(term_shape + (d,))
+    pre += (u2 @ w_u).reshape(term_shape + (d,))
     if rows is not None:
         pre = pre[rows]
-    pre += shared.data.reshape(shared_shape)
+    pre += shared.reshape(shared_shape)
     mask = pre > 0
     L = seq_shape[-1]
     out_data = np.maximum(pre, 0, out=pre).sum(axis=-2) / float(L)
 
-    def bwd(g):
-        dpre = np.broadcast_to(g[..., None, :] / float(L), pre_shape) * mask
-        g2 = (dpre if rows is None else
-              _sum_copies(dpre.reshape(rows.size, -1), rows.reshape(-1), copies))
-        g2 = g2.reshape(-1, d)
-        for x2, (x, w) in zip(flat, terms):
-            _accum(x, (g2 @ w.data.T).reshape(x.data.shape))
-            _accum(w, x2.T @ g2)
-        _accum(shared, dpre.sum(axis=ones, keepdims=True).reshape(shared.data.shape))
+    def bwd(grad):
+        dpre = np.broadcast_to(grad[..., None, :] / float(L), pre_shape) * mask
+        dp2 = (dpre if rows is None else
+               _sum_copies(dpre.reshape(rows.size, -1), rows.reshape(-1), copies))
+        dp2 = dp2.reshape(-1, d)
+        ds2 = dpre.sum(axis=ones, keepdims=True).reshape(-1, d)
+        _accum(x, (dp2 @ w_x.T).reshape(x.data.shape))
+        _accum(u, (dp2 @ w_u.T).reshape(u.data.shape))
+        _accum(bias, ds2.sum(axis=0))
+        _accum(g, (ds2 @ w_g.T).reshape(g.data.shape))
+        if weight.requires_grad:
+            dw = _own_grad(weight)
+            dw[d_g + d_u:] += x2.T @ dp2
+            dw[d_g:d_g + d_u] += u2.T @ dp2
+            dw[:d_g] += g2.T @ ds2
 
-    return _from_op(out_data, [t for term in terms for t in term] + [shared], bwd)
+    # x's and u's subgraphs come before g's, as in the chain: the parent order
+    # sets the topological order, and so the order in which backward sums the
+    # gradients that reach a node with several consumers
+    return _from_op(out_data, (x, u, weight, g, bias), bwd)
 
 
 def concat_lastaxis(parts):
@@ -466,18 +477,6 @@ def reshape(x, shape):
         _accum(x, g.reshape(x.data.shape))
 
     return _from_op(out_data, (x,), bwd)
-
-
-def row_block(w, start, stop):
-    """Rows [start, stop) of w as a view; backward adds g into those rows of w.grad."""
-    if not 0 <= start < stop <= w.data.shape[0]:
-        raise ShapeError(f"row_block [{start}, {stop}) of shape {w.data.shape}")
-    out_data = w.data[start:stop]
-
-    def bwd(g):
-        _own_grad(w)[start:stop] += g
-
-    return _from_op(out_data, (w,), bwd)
 
 
 def gather_rows(x, index):

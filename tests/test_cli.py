@@ -509,6 +509,17 @@ class TestSelfChecks:
         assert main(["grad-check", "--config", str(config)]) == 0
         assert "max relative gradient error" in capsys.readouterr().out
 
+    def test_grad_check_with_every_row_block_a_different_width(self, tmp_path, capsys):
+        # W_g, W_u and W_x have 6, 5 and 6 rows at the sentence level and 6, 3
+        # and 8 at the paragraph level, so any two swapped block offsets give
+        # some level a block of the wrong shape; window 2k+1 = 5 over m = 3
+        config = tmp_path / "widths.json"
+        config.write_text(json.dumps({"d_e": 6, "d_c": 3, "src_windows": [1, 3], "k": 2,
+                                      "d_ns": 5, "d_as": 8, "d_np": 3, "d_ap": 7,
+                                      "m": 3, "n": 5}))
+        assert main(["grad-check", "--config", str(config)]) == 0
+        assert "max relative gradient error" in capsys.readouterr().out
+
     def test_failing_grad_check_names_each_failing_tensor(self, monkeypatch, capsys):
         # every convolution weight fails, every other tensor passes
         monkeypatch.setattr(T, "finite_diff_check",

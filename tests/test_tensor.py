@@ -251,11 +251,17 @@ def test_sirm_graph_rectifies_only_its_dense_connections(src_windows):
     ids = np.random.default_rng(0).integers(2, config.vocab_size, size=(2, config.m, config.n))
     grid = ParagraphGrid(ids, np.array([0, 1]))
     loss = sirm_loss(sirm_forward(grid, params, config), grid.label)
-    rules = [node._backward.__qualname__ for node in T.Graph.trace(loss).nodes
-             if node._backward is not None]
-    assert sum(rule.startswith("affine_relu_mean.") for rule in rules) == 2
-    assert not any(rule.startswith("relu.") for rule in rules)
-    assert sum(rule.startswith("conv1d.") for rule in rules) == len(src_windows) + 2
+    ops = [(node._backward.__qualname__.split(".")[0], node)
+           for node in T.Graph.trace(loss).nodes if node._backward is not None]
+    rules = [rule for rule, _ in ops]
+    assert rules.count("affine_relu_mean") == 2
+    assert "relu" not in rules and "row_block" not in rules
+    assert rules.count("conv1d") == len(src_windows) + 2
+    # the skim term and the weight's row blocks live inside the dense
+    # connections: the only products left as nodes are the two heads'
+    heads = [params.out_head[0], params.adv_head[0]]
+    assert sorted(id(node._parents[1]) for rule, node in ops if rule == "matmul") == \
+        sorted(map(id, heads))
 
 
 class TestElementwise:
@@ -276,90 +282,109 @@ class TestElementwise:
         np.testing.assert_allclose(s.data, shifted.data, atol=1e-9)
 
 
-def dense_chain(xs, ws, shared, g):
-    """The matmul, add, reshape, relu and mean_pool chain affine_relu_mean
-    replaced, as the numpy calls of those ops' forward and backward rules:
-    (out, dxs, dws, dshared) for upstream gradient g."""
-    d = shared.shape[-1]
-    seq_shape = xs[0].shape[:-1]
-    rows = [x.reshape(-1, x.shape[-1]) for x in xs]
-    per_pos = (rows[0] @ ws[0]).reshape(seq_shape + (d,))
-    for x2, w in zip(rows[1:], ws[1:]):
-        per_pos = per_pos + (x2 @ w).reshape(seq_shape + (d,))
+def dense_chain(x, u, g, weight, bias, grad):
+    """The matmul, add, row_block, reshape, relu and mean_pool chain
+    affine_relu_mean replaced, as the numpy calls of those ops' forward and
+    backward rules: (out, dx, du, dg, dweight, dbias) for upstream gradient
+    grad."""
+    d_g, d_u, d = g.shape[-1], u.shape[-1], weight.shape[1]
+    w_g, w_u, w_x = weight[:d_g], weight[d_g:d_g + d_u], weight[d_g + d_u:]
+    g2 = g.reshape(-1, d_g)
+    shared = (g2 @ w_g).reshape(g.shape[:-1] + (d,)) + bias
+    seq_shape = x.shape[:-1]
+    x2, u2 = x.reshape(-1, x.shape[-1]), u.reshape(-1, d_u)
+    per_pos = (x2 @ w_x).reshape(seq_shape + (d,))
+    per_pos = per_pos + (u2 @ w_u).reshape(seq_shape + (d,))
     ones = (1,) * (len(seq_shape) + 1 - shared.ndim)
     shared_b = shared.reshape(shared.shape[:-1] + ones + (d,))
     pre = per_pos + shared_b
     act = np.maximum(pre, 0)
     L = act.shape[-2]
     out = act.sum(axis=-2) / float(L)
-    g_pre = np.broadcast_to(g[..., None, :] / float(L), act.shape) * (pre > 0)
+    g_pre = np.broadcast_to(grad[..., None, :] / float(L), act.shape) * (pre > 0)
     axes = tuple(i for i, (da, db) in enumerate(zip(pre.shape, shared_b.shape)) if db != da)
     dshared = g_pre.sum(axis=axes, keepdims=True).reshape(shared.shape)
-    g2 = g_pre.reshape(-1, d)
-    dxs = [(g2 @ w.T).reshape(x.shape) for x, w in zip(xs, ws)]
-    dws = [x2.T @ g2 for x2 in rows]
-    return out, dxs, dws, dshared
+    dbias = dshared.reshape(-1, d).sum(axis=0) if shared.ndim > 1 else dshared
+    ds2 = dshared.reshape(-1, d)
+    dg = (ds2 @ w_g.T).reshape(g.shape)
+    gp2 = g_pre.reshape(-1, d)
+    dx, du = (gp2 @ w_x.T).reshape(x.shape), (gp2 @ w_u.T).reshape(u.shape)
+    dweight = np.zeros_like(weight)
+    dweight[d_g + d_u:] += x2.T @ gp2
+    dweight[d_g:d_g + d_u] += u2.T @ gp2
+    dweight[:d_g] += g2.T @ ds2
+    return out, dx, du, dg, dweight, dbias
+
+
+def dense_inputs(x, u, g, weight, bias):
+    return [T.Tensor(v, requires_grad=True) for v in (x, u, g, weight, bias)]
+
+
+def shape_error_inputs(x, u, g, weight, bias):
+    return [t64(np.zeros(shape)) for shape in (x, u, g, weight, bias)]
 
 
 class TestAffineReluMean:
     def test_rectifies_then_pools(self):
         x = t64([[-1.0], [0.0], [2.0]])
-        out = T.affine_relu_mean([(x, t64([[1.0]]))], t64([0.5]))
+        # weight rows [W_g; W_u; W_x]: 0.25 * 2 from g, nothing from u
+        out = T.affine_relu_mean(x, t64(np.ones((3, 1))), t64([0.25]),
+                                 t64([[2.0], [0.0], [1.0]]), t64([0.0]))
         assert np.array_equal(out.data, [(0.0 + 0.5 + 2.5) / 3])
 
     @settings(max_examples=60, deadline=None)
     @given(lead=st.lists(st.integers(1, 3), max_size=2), mid=st.lists(st.integers(1, 3), max_size=1),
-           n=st.integers(1, 5), widths=st.lists(st.integers(1, 4), min_size=1, max_size=3),
+           n=st.integers(1, 5), widths=st.tuples(*[st.integers(1, 4)] * 3),
            d=st.integers(1, 4), seed=st.integers(0, 2**16))
+    @example(lead=[], mid=[], n=3, widths=(2, 3, 4), d=2, seed=0)
+    @example(lead=[], mid=[2], n=3, widths=(2, 3, 4), d=2, seed=1)
     def test_float32_bit_identical_to_the_chain(self, lead, mid, n, widths, d, seed):
         rng = np.random.default_rng(seed)
 
         def f32(*shape):
             return rng.normal(size=shape).astype(np.float32)
 
-        xs = [f32(*lead, *mid, n, k) for k in widths]
-        ws = [f32(k, d) for k in widths]
-        shared = f32(*lead, d)
-        g = f32(*lead, *mid, d)
-        x_ts = [T.Tensor(x, requires_grad=True) for x in xs]
-        w_ts = [T.Tensor(w, requires_grad=True) for w in ws]
-        shared_t = T.Tensor(shared, requires_grad=True)
-        out = T.affine_relu_mean(list(zip(x_ts, w_ts)), shared_t)
-        out._backward(g)
-        expected, dxs, dws, dshared = dense_chain(xs, ws, shared, g)
-        for got, want in [(out.data, expected), (shared_t.grad, dshared),
-                          *zip([t.grad for t in x_ts], dxs), *zip([t.grad for t in w_ts], dws)]:
+        d_g, d_u, d_x = widths
+        arrays = (f32(*lead, *mid, n, d_x), f32(*lead, *mid, n, d_u), f32(*lead, d_g),
+                  f32(d_g + d_u + d_x, d), f32(d))
+        grad = f32(*lead, *mid, d)
+        ts = dense_inputs(*arrays)
+        out = T.affine_relu_mean(*ts)
+        # the chain's parent order, which sets the order gradients are summed in
+        x_t, u_t, g_t, w_t, b_t = ts
+        assert out._parents == (x_t, u_t, w_t, g_t, b_t)
+        out._backward(grad)
+        expected, *grads = dense_chain(*arrays, grad)
+        for got, want in [(out.data, expected), *zip([t.grad for t in ts], grads)]:
             assert got.dtype == want.dtype == np.float32
             assert got.tobytes() == want.tobytes()
 
     def test_keeps_a_mask_not_the_activation(self):
         x = t64(np.ones((4, 6, 3)), requires_grad=True)
-        out = T.affine_relu_mean([(x, t64(np.ones((3, 5))))], t64(np.zeros((4, 5))))
+        out = T.affine_relu_mean(x, t64(np.ones((4, 6, 2))), t64(np.ones((4, 1))),
+                                 t64(np.ones((6, 5))), t64(np.zeros(5)))
         cells = [c.cell_contents for c in out._backward.__closure__]
         held = [c for c in cells if isinstance(c, np.ndarray) and c.shape == (4, 6, 5)]
         assert [a.dtype for a in held] == [np.bool_]
 
-    @pytest.mark.parametrize("x_shape, w_shape, shared_shape", [
-        ((2, 3), (4, 3), (3,)),         # x width is not w's rows
-        ((2, 3), (3, 3), (4,)),         # shared width is not w's columns
-        ((2, 3), (3, 3), (2, 3)),       # shared leads over the sequence axis
-        ((2, 4, 3), (3, 3), (3, 3)),    # shared's leading axes are not the inputs'
-        ((3,), (3, 3), (3,)),           # no sequence axis
-        ((2, 3), (3,), (3,)),           # weight not rank 2
-        ((2, 3), (3, 3), ()),           # shared is a scalar
+    @pytest.mark.parametrize("shapes", [
+        pytest.param(((2, 3), (2, 3), (4,), (9, 3), (3,)), id="weight-rows-short"),
+        pytest.param(((2, 3), (2, 3), (4,), (12, 3), (3,)), id="weight-rows-long"),
+        pytest.param(((2, 3), (2, 3), (4,), (10,), (3,)), id="weight-not-rank-2"),
+        pytest.param(((2, 3), (2, 3), (4,), (10, 3), (4,)), id="bias-width"),
+        pytest.param(((2, 3), (2, 3), (4,), (10, 3), (1, 3)), id="bias-rank"),
+        pytest.param(((2, 3), (2, 3), (2, 4), (10, 3), (3,)), id="g-over-the-sequence-axis"),
+        pytest.param(((2, 4, 3), (2, 4, 3), (3, 4), (10, 3), (3,)), id="g-does-not-lead-x"),
+        pytest.param(((3,), (3,), (4,), (10, 3), (3,)), id="no-sequence-axis"),
+        pytest.param(((2, 3), (2, 3), (), (6, 3), (3,)), id="g-is-a-scalar"),
     ])
-    def test_shape_mismatch_rejected(self, x_shape, w_shape, shared_shape):
+    def test_shape_mismatch_rejected(self, shapes):
         with pytest.raises(T.ShapeError, match="affine_relu_mean"):
-            T.affine_relu_mean([(t64(np.zeros(x_shape)), t64(np.zeros(w_shape)))],
-                               t64(np.zeros(shared_shape)))
+            T.affine_relu_mean(*shape_error_inputs(*shapes))
 
     def test_terms_must_share_their_positions(self):
-        w = t64(np.zeros((3, 2)))
         with pytest.raises(T.ShapeError, match="affine_relu_mean"):
-            T.affine_relu_mean([(t64(np.zeros((2, 3))), w), (t64(np.zeros((4, 3))), w)],
-                               t64(np.zeros(2)))
-        with pytest.raises(T.ShapeError, match="affine_relu_mean"):
-            T.affine_relu_mean([], t64(np.zeros(2)))
+            T.affine_relu_mean(*shape_error_inputs((2, 3), (4, 3), (2,), (8, 2), (2,)))
 
     @pytest.mark.parametrize("rows", [
         np.array([0, 2]),               # row 1 has no copy
@@ -369,12 +394,12 @@ class TestAffineReluMean:
     ])
     def test_rows_must_map_onto_every_term_row(self, rows):
         with pytest.raises(T.ShapeError, match="affine_relu_mean rows"):
-            T.affine_relu_mean([(t64(np.zeros((3, 2, 4))), t64(np.zeros((4, 5))))],
-                               t64(np.zeros(5)), rows)
+            T.affine_relu_mean(*shape_error_inputs((3, 2, 4), (3, 2, 1), (2,), (7, 5), (5,)),
+                               rows)
 
     @settings(max_examples=80, deadline=None)
     @given(lead=st.lists(st.integers(1, 4), min_size=1, max_size=2), n=st.integers(1, 4),
-           widths=st.lists(st.integers(1, 3), min_size=1, max_size=2), d=st.integers(1, 4),
+           widths=st.tuples(*[st.integers(1, 3)] * 3), d=st.integers(1, 4),
            rows_kind=st.sampled_from(["distinct", "one", "repeats"]), data=st.data())
     def test_row_map_is_the_function_of_the_gathered_terms(self, lead, n, widths, d,
                                                             rows_kind, data):
@@ -390,28 +415,26 @@ class TestAffineReluMean:
                                    rng.integers(0, distinct, size - distinct)])
             rng.shuffle(rows)
         rows = rows.reshape(lead)
-        xs = [rng.normal(size=(rows.max() + 1, n, k)) for k in widths]
-        ws = [rng.normal(size=(k, d)) for k in widths]
-        shared = rng.normal(size=tuple(lead[:data.draw(st.integers(0, len(lead)))]) + (d,))
-        g = rng.normal(size=tuple(lead) + (d,))
+        d_g, d_u, d_x = widths
+        x = rng.normal(size=(rows.max() + 1, n, d_x))
+        u = rng.normal(size=(rows.max() + 1, n, d_u))
+        g = rng.normal(size=tuple(lead[:data.draw(st.integers(0, len(lead)))]) + (d_g,))
+        weight, bias = rng.normal(size=(d_g + d_u + d_x, d)), rng.normal(size=d)
+        grad = rng.normal(size=tuple(lead) + (d,))
 
-        def run(xs, rows=None):
-            x_ts = [t64(x, requires_grad=True) for x in xs]
-            w_ts = [t64(w, requires_grad=True) for w in ws]
-            shared_t = t64(shared, requires_grad=True)
-            out = T.affine_relu_mean(list(zip(x_ts, w_ts)), shared_t, rows)
-            out._backward(g)
-            return out.data, [t.grad for t in x_ts], [t.grad for t in w_ts], shared_t.grad
+        def run(x, u, rows=None):
+            ts = dense_inputs(x, u, g, weight, bias)
+            out = T.affine_relu_mean(*ts, rows)
+            out._backward(grad)
+            return out.data, [t.grad for t in ts]
 
-        mapped = run(xs, rows)
-        full = run([x[rows] for x in xs])
-        summed = []
-        for x, dx in zip(xs, full[1]):
-            expected = np.zeros_like(x)
-            np.add.at(expected, rows.reshape(-1), dx.reshape((-1,) + x.shape[1:]))
-            summed.append(expected)
-        for got, want in [(mapped[0], full[0]), (mapped[3], full[3]),
-                          *zip(mapped[1], summed), *zip(mapped[2], full[2])]:
+        mapped, mapped_grads = run(x, u, rows)
+        full, full_grads = run(x[rows], u[rows])
+        for got, want in zip(mapped_grads[:2], full_grads[:2]):
+            summed = np.zeros(got.shape)
+            np.add.at(summed, rows.reshape(-1), want.reshape((-1,) + got.shape[1:]))
+            np.testing.assert_allclose(got, summed, rtol=0, atol=1e-12)
+        for got, want in [(mapped, full), *zip(mapped_grads[2:], full_grads[2:])]:
             np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
 
 
@@ -530,18 +553,21 @@ class TestBackward:
             for other in [*upstream, *(t.grad for t in leaves[i + 1:])]:
                 assert not np.shares_memory(leaf.grad, other)
 
-    def test_row_block_owns_a_borrowed_op_node_gradient_before_adding(self):
-        leaf = t64(np.zeros((4, 2)), requires_grad=True)
-        w = T.reshape(leaf, (4, 2))             # an op-node weight
-        whole, block = T.reshape(w, (4, 2)), T.row_block(w, 1, 3)
-        g_whole, g_block = np.ones((4, 2)), np.full((2, 2), 2.0)
+    def test_affine_relu_mean_owns_a_borrowed_op_node_weight_gradient_before_adding(self):
+        leaf = t64(np.full((4, 2), 0.5), requires_grad=True)
+        w = T.reshape(leaf, (4, 2))             # an op-node weight, rows [W_g; W_u; W_x]
+        x, u, g = t64([[1.0], [2.0], [3.0]]), t64([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]]), t64([2.0])
+        whole = T.reshape(w, (4, 2))
+        dense = T.affine_relu_mean(x, u, g, w, t64([10.0, 10.0]))   # every position > 0
+        g_whole, g_dense = np.ones((4, 2)), np.array([3.0, 6.0])
         whole._backward(g_whole)                # w borrows g_whole
-        block._backward(g_block)
+        dense._backward(g_dense)                # [1, 2] at each of the 3 positions
         w._backward(w.grad)
         assert np.array_equal(g_whole, np.ones((4, 2)))
-        assert np.array_equal(g_block, np.full((2, 2), 2.0))
-        assert np.array_equal(leaf.grad, [[1, 1], [3, 3], [3, 3], [1, 1]])
-        self.assert_leaf_grads_own_their_buffers([leaf], [g_whole, g_block])
+        assert np.array_equal(g_dense, [3.0, 6.0])
+        # 1 + W_g: g * [3, 6], W_u: u summed * [1, 2], W_x: x summed * [1, 2]
+        assert np.array_equal(leaf.grad, [[7, 13], [3, 5], [3, 5], [7, 13]])
+        self.assert_leaf_grads_own_their_buffers([leaf], [g_whole, g_dense])
 
     def test_embedding_lookup_owns_a_borrowed_op_node_gradient_before_adding(self):
         leaf = t64(np.zeros((3, 2)), requires_grad=True)
@@ -679,33 +705,6 @@ def test_trailing_operand_gradient_bit_identical_to_bias_rule(lead, tail, dtype,
     assert b.grad.tobytes() == expected.tobytes()
 
 
-class TestRowBlock:
-    def test_forward_is_the_rows(self):
-        w = t64(np.arange(12.0).reshape(4, 3))
-        np.testing.assert_array_equal(T.row_block(w, 1, 3).data, w.data[1:3])
-
-    def test_backward_adds_into_the_rows(self):
-        w = t64(np.arange(12.0).reshape(4, 3), requires_grad=True)
-        T.backward(total(T.row_block(w, 1, 3)))
-        np.testing.assert_array_equal(w.grad, [[0, 0, 0], [1, 1, 1], [1, 1, 1], [0, 0, 0]])
-
-    def test_blocks_of_one_weight_accumulate_into_one_gradient(self):
-        w = t64(np.ones((5, 2)), requires_grad=True)
-        x = t64([[1.0, 2.0]])
-        y = t64([[3.0, 4.0, 5.0]])
-        out = T.add(T.matmul(x, T.row_block(w, 0, 2)), T.matmul(y, T.row_block(w, 2, 5)))
-        T.backward(total(out))
-        np.testing.assert_array_equal(w.grad, [[1, 1], [2, 2], [3, 3], [4, 4], [5, 5]])
-        w.grad = None
-        T.backward(total(T.add(T.row_block(w, 1, 3), T.row_block(w, 2, 4))))
-        np.testing.assert_array_equal(w.grad, [[0, 0], [1, 1], [2, 2], [1, 1], [0, 0]])
-
-    @pytest.mark.parametrize("start,stop", [(-1, 2), (2, 2), (3, 6)])
-    def test_out_of_range_rejected(self, start, stop):
-        with pytest.raises(T.ShapeError, match="row_block"):
-            T.row_block(t64(np.zeros((5, 2))), start, stop)
-
-
 class TestLosses:
     def test_bce_at_half(self):
         for y in (0, 1):
@@ -761,7 +760,8 @@ class TestFiniteDiff:
 
     def test_affine_relu_mean_away_from_kinks(self):
         x = t64([[1.0], [-2.0], [0.5]], requires_grad=True)
-        f = lambda v: total(T.affine_relu_mean([(v, t64([[1.0]]))], t64([0.0])))
+        f = lambda v: total(T.affine_relu_mean(v, t64(np.zeros((3, 1))), t64([0.0]),
+                                               t64([[0.0], [0.0], [1.0]]), t64([0.0])))
         assert T.finite_diff_check(f, x) < 1e-10
 
 
@@ -790,26 +790,27 @@ def finite_difference_cases():
     bias = t64(rng.normal(size=4), requires_grad=True)
     block = t64(rng.normal(size=(5, 4)), requires_grad=True)
     per_doc = t64(rng.normal(size=(2, 1, 4)), requires_grad=True)
-    stacked = t64(rng.normal(size=(7, 3)), requires_grad=True)
+    stacked = t64(rng.normal(size=(8, 3)), requires_grad=True)     # rows [W_g; W_u; W_x]
     table = t64(rng.normal(size=(6, 4)), requires_grad=True)
     ids = rng.integers(0, 6, size=(2, 5))
     labels = rng.integers(0, 2, size=(2, 5))
     u3 = t64(rng.normal(size=(2, 5, 2)), requires_grad=True)
-    w_u = t64(rng.normal(size=(2, 3)), requires_grad=True)
-    shared = t64(rng.normal(size=(2, 3)), requires_grad=True)
-    row = t64(rng.normal(size=3))
+    g = t64(rng.normal(size=(2, 2)), requires_grad=True)      # one row per document
+    dense_b = t64(rng.normal(size=3), requires_grad=True)
+    u2, g_row = t64(rng.normal(size=(5, 2))), t64(rng.normal(size=2))
     # three distinct rows, one with a copy in each document, one twice in one
     distinct = t64(rng.normal(size=(3, 5, 4)), requires_grad=True)
+    distinct_u = t64(rng.normal(size=(3, 5, 2)))
     copies = np.array([[2, 0, 2], [1, 2, 0]])
 
     def smooth(out):
         return total(T.sigmoid(out))
 
-    def dense(x_=x3, m_=m, u_=u3, w_u_=w_u, shared_=shared):
-        return smooth(T.affine_relu_mean([(x_, m_), (u_, w_u_)], shared_))
+    def dense(x_=x3, u_=u3, g_=g, w_=stacked, b_=dense_b, rows=None):
+        return smooth(T.affine_relu_mean(x_, u_, g_, w_, b_, rows))
 
-    def mapped(x_=distinct, m_=m, shared_=shared):
-        return smooth(T.affine_relu_mean([(x_, m_)], shared_, copies))
+    def mapped(x_=distinct, g_=g, w_=stacked):
+        return dense(x_, distinct_u, g_, w_, rows=copies)
 
     cases += [
         ("conv1d", x3, lambda v: smooth(T.conv1d(v, w, b, padding="same_zero"))),
@@ -824,21 +825,18 @@ def finite_difference_cases():
         ("add", x3, lambda v: smooth(T.add(v, block))),
         ("add", block, lambda v: smooth(T.add(x3, v))),
         ("add", per_doc, lambda v: smooth(T.add(x3, v))),
-        ("row_block", stacked, lambda v: smooth(T.matmul(x3, T.row_block(v, 2, 6)))),
-        # overlapping blocks of one weight
-        ("row_block", stacked, lambda v: smooth(T.add(T.matmul(x3, T.row_block(v, 0, 4)),
-                                                      T.matmul(x3, T.row_block(v, 3, 7))))),
         ("embedding_lookup", table, lambda v: smooth(T.embedding_lookup(v, ids))),
         ("affine_relu_mean", x3, lambda v: dense(x_=v)),
-        ("affine_relu_mean", m, lambda v: dense(m_=v)),
         ("affine_relu_mean", u3, lambda v: dense(u_=v)),
-        ("affine_relu_mean", w_u, lambda v: dense(w_u_=v)),
-        ("affine_relu_mean", shared, lambda v: dense(shared_=v)),
-        # one term, a rank-2 sequence and a shared row with no leading axes
-        ("affine_relu_mean", x, lambda v: total(T.affine_relu_mean([(v, m)], row))),
+        ("affine_relu_mean", g, lambda v: dense(g_=v)),
+        ("affine_relu_mean", stacked, lambda v: dense(w_=v)),
+        ("affine_relu_mean", dense_b, lambda v: dense(b_=v)),
+        # a rank-2 sequence and a g with no leading axes
+        ("affine_relu_mean", x, lambda v: total(T.affine_relu_mean(v, u2, g_row, stacked,
+                                                                   dense_b))),
         ("affine_relu_mean", distinct, lambda v: mapped(x_=v)),
-        ("affine_relu_mean", m, lambda v: mapped(m_=v)),
-        ("affine_relu_mean", shared, lambda v: mapped(shared_=v)),
+        ("affine_relu_mean", g, lambda v: mapped(g_=v)),
+        ("affine_relu_mean", stacked, lambda v: mapped(w_=v)),
         # the rows left out get a zero gradient
         ("gather_rows", x3, lambda v: smooth(T.gather_rows(v, [1]))),
         ("gather_rows", distinct, lambda v: smooth(T.gather_rows(v, [2, 0, 1]))),
@@ -862,7 +860,7 @@ def test_every_op_has_a_gradient_check(monkeypatch):
     ops = sorted(name for name, fn in inspect.getmembers(T, inspect.isfunction)
                  if fn.__module__ == T.__name__ and name != "_from_op"
                  and "_from_op(" in inspect.getsource(fn))
-    assert len(ops) == 15, ops
+    assert len(ops) == 14, ops
     cases = finite_difference_cases()
     assert set(ops) == {op for op, _, _ in cases} | set(EXACT_GRADIENT_TESTS)
     for test in EXACT_GRADIENT_TESTS.values():
