@@ -19,15 +19,17 @@ def _f1(predictions, labels, positive):
 
 
 def metrics(predictions, labels):
-    """Accuracy, positive-class F1, and macro F1 over the two classes.
+    """Accuracy, positive-class F1, and macro F1 over the two 0/1 classes.
 
     Precision or recall of a class never predicted or never present counts as 0.
     """
     if len(predictions) != len(labels):
         raise ValueError(
             f"length mismatch: {len(predictions)} predictions vs {len(labels)} labels")
-    if not labels:
+    if len(labels) == 0:
         raise DataFormatError("cannot compute metrics on an empty split")
+    if not np.isin(labels, (0, 1)).all():
+        raise ValueError(f"gold labels must be 0 or 1, got {np.setdiff1d(labels, (0, 1)).tolist()}")
     correct = sum(int(p == y) for p, y in zip(predictions, labels))
     f1_pos = _f1(predictions, labels, positive=1)
     f1_neg = _f1(predictions, labels, positive=0)
@@ -61,7 +63,7 @@ def evaluate(model_kind, params, config, grids, threshold=0.5):
         raise ValueError(f"threshold must be in [0, 1], got {threshold!r}")
     if not grids:
         raise DataFormatError("cannot evaluate an empty split")
-    _, prob_loss = lookup_model(model_kind)
+    _, heads = lookup_model(model_kind)
     batch_size = max(1, EVAL_CELLS // (config.m * config.n))
     probs = []
     # huge finite weights may overflow on the way; the finiteness check
@@ -69,7 +71,7 @@ def evaluate(model_kind, params, config, grids, threshold=0.5):
     with T.no_grad(), np.errstate(over="ignore", invalid="ignore"):
         for start in range(0, len(grids), batch_size):
             batch = grids[start:start + batch_size]
-            y, _ = prob_loss(batch, params, config)
+            y, _ = heads(batch, params, config)
             if not np.isfinite(y.data).all():
                 raise FloatingPointError(
                     f"non-finite probability in the batch from document {start}")

@@ -19,7 +19,7 @@ and a split are one ParagraphGrid of (..., m, n) ids, and a training step
 indexes its minibatch out of the split and reads it in one graph.
 
 The bag-of-words baseline (NBOW) sits next to SIRM; MODELS maps each model
-kind to its builder and its probability-and-loss function.
+kind to its builder and its heads function; heads_loss builds the loss.
 """
 
 import math
@@ -303,17 +303,22 @@ def sirm_forward(grid, params, config, reverse_gradients=True):
     )
 
 
-def sirm_loss(trace, y):
-    """Batch mean of BCE of the main head plus cross entropy of the adversarial head.
-
-    y holds 0/1 labels shaped like trace.y_prime. The adversarial scale factor
-    lives in the gradient-reversal node inside the forward pass, so the loss
-    value is exactly BCE + CE; only gradients upstream of g see the -lambda
-    factor.
-    """
+def heads_loss(y_prime, y_dprime, y):
+    """(batch mean loss, its BCE node): the main head's BCE against 0/1 labels
+    y shaped like y_prime, plus the adversarial head's cross entropy unless
+    y_dprime is None. The -lambda factor lives in the forward's gradient
+    reversal node, so the value is exactly BCE + CE."""
     if not np.isin(y, (0, 1)).all():
         raise ValueError(f"labels must be 0 or 1, got {y!r}")
-    return T.add(T.bce_loss(trace.y_prime, y), T.nll_loss(trace.y_dprime, y))
+    bce = T.bce_loss(y_prime, y)
+    if y_dprime is None:
+        return bce, bce
+    return T.add(bce, T.nll_loss(y_dprime, y)), bce
+
+
+def sirm_loss(trace, y):
+    """The heads_loss of a ForwardTrace, without its BCE node."""
+    return heads_loss(trace.y_prime, trace.y_dprime, y)[0]
 
 
 @dataclass
@@ -359,26 +364,25 @@ def nbow_forward(grid, params):
     return T.reshape(T.sigmoid(logit), grid.token_ids.shape[:-2])
 
 
-def _sirm_prob_loss(grid, params, config):
+def sirm_heads(grid, params, config):
     trace = sirm_forward(grid, params, config)
-    return trace.y_prime, sirm_loss(trace, grid.label)
+    return trace.y_prime, trace.y_dprime
 
 
-def _nbow_prob_loss(grid, params, config):
-    prob = nbow_forward(grid, params)
-    return prob, T.bce_loss(prob, grid.label)
+def nbow_heads(grid, params, config):
+    return nbow_forward(grid, params), None
 
 
 # model kind -> (build(SIRMConfig, make) -> params with named_tensors(),
-#                prob_loss(stacked grid, params, SIRMConfig) -> (probability, mean loss))
+#                heads(stacked grid, params, SIRMConfig) -> (y_prime, y_dprime or None))
 MODELS = {
-    "sirm": (build_sirm_params, _sirm_prob_loss),
-    "nbow": (build_nbow_params, _nbow_prob_loss),
+    "sirm": (build_sirm_params, sirm_heads),
+    "nbow": (build_nbow_params, nbow_heads),
 }
 
 
 def lookup_model(name):
-    """The (build, prob_loss) entry of a model kind; ValueError for an unknown kind."""
+    """The (build, heads) entry of a model kind; ValueError for an unknown kind."""
     if name not in MODELS:
         raise ValueError(f"unknown model kind {name!r}")
     return MODELS[name]

@@ -345,11 +345,11 @@ def affine_relu_mean(x, u, g, weight, bias, rows=None):
     x: (..., L, d_x) and u: (..., L, d_u) with one leading shape; g: (P...,
     d_g) with P a prefix of the axes before L; weight: (d_g + d_u + d_x, d),
     the row blocks [W_g; W_u; W_x]; bias: (d,). g @ W_g + bias is one row per
-    g row, broadcast over the positions it leads. Forward and backward make
-    the numpy calls of the matmul, add, row_block, reshape, relu and
-    mean_pool chain they replace, so the values are its values; the node
-    keeps a bool mask of the pre-activation instead of the products, their
-    sums and the activation.
+    g row, broadcast over the positions it leads. Forward and backward make,
+    in order, the numpy calls of the matmul, add, reshape, relu and mean_pool
+    chain they replace, on slices of the weight, so in float32 the output and
+    every gradient are the chain's bytes; the node keeps a bool mask of the
+    pre-activation instead of the products, their sums and the activation.
 
     rows: an optional int array that maps onto every row of x's and u's first
     axis. They then stand for x[rows] and u[rows], of shape rows.shape +

@@ -11,7 +11,7 @@ import numpy as np
 
 from . import tensor as T
 from .evaluation import evaluate
-from .model import SIRMConfig, check_field_types, lookup_model, seeded_make
+from .model import SIRMConfig, check_field_types, heads_loss, lookup_model, seeded_make
 from .text import DataFormatError, atomic_write_bytes
 
 logger = logging.getLogger(__name__)
@@ -102,13 +102,6 @@ class Adam:
             p.grad = None
 
 
-def _batch_loss(prob_loss, grid, params, config):
-    """Mean loss over a stacked grid, and the value of its main-head BCE."""
-    prob, loss = prob_loss(grid, params, config)
-    with T.no_grad():
-        return loss, T.bce_loss(prob, grid.label).item()
-
-
 def snapshot(params):
     return {name: t.data.copy() for name, t in params.named_tensors()}
 
@@ -129,7 +122,7 @@ def train(train_grids, dev_grids, model_kind, model_config, train_config,
     for split, grids in (("training", train_grids), ("dev", dev_grids)):
         if not grids:
             raise DataFormatError(f"{split} split is empty")
-    build, prob_loss = lookup_model(model_kind)
+    build, heads = lookup_model(model_kind)
     params = build(model_config, seeded_make(train_config.seed))
 
     optimizer = Adam(params.named_tensors(), train_config)
@@ -147,14 +140,14 @@ def train(train_grids, dev_grids, model_kind, model_config, train_config,
             batch = train_grids[order[b_start:b_start + train_config.batch_size]]
             # a diverging step's overflow surfaces as the loss or dev-pass error
             with np.errstate(over="ignore", invalid="ignore"):
-                loss, bce = _batch_loss(prob_loss, batch, params, model_config)
+                loss, bce = heads_loss(*heads(batch, params, model_config), batch.label)
                 losses.append(loss.item())
+                bce_losses.append(bce.item())
                 if not np.isfinite(losses[-1]):
                     raise TrainingError(f"non-finite loss in epoch {epoch}, batch {b_idx}")
                 T.backward(loss)
-                del loss    # frees this step's graph now, not once the next forward is built
+                del loss, bce   # frees this step's graph now, not once the next forward is built
                 optimizer.step()
-            bce_losses.append(bce)
 
         try:
             dev_report, _ = evaluate(model_kind, params, model_config, dev_grids)

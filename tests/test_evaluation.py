@@ -35,6 +35,15 @@ class TestMetrics:
         with pytest.raises(DataFormatError, match="empty split"):
             metrics([], [])
 
+    def test_numpy_arrays(self):
+        assert metrics(np.array([0, 1]), np.array([0, 1]))["macro_f1"] == 1.0
+        with pytest.raises(DataFormatError, match="empty split"):
+            metrics(np.array([]), np.array([]))
+
+    def test_gold_label_other_than_0_or_1_rejected(self):
+        with pytest.raises(ValueError, match=r"0 or 1, got \[2\]"):
+            metrics([1, 0, 1], [1, 2, 1])
+
     def test_constant_classifier_below_half_macro(self):
         out = metrics([1, 1, 1, 1], [1, 1, 0, 0])
         assert out["macro_f1"] < 0.5
@@ -181,12 +190,12 @@ class TestEvaluate:
                                                      batches, monkeypatch):
         config = SIRMConfig(vocab_size=12, d_e=4, d_c=2, src_windows=(1, 2),
                             d_ns=4, d_np=4, d_as=4, d_ap=4, m=m, n=n)
-        build, prob_loss = MODELS[model_kind]
+        build, heads = MODELS[model_kind]
         seen = []
 
         def counted(grid, params, config):
             seen.append(grid.token_ids.shape[0])
-            return prob_loss(grid, params, config)
+            return heads(grid, params, config)
 
         monkeypatch.setitem(MODELS, model_kind, (build, counted))
         ids = np.full((m, n), 2)
@@ -194,6 +203,27 @@ class TestEvaluate:
         report, rows = evaluate(model_kind, build(config, seeded_make(0)), config, grids)
         assert seen == batches
         assert report["n"] == len(rows) == docs
+
+    @pytest.mark.parametrize("model_kind", sorted(MODELS))
+    def test_label_other_than_0_or_1_rejected(self, setup, model_kind):
+        config, _, grids = setup
+        grids.label[2] = 2
+        params = MODELS[model_kind][0](config, seeded_make(0))
+        with pytest.raises(ValueError, match="0 or 1"):
+            evaluate(model_kind, params, config, grids)
+
+    @pytest.mark.parametrize("model_kind", sorted(MODELS))
+    def test_builds_no_loss(self, setup, model_kind, monkeypatch):
+        config, _, grids = setup
+        params = MODELS[model_kind][0](config, seeded_make(0))
+        _, rows = evaluate(model_kind, params, config, grids)
+
+        def no_loss(*args):
+            raise AssertionError("evaluate built a loss")
+
+        monkeypatch.setattr(T, "bce_loss", no_loss)
+        monkeypatch.setattr(T, "nll_loss", no_loss)
+        assert evaluate(model_kind, params, config, grids)[1] == rows
 
     def test_non_finite_probability_raises(self, setup):
         config, params, grids = setup

@@ -283,10 +283,10 @@ class TestElementwise:
 
 
 def dense_chain(x, u, g, weight, bias, grad):
-    """The matmul, add, row_block, reshape, relu and mean_pool chain
-    affine_relu_mean replaced, as the numpy calls of those ops' forward and
-    backward rules: (out, dx, du, dg, dweight, dbias) for upstream gradient
-    grad."""
+    """The matmul, add, reshape, relu and mean_pool chain affine_relu_mean
+    replaced, on slices of the weight, as the numpy calls of those ops'
+    forward and backward rules: (out, dx, du, dg, dweight, dbias) for
+    upstream gradient grad."""
     d_g, d_u, d = g.shape[-1], u.shape[-1], weight.shape[1]
     w_g, w_u, w_x = weight[:d_g], weight[d_g:d_g + d_u], weight[d_g + d_u:]
     g2 = g.reshape(-1, d_g)

@@ -1,3 +1,4 @@
+import gc
 import itertools
 import json
 import math
@@ -221,12 +222,11 @@ class TestTrainLoop:
         config = toy_config()
         grids = toy_grids(config)
 
-        def exploding(prob_loss, grid, params, cfg):
+        def exploding(y_prime, y_dprime, y):
             loss = T.Tensor(np.array(np.inf), requires_grad=True)
-            loss._parents = ()
-            return loss, np.inf
+            return loss, loss
 
-        monkeypatch.setattr(training_mod, "_batch_loss", exploding)
+        monkeypatch.setattr(training_mod, "heads_loss", exploding)
         with pytest.raises(TrainingError, match="batch 0"):
             train(grids, grids, "sirm", config, TrainConfig(max_epochs=1))
 
@@ -309,6 +309,30 @@ class TestTrainLoop:
             loss = sirm_loss(trace, batch.label).item()
         assert history[0]["train_bce"] == pytest.approx(bce, rel=1e-12)
         assert history[0]["train_loss"] == pytest.approx(loss, rel=1e-12)
+
+    def test_nbow_rejects_a_label_other_than_0_or_1(self):
+        config = toy_config()
+        grids = toy_grids(config)
+        grids.label[3] = 2
+        with pytest.raises(ValueError, match="labels must be 0 or 1"):
+            train(grids, grids, "nbow", config, TrainConfig(max_epochs=1))
+
+    @pytest.mark.parametrize("kind", sorted(MODELS))
+    def test_no_graph_node_outlives_backward_into_the_adam_step(self, kind, monkeypatch):
+        config = toy_config()
+        grids = toy_grids(config)
+        step, alive = Adam.step, []
+
+        def counted(optimizer):
+            alive.append(sum(isinstance(o, T.Tensor) and bool(o._parents)
+                             for o in gc.get_objects()))
+            step(optimizer)
+
+        monkeypatch.setattr(Adam, "step", counted)
+        gc.collect()
+        train(grids, grids, kind, config,
+              TrainConfig(max_epochs=2, early_stop_patience=5, batch_size=3))
+        assert alive == [0] * 6
 
     def test_sirm_train_loss_holds_the_bce_plus_a_non_negative_ce(self):
         config = toy_config()
