@@ -20,7 +20,7 @@ from . import tensor as T
 from .evaluation import evaluate, write_predictions
 from .model import (MODELS, ConfigError, SIRMConfig, init_sirm_params,
                     param_count, sirm_forward, sirm_loss)
-from .text import (DataFormatError, ParagraphGrid, Vocabulary, atomic_write_bytes,
+from .text import (PAD_ID, DataFormatError, ParagraphGrid, Vocabulary, atomic_write_bytes,
                    build_vocab, encode_split, load_dataset, tokenize)
 from .training import (CheckpointError, TrainConfig, TrainingError, best_epoch,
                        load_checkpoint, save_checkpoint, split_dev, train)
@@ -185,15 +185,20 @@ def run_grad_check(config, seed=7):
     Runs with the gradient-reversal node bypassed: reversal makes analytic
     gradients upstream of the skim features differ from the loss derivative
     on purpose, so its backward rule is verified separately and exactly.
-    With m >= 2 the grid's last sentence repeats its first, so the sum over
-    a sentence's copies is checked too. Returns (max error, {name: error});
-    64-bit throughout.
+    The grid holds two documents. In the first, with m >= 2, the last
+    sentence repeats the first, so the sum over a sentence's copies is
+    checked too. The second is one word and then <pad>: when the widest skim
+    window spans at most half a document, the skim drops a quarter of the
+    rows or more and reads their windows from its <pad> stretch, so that
+    path is checked as well. Returns (max error, {name: error}); 64-bit
+    throughout.
     """
     rng = np.random.default_rng(seed)
     params = init_sirm_params(config, seed=seed, dtype=np.float64)
-    ids = rng.integers(2, config.vocab_size, size=(config.m, config.n))
-    ids[-1] = ids[0]
-    grid = ParagraphGrid(ids, label=1)
+    ids = rng.integers(2, config.vocab_size, size=(2, config.m, config.n))
+    ids[0, -1] = ids[0, 0]
+    ids[1].reshape(-1)[1:] = PAD_ID
+    grid = ParagraphGrid(ids, np.array([1, 0]))
 
     def loss(_t):
         T.zero_grads(params.tensors())

@@ -18,6 +18,11 @@ def _f1(predictions, labels, positive):
     return 2 * precision * recall / (precision + recall) if precision + recall else 0.0
 
 
+def _check_gold_labels(labels):
+    if not np.isin(labels, (0, 1)).all():
+        raise ValueError(f"gold labels must be 0 or 1, got {np.setdiff1d(labels, (0, 1)).tolist()}")
+
+
 def metrics(predictions, labels):
     """Accuracy, positive-class F1, and macro F1 over the two 0/1 classes.
 
@@ -28,8 +33,7 @@ def metrics(predictions, labels):
             f"length mismatch: {len(predictions)} predictions vs {len(labels)} labels")
     if len(labels) == 0:
         raise DataFormatError("cannot compute metrics on an empty split")
-    if not np.isin(labels, (0, 1)).all():
-        raise ValueError(f"gold labels must be 0 or 1, got {np.setdiff1d(labels, (0, 1)).tolist()}")
+    _check_gold_labels(labels)
     correct = sum(int(p == y) for p, y in zip(predictions, labels))
     f1_pos = _f1(predictions, labels, positive=1)
     f1_neg = _f1(predictions, labels, positive=0)
@@ -55,7 +59,8 @@ def evaluate(model_kind, params, config, grids, threshold=0.5):
 
     Returns (metrics dict with example count, rows) where each row is (index,
     probability, predicted label, gold label); non-finite probabilities raise
-    FloatingPointError. The threshold must be a probability, in [0, 1].
+    FloatingPointError. The threshold must be a probability, in [0, 1], and
+    every gold label 0 or 1, both checked before the first forward.
     """
     if not math.isfinite(threshold):    # nan would predict 0 for every document
         raise ValueError(f"threshold must be a finite number, got {threshold!r}")
@@ -63,6 +68,7 @@ def evaluate(model_kind, params, config, grids, threshold=0.5):
         raise ValueError(f"threshold must be in [0, 1], got {threshold!r}")
     if not grids:
         raise DataFormatError("cannot evaluate an empty split")
+    _check_gold_labels(grids.label)
     _, heads = lookup_model(model_kind)
     batch_size = max(1, EVAL_CELLS // (config.m * config.n))
     probs = []

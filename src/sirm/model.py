@@ -29,6 +29,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from . import tensor as T
+from .text import PAD_ID
 
 
 class ConfigError(ValueError):
@@ -221,13 +222,25 @@ def embed_paragraph(grid, params, config):
     return T.add(emb, tiled)
 
 
-def skim_forward(s_prime_flat, params, config):
-    """Multi-width valid convolutions + ReLU + average-over-time pooling."""
-    pooled = []
-    for h in config.src_windows:
-        w, b = params.src_filters[h]
-        pooled.append(T.mean_pool(T.conv1d(s_prime_flat, w, b, padding="valid")))
-    return T.concat_lastaxis(pooled)
+def skim_forward(s_prime_flat, params, config, token_ids=None):
+    """Multi-width valid convolutions + ReLU + average-over-time pooling, as
+    one tensor.conv_relu_mean node. Given the grid's token ids (..., m, n),
+    and when tensor.kept_rows finds enough rows that no window of a word
+    reads, the node skips them: their windows come from a stretch of <pad>
+    embeddings plus positions 0, 1, ... mod n, whose gradient reaches the
+    table through its own lookup. Without ids every row counts as a word."""
+    filters = [params.src_filters[h] for h in config.src_windows]
+    kept = None
+    if token_ids is not None:
+        words = token_ids.reshape(token_ids.shape[:-2] + (config.m * config.n,)) != PAD_ID
+        kept = T.kept_rows(words, max(config.src_windows))
+    if kept is None:
+        return T.conv_relu_mean(s_prime_flat, filters)
+    span = config.n + max(config.src_windows) - 1
+    pos = positional_encoding(config.n, config.d_e, params.embedding.dtype).data
+    pad = T.add(T.embedding_lookup(params.embedding, np.full(span, PAD_ID)),
+                T.Tensor(np.resize(pos, (span, config.d_e))))
+    return T.conv_relu_mean(s_prime_flat, filters, kept, pad)
 
 
 def near_neighbor_encode(x, weight, bias, k):
@@ -260,7 +273,7 @@ def sirm_forward(grid, params, config, reverse_gradients=True):
     lead = grid.token_ids.shape[:-2]
 
     s_flat = embed_paragraph(grid, params, config)          # (..., m*n, d_e)
-    g = skim_forward(s_flat, params, config)                # (..., |g|)
+    g = skim_forward(s_flat, params, config, grid.token_ids)   # (..., |g|)
 
     # each distinct sentence once: repeats and all-PAD rows collapse. Viewing
     # a sentence's ids as one opaque key sorts them faster than axis=0 does.

@@ -1,12 +1,14 @@
 """Minimal reverse-mode autodiff engine over dense numpy arrays.
 
 Only the primitives the models in model.py need: embedding lookup, a gather
-of distinct rows, matmul, rectified 1-D convolution, affine_relu_mean (a
-dense connection in one node: relu([g; u_j; x_j] @ W + b) mean-pooled over
+of distinct rows, matmul, rectified 1-D convolution, conv_relu_mean (the
+skim in one node: several rectified valid convolutions, each mean-pooled,
+reading only the rows near a word if asked), affine_relu_mean (a dense
+connection in one node: relu([g; u_j; x_j] @ W + b) mean-pooled over
 positions j, with g's product once per document, and x's and u's once per
-distinct row if asked, gathered to every copy), sigmoid and softmax, mean
-pooling, concatenation, reshape, broadcasting addition, gradient reversal,
-and the two loss heads. The convolution is in tap form: one product per tap
+distinct row if asked, gathered to every copy), sigmoid and softmax,
+concatenation, reshape, broadcasting addition, gradient reversal, and the
+two loss heads. The convolution is in tap form: one product per tap
 projects every input row through it, and each output row sums the tap
 products of the input rows it covers, so boundary padding is skipped, never
 built; its ReLU is applied in place, inside the same node. Every op accepts
@@ -20,12 +22,14 @@ of the leaf's own dtype and layout, never aliasing the upstream array; later
 ones are added to it in place. An op node's gradient is read only by its own
 backward rule, so it borrows the first upstream array of its dtype and shape
 as a read-only view, and a second contribution makes a fresh sum the node
-owns. A rule that writes a gradient in place (affine_relu_mean's weight,
+owns; conv_relu_mean hands its input a fresh zero-filled gradient to own
+outright. A rule that writes a gradient in place (affine_relu_mean's weight,
 embedding_lookup, the loss seed) first takes ownership of it.
 """
 
 import contextlib
 import ctypes
+import itertools
 import os
 import sys
 
@@ -139,6 +143,16 @@ def _accum(t, g):
         t.grad = np.add(t.grad, g, out=np.empty_like(t.data))
 
 
+def _give(t, g):
+    """_accum for a fresh gradient array g that nothing else holds: an op
+    node's first gradient of its dtype and shape becomes its own buffer."""
+    if (t.grad is None and t._backward is not None and g.dtype == t.data.dtype
+            and g.shape == t.data.shape):
+        t.grad = g
+    else:
+        _accum(t, g)
+
+
 def _own_grad(t):
     """t.grad as a writable C-order buffer that t owns, zero if t had none."""
     if t.grad is None:
@@ -218,6 +232,72 @@ def matmul(a, b):
     return _from_op(out_data, (a, b), bwd)
 
 
+def _conv_taps(x, w, b, pad_l, l_out):
+    """conv1d's arithmetic on arrays: (out, grads) for x (..., L, d_in), w (h,
+    d_in, d_out) and b (d_out,), output rows i = relu(b + sum_j x[i + j - pad_l]
+    @ w[j]) for i < l_out, taps that read past a sequence's end skipped.
+    grads(g, put_x, put_w, put_b) hands dx, dw and db, for upstream gradient
+    g of out's shape, to those that are not None, in that order."""
+    h, d_in, d_out = w.shape
+    L = x.shape[-2]
+    rows_shape = x.shape[:-1]
+    # tap j reads input rows [lo, hi) into output rows [lo - s, hi - s), s = j - pad_l;
+    # a tap that sees only padding (a sequence shorter than pad_l) has lo == hi
+    spans = [(j, s, max(0, s), max(0, s, min(L, l_out + s)))
+             for j, s in enumerate(range(-pad_l, h - pad_l))]
+    x2 = x.reshape(-1, d_in)
+    rows = x2.shape[0]
+    # one tap at a time: a batched x2 @ w would hold all h products at once
+    P = np.empty((rows, d_out), np.result_type(x, w))
+    P_seq = P.reshape(rows_shape + (d_out,))
+    out = np.empty((rows, d_out), np.result_type(P, b))
+    out[...] = b
+    for j, s, lo, hi in spans:
+        if lo < hi:
+            np.matmul(x2, w[j], out=P)
+            P_seq[..., :lo, :] = 0
+            P_seq[..., hi:, :] = 0
+            out[max(0, -s):rows - max(0, s)] += P[max(0, s):rows + min(0, s)]
+    np.maximum(out, 0, out=out)
+    out_data = out.reshape(rows_shape + (d_out,))[..., :l_out, :]
+
+    def grads(g, put_x, put_w, put_b):
+        g = g * (out_data > 0)
+        if put_x or put_w:
+            # row-major taps make the two products below the unrolled rule's;
+            # every row of a tap outside its span is zero
+            dP = np.empty(rows_shape + (h, d_out), g.dtype)
+            for j, s, lo, hi in spans:
+                dP[..., :lo, j, :] = 0
+                dP[..., hi:, j, :] = 0
+                if lo < hi:
+                    dP[..., lo:hi, j, :] = g[..., lo - s:hi - s, :]
+            dP2 = dP.reshape(-1, h * d_out)
+            if put_x:
+                put_x((dP2 @ w.transpose(1, 0, 2).reshape(d_in, h * d_out).T).reshape(x.shape))
+            if put_w:
+                put_w((x2.T @ dP2).reshape(d_in, h, d_out).transpose(1, 0, 2))
+        if put_b:
+            put_b(g.reshape(-1, d_out).sum(axis=0))
+
+    return out_data, grads
+
+
+def _accumulators(*tensors):
+    """For each tensor, a function adding a gradient to it, or None if it
+    takes none."""
+    return [(lambda g, t=t: _accum(t, g)) if t.requires_grad else None for t in tensors]
+
+
+def _check_conv_operands(x, w, b, op):
+    if w.data.ndim != 3:
+        raise ShapeError(f"{op} weight must be rank 3, got {w.data.shape}")
+    if x.data.ndim < 2 or x.data.shape[-1] != w.data.shape[1]:
+        raise ShapeError(f"{op} input {x.data.shape} incompatible with weight {w.data.shape}")
+    if b.data.shape != w.data.shape[2:]:
+        raise ShapeError(f"{op} bias {b.data.shape} does not match weight {w.data.shape}")
+
+
 def conv1d(x, w, b, padding="valid"):
     """Rectified 1-D convolution over the sequence axis, full width over features.
 
@@ -232,13 +312,11 @@ def conv1d(x, w, b, padding="valid"):
     no sequence reads its neighbour's rows; valid output is the first L-h+1
     rows of each sequence. The sum is then rectified in place, max(., 0). The
     backward rule first masks g with out > 0 (an exact zero gets a zero
-    gradient) and keeps shapes, spans and the output, never P.
+    gradient) and keeps shapes, spans and the output, never P. The skim's
+    conv_relu_mean runs the same valid-mode arithmetic.
     """
-    if w.data.ndim != 3:
-        raise ShapeError(f"conv1d weight must be rank 3, got {w.data.shape}")
-    h, d_in, d_out = w.data.shape
-    if x.data.ndim < 2 or x.data.shape[-1] != d_in:
-        raise ShapeError(f"conv1d input {x.data.shape} incompatible with weight {w.data.shape}")
+    _check_conv_operands(x, w, b, "conv1d")
+    h = w.data.shape[0]
     L = x.data.shape[-2]
     if padding == "valid":
         if L < h:
@@ -248,48 +326,172 @@ def conv1d(x, w, b, padding="valid"):
         pad_l, l_out = h // 2, L
     else:
         raise ValueError(f"unknown padding mode {padding!r}")
-    rows_shape = x.data.shape[:-1]
-    # tap j reads input rows [lo, hi) into output rows [lo - s, hi - s), s = j - pad_l;
-    # a tap that sees only padding (a sequence shorter than pad_l) has lo == hi
-    spans = [(j, s, max(0, s), max(0, s, min(L, l_out + s)))
-             for j, s in enumerate(range(-pad_l, h - pad_l))]
-    x2 = x.data.reshape(-1, d_in)
-    rows = x2.shape[0]
-    # one tap at a time: a batched x2 @ w would hold all h products at once
-    P = np.empty((rows, d_out), np.result_type(x.data, w.data))
-    P_seq = P.reshape(rows_shape + (d_out,))
-    out = np.empty((rows, d_out), np.result_type(P, b.data))
-    out[...] = b.data
-    for j, s, lo, hi in spans:
-        if lo < hi:
-            np.matmul(x2, w.data[j], out=P)
-            P_seq[..., :lo, :] = 0
-            P_seq[..., hi:, :] = 0
-            out[max(0, -s):rows - max(0, s)] += P[max(0, s):rows + min(0, s)]
-    np.maximum(out, 0, out=out)
-    out_data = out.reshape(rows_shape + (d_out,))[..., :l_out, :]
+    out_data, grads = _conv_taps(x.data, w.data, b.data, pad_l, l_out)
 
     def bwd(g):
-        g = g * (out_data > 0)
-        if x.requires_grad or w.requires_grad:
-            # row-major taps make the two products below the unrolled rule's;
-            # every row of a tap outside its span is zero
-            dP = np.empty(rows_shape + (h, d_out), g.dtype)
-            for j, s, lo, hi in spans:
-                dP[..., :lo, j, :] = 0
-                dP[..., hi:, j, :] = 0
-                if lo < hi:
-                    dP[..., lo:hi, j, :] = g[..., lo - s:hi - s, :]
-            dP2 = dP.reshape(-1, h * d_out)
-            if x.requires_grad:
-                taps = w.data.transpose(1, 0, 2).reshape(d_in, h * d_out)
-                _accum(x, (dP2 @ taps.T).reshape(x.data.shape))
-            if w.requires_grad:
-                _accum(w, (x2.T @ dP2).reshape(d_in, h, d_out).transpose(1, 0, 2))
-        if b.requires_grad:
-            _accum(b, g.reshape(-1, d_out).sum(axis=0))
+        grads(g, *_accumulators(x, w, b))
 
     return _from_op(out_data, (x, w, b), bwd)
+
+
+# kept_rows lets conv_relu_mean drop rows only when they are at least this
+# share of a batch's rows: below it, the index work costs more than the
+# products it saves. Measured shares: 1.9% on the bundled set (m=2, n=10),
+# 49-68% of a 64-document paper-grid training batch (m=8, n=32) and 44-74% of
+# a 16-document paper-grid evaluation forward.
+MIN_DROPPED_SHARE = 0.25
+
+
+def kept_rows(words, H):
+    """The rows within H - 1 rows of a word of their own sequence, as a bool
+    mask of the shape of words (..., L), which marks each sequence's words.
+    Every window of width at most H over a row outside the mask reads no
+    word. None when fewer than MIN_DROPPED_SHARE of the rows are outside."""
+    kept = words.copy()
+    for s in range(1, H):
+        kept[..., s:] |= words[..., :-s]
+        kept[..., :-s] |= words[..., s:]
+    dropped = kept.size - np.count_nonzero(kept)
+    return kept if dropped and dropped >= MIN_DROPPED_SHARE * kept.size else None
+
+
+def conv_relu_mean(x, filters, kept=None, pad=None):
+    """A skim read as one node: for each (w, b) of filters, the mean over the
+    valid windows of conv1d(x, w, b), the rectified convolution; the means
+    are concatenated in filter order: (..., L, d_in) -> (..., sum of d_out).
+
+    Without kept and pad, the forward and backward make, in order, the numpy
+    calls of the conv1d, mean_pool and concat chain this node replaced. With
+    them, the node reads only the kept rows, a bool mask of x's rows, and
+    pad (n + H - 1, d_in), H the widest window: a stretch of rows that reads
+    as <pad> at positions 0, 1, ... modulo n. The caller promises that every
+    window over a row not kept reads only <pad>: each of its rows is pad's
+    row of the same position, row p of a sequence having position p mod n.
+    kept_rows gives such rows. Such a window's rectified sum depends only on
+    its start modulo n. So the node convolves the kept rows of all sequences,
+    in order, with pad appended, as one sequence; it pools each sequence's
+    windows whose rows are all kept with one segment sum, and adds, for each
+    start q < n, the count of its other windows starting at q modulo n times
+    pad's window at q. x's other rows get a zero gradient; their windows'
+    gradient goes to pad.
+    """
+    filters = list(filters)
+    if not filters:
+        raise ShapeError("conv_relu_mean needs at least one filter")
+    for w, b in filters:
+        _check_conv_operands(x, w, b, "conv_relu_mean")
+    widths = [w.data.shape[0] for w, _ in filters]
+    d_outs = [w.data.shape[2] for w, _ in filters]
+    L, d_in = x.data.shape[-2:]
+    H = max(widths)
+    if L < H:
+        raise ShapeError(f"sequence length {L} shorter than window {H}")
+    if (kept is None) != (pad is None):
+        raise ShapeError("conv_relu_mean takes kept and pad together")
+    if kept is None:
+        out_data, rule = _conv_relu_mean_all(x, filters, widths, d_outs)
+        parents = (x,)
+    else:
+        kept = np.asarray(kept)
+        if (kept.dtype != np.bool_ or kept.shape != x.data.shape[:-1]
+                or pad.data.shape[1:] != (d_in,) or pad.data.shape[0] < H):
+            raise ShapeError(f"conv_relu_mean kept {kept.shape} and pad {pad.data.shape} "
+                             f"do not fit x {x.data.shape} and window {H}")
+        out_data, rule = _conv_relu_mean_kept(x, filters, widths, d_outs,
+                                              kept.reshape(-1), pad)
+        parents = (x, pad)
+
+    def bwd(grad):     # a rule named after the op, whichever path built it
+        rule(grad)
+
+    return _from_op(out_data, parents + tuple(t for f in filters for t in f), bwd)
+
+
+def _conv_relu_mean_all(x, filters, widths, d_outs):
+    """conv_relu_mean over every row: (out, backward rule)."""
+    L = x.data.shape[-2]
+    convs, pooled = [], []
+    for h, (w, b) in zip(widths, filters):
+        convs.append(_conv_taps(x.data, w.data, b.data, 0, L - h + 1))
+        pooled.append(convs[-1][0].sum(axis=-2) / float(L - h + 1))
+    out_data = np.concatenate(pooled, axis=-1)
+    offsets = list(itertools.accumulate(d_outs, initial=0))
+
+    def bwd(grad):
+        # the chain's backward ran its last filter first
+        for i in reversed(range(len(filters))):
+            (w, b), (c, grads), l_out = filters[i], convs[i], L - widths[i] + 1
+            g = np.broadcast_to(grad[..., None, offsets[i]:offsets[i + 1]] / float(l_out),
+                                c.shape)
+            grads(g, *_accumulators(x, w, b))
+
+    return out_data, bwd
+
+
+def _conv_relu_mean_kept(x, filters, widths, d_outs, kept, pad):
+    """conv_relu_mean over the kept rows and the pad stretch: (out, backward rule)."""
+    lead, (L, d_in) = x.data.shape[:-2], x.data.shape[-2:]
+    D = kept.size // L
+    n = pad.data.shape[0] - max(widths) + 1
+    idx = np.flatnonzero(kept)              # kept rows, in sequence order
+    K = idx.size
+    seq, p = np.divmod(idx, L)
+    xc = np.empty((K + len(pad.data), d_in), np.result_type(x.data, pad.data))
+    np.take(x.data.reshape(-1, d_in), idx, axis=0, out=xc[:K])
+    xc[K:] = pad.data
+    # a run is a stretch of consecutive kept rows of one sequence; left counts
+    # the rows from each kept row to the end of its run
+    first = np.flatnonzero((np.diff(idx, prepend=-2) != 1) | (p == 0))
+    ends = np.append(first[1:], K)[:first.size]
+    left = np.repeat(ends, ends - first) - np.arange(K)
+    per_seq = np.bincount(seq, minlength=D)
+    some = per_seq > 0
+    seg = (np.cumsum(per_seq) - per_seq)[some]
+    phase = seq * n + p % n
+    parts, saved = [], []
+    for h, (w, b) in zip(widths, filters):
+        l_out = L - h + 1
+        conv, grads = _conv_taps(xc, w.data, b.data, 0, len(xc) - h + 1)
+        # a window inside a run keeps its rectified sum; the others read only
+        # <pad> and are zeroed, which also zeroes their gradient
+        inside = left >= h
+        conv[:K][~inside] = 0
+        # each sequence's windows outside its runs, counted by start modulo n
+        others = (np.bincount(np.arange(l_out) % n, minlength=n)
+                  - np.bincount(phase[inside], minlength=D * n).reshape(D, n))
+        others = others.astype(conv.dtype)
+        sums = others @ conv[K:K + n]
+        if K:
+            sums[some] += np.add.reduceat(conv[:K], seg)
+        parts.append(sums / float(l_out))
+        saved.append((conv, grads, others, l_out))
+    out_data = np.concatenate(parts, axis=-1).reshape(lead + (-1,))
+    offsets = list(itertools.accumulate(d_outs, initial=0))
+
+    def bwd(grad):
+        grad = grad.reshape(D, -1)
+        dxc = None
+
+        def put_xc(d):
+            nonlocal dxc
+            dxc = d if dxc is None else np.add(dxc, d, out=dxc)
+
+        for i, ((w, b), (conv, grads, others, l_out)) in enumerate(zip(filters, saved)):
+            g = grad[:, offsets[i]:offsets[i + 1]] / float(l_out)
+            dconv = np.empty(conv.shape, g.dtype)
+            dconv[:K] = np.repeat(g, per_seq, axis=0)
+            dconv[K:K + n] = others.T @ g
+            dconv[K + n:] = 0
+            grads(dconv, put_xc if x.requires_grad or pad.requires_grad else None,
+                  *_accumulators(w, b))
+        if dxc is not None:
+            if x.requires_grad:
+                dx = np.zeros(x.data.shape, dxc.dtype)
+                dx.reshape(-1, d_in)[idx] = dxc[:K]
+                _give(x, dx)
+            _accum(pad, dxc[K:])
+
+    return out_data, bwd
 
 
 def sigmoid(x):
@@ -309,19 +511,6 @@ def softmax_lastaxis(x):
     def bwd(g):
         dot = (g * out_data).sum(axis=-1, keepdims=True)
         _accum(x, (g - dot) * out_data)
-
-    return _from_op(out_data, (x,), bwd)
-
-
-def mean_pool(x):
-    """Per-feature mean over the sequence axis: (..., L, d) -> (..., d)."""
-    if x.data.ndim < 2:
-        raise ShapeError(f"mean_pool expects rank >= 2, got {x.data.shape}")
-    L = x.data.shape[-2]
-    out_data = x.data.sum(axis=-2) / float(L)
-
-    def bwd(g):
-        _accum(x, np.broadcast_to(g[..., None, :] / float(L), x.data.shape))
 
     return _from_op(out_data, (x,), bwd)
 

@@ -13,7 +13,8 @@ import pytest
 import sirm
 import sirm.training as training_mod
 from sirm import tensor as T
-from sirm.cli import SIRM_FIELDS, TRAIN_FIELDS, _assemble, build_parser, main
+from sirm.cli import (GRAD_CHECK_TOLERANCE, SIRM_FIELDS, TRAIN_FIELDS, _assemble, build_parser,
+                      main, run_grad_check, toy_grad_check_config)
 from sirm.model import ConfigError
 from sirm.synthetic import generate, write_jsonl
 from sirm.training import best_epoch, load_checkpoint, save_checkpoint
@@ -502,6 +503,14 @@ class TestSelfChecks:
     def test_grad_check_passes(self, capsys):
         assert main(["grad-check"]) == 0
         assert "max relative gradient error" in capsys.readouterr().out
+
+    def test_grad_check_differentiates_the_skims_pad_stretch(self, monkeypatch):
+        compacted = []
+        kept = T._conv_relu_mean_kept
+        monkeypatch.setattr(T, "_conv_relu_mean_kept",
+                            lambda *args: compacted.append(1) or kept(*args))
+        max_err, _ = run_grad_check(toy_grad_check_config())
+        assert compacted and max_err < GRAD_CHECK_TOLERANCE
 
     def test_grad_check_with_a_paragraph_window_wider_than_m(self, tmp_path, capsys):
         config = tmp_path / "k3.json"       # window 2k+1 = 7 over m = 2 sentences

@@ -213,6 +213,20 @@ class TestEvaluate:
             evaluate(model_kind, params, config, grids)
 
     @pytest.mark.parametrize("model_kind", sorted(MODELS))
+    def test_label_other_than_0_or_1_rejected_before_any_forward(self, setup, model_kind,
+                                                                 monkeypatch):
+        config, _, grids = setup
+        grids.label[-1] = 2
+        build, _ = MODELS[model_kind]
+
+        def heads(*args):
+            raise AssertionError("evaluate ran a forward")
+
+        monkeypatch.setitem(MODELS, model_kind, (build, heads))
+        with pytest.raises(ValueError, match=r"gold labels must be 0 or 1, got \[2\]"):
+            evaluate(model_kind, build(config, seeded_make(0)), config, grids)
+
+    @pytest.mark.parametrize("model_kind", sorted(MODELS))
     def test_builds_no_loss(self, setup, model_kind, monkeypatch):
         config, _, grids = setup
         params = MODELS[model_kind][0](config, seeded_make(0))

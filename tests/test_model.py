@@ -166,6 +166,19 @@ class TestSkimForward:
             lambda v: total(skim_forward(v, params, config)), x) < 1e-6
 
 
+    def test_dropping_the_rows_far_from_every_word_keeps_g(self):
+        config = toy_config(m=3, n=4, src_windows=(1, 2, 3))
+        params = init_sirm_params(config, seed=1, dtype=np.float64)
+        ids = np.full((2, config.m, config.n), PAD_ID)
+        ids[0, 0, :2] = [3, 4]
+        ids[1, 1, 1] = 5
+        grid = ParagraphGrid(ids, np.array([0, 1]))
+        assert T.kept_rows(ids.reshape(2, -1) != PAD_ID, 3) is not None
+        x = embed_paragraph(grid, params, config)
+        np.testing.assert_allclose(skim_forward(x, params, config, grid.token_ids).data,
+                                   skim_forward(x, params, config).data, rtol=0, atol=1e-12)
+
+
 class TestNearNeighbor:
     def test_length_one_depends_only_on_real_row(self):
         rng = np.random.default_rng(6)

@@ -244,7 +244,8 @@ class TestConv1d:
 @given(src_windows=st.lists(st.integers(1, 6), min_size=1, max_size=4, unique=True))
 def test_sirm_graph_rectifies_only_its_dense_connections(src_windows):
     # every convolution is rectified inside its own node, and so is the dense
-    # connection of each level: no separate relu node is left
+    # connection of each level: no separate relu node is left; the skim's
+    # convolutions, pooling and concatenation are one node
     config = SIRMConfig(vocab_size=12, d_e=4, d_c=4, src_windows=src_windows, k=1,
                         d_ns=4, d_np=4, d_as=4, d_ap=4, m=2, n=3)
     params = init_sirm_params(config, seed=0)
@@ -256,7 +257,9 @@ def test_sirm_graph_rectifies_only_its_dense_connections(src_windows):
     rules = [rule for rule, _ in ops]
     assert rules.count("affine_relu_mean") == 2
     assert "relu" not in rules and "row_block" not in rules
-    assert rules.count("conv1d") == len(src_windows) + 2
+    assert rules.count("conv1d") == 2
+    assert rules.count("conv_relu_mean") == 1
+    assert "mean_pool" not in rules and "concat_lastaxis" in rules   # the out head's
     # the skim term and the weight's row blocks live inside the dense
     # connections: the only products left as nodes are the two heads'
     heads = [params.out_head[0], params.adv_head[0]]
@@ -452,19 +455,215 @@ class TestGatherRows:
             T.gather_rows(t64(np.zeros((4, 3))), np.array(index))
 
 
-class TestMeanPool:
-    def test_fixed(self):
-        assert np.array_equal(T.mean_pool(t64([[2, 4], [4, 8]])).data, [3, 6])
+def chain_conv1d_valid(x, w, b):
+    """The valid mode of conv1d as the skim ran it before conv_relu_mean, as
+    its own op: a copy kept as the node's reference."""
+    h, d_in, d_out = w.data.shape
+    L = x.data.shape[-2]
+    rows_shape = x.data.shape[:-1]
+    l_out = L - h + 1
+    spans = [(j, j, j, l_out + j) for j in range(h)]
+    x2 = x.data.reshape(-1, d_in)
+    rows = x2.shape[0]
+    P = np.empty((rows, d_out), np.result_type(x.data, w.data))
+    P_seq = P.reshape(rows_shape + (d_out,))
+    out = np.empty((rows, d_out), np.result_type(P, b.data))
+    out[...] = b.data
+    for j, s, lo, hi in spans:
+        np.matmul(x2, w.data[j], out=P)
+        P_seq[..., :lo, :] = 0
+        P_seq[..., hi:, :] = 0
+        out[0:rows - s] += P[s:rows]
+    np.maximum(out, 0, out=out)
+    out_data = out.reshape(rows_shape + (d_out,))[..., :l_out, :]
 
-    def test_backward(self):
-        x = t64([[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]], requires_grad=True)
-        T.backward(total(T.mean_pool(x)))
-        np.testing.assert_allclose(x.grad, np.full((3, 2), 1.0 / 3.0))
+    def bwd(g):
+        g = g * (out_data > 0)
+        dP = np.empty(rows_shape + (h, d_out), g.dtype)
+        for j, s, lo, hi in spans:
+            dP[..., :lo, j, :] = 0
+            dP[..., hi:, j, :] = 0
+            dP[..., lo:hi, j, :] = g[..., lo - s:hi - s, :]
+        dP2 = dP.reshape(-1, h * d_out)
+        taps = w.data.transpose(1, 0, 2).reshape(d_in, h * d_out)
+        T._accum(x, (dP2 @ taps.T).reshape(x.data.shape))
+        T._accum(w, (x2.T @ dP2).reshape(d_in, h, d_out).transpose(1, 0, 2))
+        T._accum(b, g.reshape(-1, d_out).sum(axis=0))
 
-    def test_leading_axes_pool_each_sequence(self):
-        x = np.arange(12.0).reshape(2, 3, 2)
-        out = T.mean_pool(t64(x))
-        np.testing.assert_array_equal(out.data, x.mean(axis=1))
+    return T._from_op(out_data, (x, w, b), bwd)
+
+
+def chain_mean_pool(x):
+    """The mean_pool op the skim ran before conv_relu_mean: per-feature mean
+    over the sequence axis."""
+    L = x.data.shape[-2]
+    out_data = x.data.sum(axis=-2) / float(L)
+
+    def bwd(g):
+        T._accum(x, np.broadcast_to(g[..., None, :] / float(L), x.data.shape))
+
+    return T._from_op(out_data, (x,), bwd)
+
+
+def chain_skim(x, filters):
+    """The chain conv_relu_mean replaced: valid conv1d, mean_pool, concat."""
+    return T.concat_lastaxis([chain_mean_pool(chain_conv1d_valid(x, w, b))
+                              for w, b in filters])
+
+
+def skim_inputs(rng, dtype, lead, m, n, windows, d_in, d_out, vocab, pad_runs):
+    """A skim read of grids of token ids, as the model builds it: the table E,
+    the filters, the word mask and a function of E giving (x, pad), where x
+    holds E's rows of the ids plus positions p mod n, and pad is E's <pad>
+    row plus positions 0, 1, ... mod n. pad_runs draws the grid: "none" has
+    no <pad>, "runs" PAD runs of random length, "empty" some documents all
+    <pad>."""
+    L, H = m * n, max(windows)
+    ids = rng.integers(1, vocab, size=tuple(lead) + (L,))
+    if pad_runs != "none":
+        for doc in np.ndindex(*lead):
+            a, b = np.sort(rng.integers(0, L + 1, size=2))
+            ids[doc][a:b] = 0
+            ids[doc][rng.random(L) < 0.3] = 0
+        if pad_runs == "empty":
+            ids.reshape(-1, L)[rng.random(ids.size // L) < 0.5] = 0
+    pos = rng.normal(size=(n, d_in)).astype(dtype)
+    table = T.Tensor(rng.normal(size=(vocab, d_in)).astype(dtype), requires_grad=True)
+    filters = [tuple(T.Tensor(rng.normal(size=shape).astype(dtype), requires_grad=True)
+                     for shape in ((h, d_in, d_out), (d_out,))) for h in windows]
+
+    def read(E):
+        x = T.add(T.embedding_lookup(E, ids), T.Tensor(np.tile(pos, (m, 1))))
+        pad = T.add(T.embedding_lookup(E, np.zeros(n + H - 1, np.int64)),
+                    T.Tensor(np.resize(pos, (n + H - 1, d_in))))
+        return x, pad
+
+    return table, filters, ids != 0, read
+
+
+def backward_of(out, coef):
+    T.backward(total(T.matmul(out, coef)))
+
+
+class TestConvReluMean:
+    @settings(max_examples=150, deadline=None)
+    @example(lead=[3], m=2, n=4, windows=[1, 2, 3], pad_runs="runs", seed=0)
+    @example(lead=[], m=1, n=6, windows=[2, 6], pad_runs="runs", seed=1)
+    @example(lead=[4], m=3, n=2, windows=[5, 1], pad_runs="empty", seed=2)
+    @example(lead=[2, 2], m=2, n=3, windows=[6], pad_runs="empty", seed=3)
+    @example(lead=[2], m=3, n=3, windows=[1, 2], pad_runs="none", seed=4)
+    @given(lead=st.lists(st.integers(1, 4), max_size=2), m=st.integers(1, 4),
+           n=st.integers(1, 6), windows=st.lists(st.integers(1, 24), min_size=1, max_size=3,
+                                                 unique=True),
+           pad_runs=st.sampled_from(["none", "runs", "empty"]), seed=st.integers(0, 2**16))
+    def test_matches_the_chain_it_replaced(self, lead, m, n, windows, pad_runs, seed):
+        windows = [h for h in windows if h <= m * n] or [m * n]
+        rng = np.random.default_rng(seed)
+        table, filters, words, read = skim_inputs(rng, np.float64, lead, m, n, windows,
+                                                  d_in=3, d_out=2, vocab=5, pad_runs=pad_runs)
+        coef = t64(rng.normal(size=(2 * len(windows), 1)))
+        H = max(windows)
+        near = np.zeros(words.shape, bool)
+        for idx in np.ndindex(words.shape):
+            near[idx] = words[idx[:-1]][max(0, idx[-1] - H + 1):idx[-1] + H].any()
+        dropped = near.size - near.sum()
+        kept = T.kept_rows(words, H)
+        if dropped and dropped >= T.MIN_DROPPED_SHARE * near.size:
+            assert np.array_equal(kept, near)
+        else:
+            assert kept is None
+        read_kept = () if kept is None else (kept,)
+
+        def run(skim):
+            T.zero_grads([table] + [t for f in filters for t in f])
+            out = skim(*read(table))
+            backward_of(out, coef)
+            return [out.data, table.grad] + [t.grad for f in filters for t in f]
+
+        got = run(lambda x, pad: T.conv_relu_mean(x, filters, *read_kept,
+                                                  *((pad,) if read_kept else ())))
+        want = run(lambda x, pad: chain_skim(x, filters))
+        np.testing.assert_allclose(got[0], want[0], rtol=0, atol=1e-12)
+        for a, b in zip(got[1:], want[1:]):
+            np.testing.assert_allclose(a, b, rtol=0, atol=1e-10)
+
+        if kept is not None:
+            # x's rows that are not kept get no gradient; their windows' goes to pad
+            x, pad = (T.Tensor(t.data, requires_grad=True) for t in read(table))
+            backward_of(T.conv_relu_mean(x, filters, kept, pad), coef)
+            assert not x.grad[~kept].any() and pad.grad is not None
+
+    @settings(max_examples=60, deadline=None)
+    @given(lead=st.lists(st.integers(1, 3), max_size=2), m=st.integers(1, 3),
+           n=st.integers(1, 5), windows=st.lists(st.integers(1, 6), min_size=1, max_size=4,
+                                                 unique=True),
+           seed=st.integers(0, 2**16))
+    def test_float32_bit_identical_to_the_chain_on_every_row(self, lead, m, n, windows, seed):
+        windows = [h for h in windows if h <= m * n] or [m * n]
+        rng = np.random.default_rng(seed)
+        table, filters, _, read = skim_inputs(rng, np.float32, lead, m, n, windows, d_in=3,
+                                              d_out=2, vocab=5, pad_runs="runs")
+        x_data, _ = read(table)
+        grad = rng.normal(size=tuple(lead) + (2 * len(windows),)).astype(np.float32)
+        results = []
+        for skim in (lambda x: T.conv_relu_mean(x, filters),
+                     lambda x: chain_skim(x, filters)):
+            T.zero_grads([t for f in filters for t in f])
+            x = T.Tensor(x_data.data, requires_grad=True)
+            # the chain's consumers run their rules in graph order
+            out = skim(x)
+            for node in reversed(T.Graph.trace(out).nodes):
+                if node is out:
+                    T._accum(out, grad)
+                if node._backward is not None and node.grad is not None:
+                    node._backward(node.grad)
+            results.append([out.data, x.grad] + [t.grad for f in filters for t in f])
+        for got, want in zip(*results):
+            assert got.dtype == want.dtype == np.float32
+            assert got.tobytes() == want.tobytes()
+
+    def test_sliding_sums_are_pooled(self):
+        x = t64([[1], [2], [3], [4]])
+        out = T.conv_relu_mean(x, [(t64(np.ones((2, 1, 1))), t64([0.0])),
+                                   (t64(np.ones((1, 1, 1))), t64([-2.0]))])
+        assert np.array_equal(out.data, [(3 + 5 + 7) / 3, (0 + 0 + 1 + 2) / 4])
+
+    def test_pad_only_windows_come_from_the_stretch(self):
+        # one word at row 0 of a 6-row sequence, n = 2, windows 1 and 2: rows 2
+        # to 5 are dropped, and their windows read pad's rows by position
+        x = t64([[5.0], [1.0], [2.0], [1.0], [2.0], [1.0]])
+        pad = t64([[2.0], [1.0], [2.0]])
+        filters = [(t64(np.ones((1, 1, 1))), t64([0.0])), (t64([[[1.0]], [[-1.0]]]), t64([0.0]))]
+        kept = T.kept_rows(np.arange(6) == 0, 2)
+        assert np.array_equal(kept, [True, True, False, False, False, False])
+        out = T.conv_relu_mean(x, filters, kept, pad)
+        assert np.array_equal(out.data, [12 / 6, (4 + 0 + 1 + 0 + 1) / 5])
+
+    def test_window_longer_than_the_sequence(self):
+        with pytest.raises(T.ShapeError, match="sequence length 2 shorter than window 3"):
+            T.conv_relu_mean(t64(np.zeros((2, 1))), [(t64(np.zeros((3, 1, 1))), t64([0.0]))])
+
+    @pytest.mark.parametrize("kept,pad", [
+        pytest.param(np.ones(4, bool), None, id="kept-without-pad"),
+        pytest.param(None, np.zeros((3, 2)), id="pad-without-kept"),
+        pytest.param(np.ones(3, bool), np.zeros((3, 2)), id="kept-length"),
+        pytest.param(np.ones(4), np.zeros((3, 2)), id="kept-not-bool"),
+        pytest.param(np.ones(4, bool), np.zeros((1, 2)), id="pad-shorter-than-a-window"),
+        pytest.param(np.ones(4, bool), np.zeros((3, 1)), id="pad-width"),
+    ])
+    def test_kept_and_pad_must_fit(self, kept, pad):
+        filters = [(t64(np.zeros((2, 2, 1))), t64([0.0]))]
+        with pytest.raises(T.ShapeError, match="conv_relu_mean"):
+            T.conv_relu_mean(t64(np.zeros((4, 2))), filters, kept,
+                             None if pad is None else t64(pad))
+
+    def test_filters_must_fit_the_input(self):
+        with pytest.raises(T.ShapeError, match="conv_relu_mean"):
+            T.conv_relu_mean(t64(np.zeros((4, 2))), [(t64(np.zeros((2, 3, 1))), t64([0.0]))])
+        with pytest.raises(T.ShapeError, match="conv_relu_mean"):
+            T.conv_relu_mean(t64(np.zeros((4, 2))), [(t64(np.zeros((2, 2, 1))), t64([0.0, 1.0]))])
+        with pytest.raises(T.ShapeError, match="conv_relu_mean"):
+            T.conv_relu_mean(t64(np.zeros((4, 2))), [])
 
 
 class TestConcat:
@@ -776,7 +975,6 @@ def finite_difference_cases():
         # weighted sum: plain sum of softmax rows is constant (zero gradient)
         ("softmax_lastaxis", x, lambda v: total(T.matmul(T.softmax_lastaxis(v),
                                                          t64([[0.3], [-1.2], [0.8], [2.1]])))),
-        ("mean_pool", x, lambda v: total(T.mean_pool(v))),
         ("concat_lastaxis", x, lambda v: total(T.concat_lastaxis([v, T.sigmoid(v)]))),
         ("reshape", x, lambda v: total(T.reshape(v, (4, 5)))),
     ]
@@ -802,6 +1000,18 @@ def finite_difference_cases():
     distinct = t64(rng.normal(size=(3, 5, 4)), requires_grad=True)
     distinct_u = t64(rng.normal(size=(3, 5, 2)))
     copies = np.array([[2, 0, 2], [1, 2, 0]])
+    # a skim read over two 8-row sequences, n = 4, windows 1 and 3: 7 of the 16
+    # rows lie more than 2 rows from a word, so the node reads the pad stretch
+    seq = t64(rng.normal(size=(2, 8, 4)), requires_grad=True)
+    words = np.zeros((2, 8), bool)
+    words[0, 0] = words[1, 3:5] = True
+    near_words = T.kept_rows(words, 3)
+    stretch = t64(rng.normal(size=(6, 4)), requires_grad=True)
+    skim_w = [t64(rng.normal(size=(h, 4, 2)), requires_grad=True) for h in (1, 3)]
+    skim_b = [t64(rng.normal(size=2), requires_grad=True) for _ in range(2)]
+
+    def skim(x_=seq, pad=stretch, w3=skim_w[1], b1=skim_b[0]):
+        return smooth(T.conv_relu_mean(x_, [(skim_w[0], b1), (w3, skim_b[1])], near_words, pad))
 
     def smooth(out):
         return total(T.sigmoid(out))
@@ -817,11 +1027,14 @@ def finite_difference_cases():
         ("conv1d", x3, lambda v: smooth(T.conv1d(v, w, b, padding="valid"))),
         ("conv1d", w, lambda v: smooth(T.conv1d(x3, v, b, padding="same_zero"))),
         ("conv1d", b, lambda v: smooth(T.conv1d(x3, w, v, padding="same_zero"))),
+        ("conv_relu_mean", seq, lambda v: skim(x_=v)),
+        ("conv_relu_mean", stretch, lambda v: skim(pad=v)),
+        ("conv_relu_mean", skim_w[1], lambda v: skim(w3=v)),
+        ("conv_relu_mean", skim_b[0], lambda v: skim(b1=v)),
         ("matmul", x3, lambda v: smooth(T.matmul(v, m))),
         ("matmul", m, lambda v: smooth(T.matmul(x3, v))),
         ("add", x3, lambda v: smooth(T.add(v, bias))),
         ("add", bias, lambda v: smooth(T.add(x3, v))),
-        ("mean_pool", x3, lambda v: smooth(T.mean_pool(v))),
         ("add", x3, lambda v: smooth(T.add(v, block))),
         ("add", block, lambda v: smooth(T.add(x3, v))),
         ("add", per_doc, lambda v: smooth(T.add(x3, v))),
@@ -840,7 +1053,7 @@ def finite_difference_cases():
         # the rows left out get a zero gradient
         ("gather_rows", x3, lambda v: smooth(T.gather_rows(v, [1]))),
         ("gather_rows", distinct, lambda v: smooth(T.gather_rows(v, [2, 0, 1]))),
-        ("bce_loss", x3, lambda v: T.bce_loss(T.sigmoid(T.mean_pool(v)), labels[:, :4])),
+        ("bce_loss", x3, lambda v: T.bce_loss(T.sigmoid(v), np.repeat(labels[..., None], 4, -1))),
         ("nll_loss", x3, lambda v: T.nll_loss(T.softmax_lastaxis(v), labels)),
     ]
     return cases
