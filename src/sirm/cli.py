@@ -189,9 +189,9 @@ def run_grad_check(config, seed=7):
     sentence repeats the first, so the sum over a sentence's copies is
     checked too. The second is one word and then <pad>: when the widest skim
     window spans at most half a document, the skim drops a quarter of the
-    rows or more and reads their windows from its <pad> stretch, so that
-    path is checked as well. Returns (max error, {name: error}); 64-bit
-    throughout.
+    rows or more and reads their windows from a stretch of the grid's own
+    <pad> rows, so that path is checked as well. Returns (max error, {name:
+    error}); 64-bit throughout.
     """
     rng = np.random.default_rng(seed)
     params = init_sirm_params(config, seed=seed, dtype=np.float64)

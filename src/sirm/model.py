@@ -29,7 +29,6 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from . import tensor as T
-from .text import PAD_ID
 
 
 class ConfigError(ValueError):
@@ -222,32 +221,21 @@ def embed_paragraph(grid, params, config):
     return T.add(emb, tiled)
 
 
-def skim_forward(s_prime_flat, params, config, token_ids=None):
+def skim_forward(s_prime_flat, params, config, words=None):
     """Multi-width valid convolutions + ReLU + average-over-time pooling, as
-    one tensor.conv_relu_mean node. Given the grid's token ids (..., m, n),
-    and when tensor.kept_rows finds enough rows that no window of a word
-    reads, the node skips them: their windows come from a stretch of <pad>
-    embeddings plus positions 0, 1, ... mod n, whose gradient reaches the
-    table through its own lookup. Without ids every row counts as a word."""
+    one tensor.conv_relu_mean node. Given the grid's word mask (..., m, n),
+    the node may skip the rows that no window of a word reads and take their
+    windows from s_prime_flat's own <pad> rows, which embed_paragraph makes
+    equal at each position. Without it every row counts as a word."""
     filters = [params.src_filters[h] for h in config.src_windows]
-    kept = None
-    if token_ids is not None:
-        words = token_ids.reshape(token_ids.shape[:-2] + (config.m * config.n,)) != PAD_ID
-        kept = T.kept_rows(words, max(config.src_windows))
-    if kept is None:
-        return T.conv_relu_mean(s_prime_flat, filters)
-    span = config.n + max(config.src_windows) - 1
-    pos = positional_encoding(config.n, config.d_e, params.embedding.dtype).data
-    pad = T.add(T.embedding_lookup(params.embedding, np.full(span, PAD_ID)),
-                T.Tensor(np.resize(pos, (span, config.d_e))))
-    return T.conv_relu_mean(s_prime_flat, filters, kept, pad)
+    return T.conv_relu_mean(s_prime_flat, filters, words)
 
 
 def near_neighbor_encode(x, weight, bias, k):
     """Zero-padded window-(2k+1) convolution with ReLU; length preserved."""
     if weight.data.shape[0] != 2 * k + 1:
         raise T.ShapeError(f"near-neighbor weight window {weight.data.shape[0]} != 2k+1")
-    return T.conv1d(x, weight, bias, padding="same_zero")
+    return T.conv1d(x, weight, bias)
 
 
 def dense_connect_pool(x_prime, u, g, weight, bias, rows=None):
@@ -273,7 +261,7 @@ def sirm_forward(grid, params, config, reverse_gradients=True):
     lead = grid.token_ids.shape[:-2]
 
     s_flat = embed_paragraph(grid, params, config)          # (..., m*n, d_e)
-    g = skim_forward(s_flat, params, config, grid.token_ids)   # (..., |g|)
+    g = skim_forward(s_flat, params, config, grid.word_mask)   # (..., |g|)
 
     # each distinct sentence once: repeats and all-PAD rows collapse. Viewing
     # a sentence's ids as one opaque key sorts them faster than axis=0 does.

@@ -298,35 +298,26 @@ def _check_conv_operands(x, w, b, op):
         raise ShapeError(f"{op} bias {b.data.shape} does not match weight {w.data.shape}")
 
 
-def conv1d(x, w, b, padding="valid"):
-    """Rectified 1-D convolution over the sequence axis, full width over features.
+def conv1d(x, w, b):
+    """Rectified 1-D convolution over the sequence axis, full width over
+    features, with the sequence's length kept.
 
     x: (..., L, d_in); w: (h, d_in, d_out); b: (d_out,). Each leading index
     is its own sequence: padding never mixes rows of different sequences.
-    valid: output length L-h+1. same_zero: output length L, as if zero rows
-    were padded on; they are never built. Tap form: P = x @ w[j] projects
-    every input row through tap j, and output row i is b plus P at input row
-    i + j - pad_l, for each tap whose row exists. The taps take turns in one
-    product buffer: each is added to every sequence in one shifted pass over
-    the flat rows, after zeroing the rows of P outside the span it reads, so
-    no sequence reads its neighbour's rows; valid output is the first L-h+1
-    rows of each sequence. The sum is then rectified in place, max(., 0). The
-    backward rule first masks g with out > 0 (an exact zero gets a zero
-    gradient) and keeps shapes, spans and the output, never P. The skim's
-    conv_relu_mean runs the same valid-mode arithmetic.
+    Output length L, as if h // 2 zero rows were padded on before each
+    sequence and h - 1 - h // 2 after; they are never built. Tap form: P = x
+    @ w[j] projects every input row through tap j, and output row i is b plus
+    P at input row i + j - h // 2, for each tap whose row exists. The taps
+    take turns in one product buffer: each is added to every sequence in one
+    shifted pass over the flat rows, after zeroing the rows of P outside the
+    span it reads, so no sequence reads its neighbour's rows. The sum is then
+    rectified in place, max(., 0). The backward rule first masks g with out >
+    0 (an exact zero gets a zero gradient) and keeps shapes, spans and the
+    output, never P. The skim's conv_relu_mean runs the same arithmetic over
+    the valid windows only.
     """
     _check_conv_operands(x, w, b, "conv1d")
-    h = w.data.shape[0]
-    L = x.data.shape[-2]
-    if padding == "valid":
-        if L < h:
-            raise ShapeError(f"sequence length {L} shorter than window {h}")
-        pad_l, l_out = 0, L - h + 1
-    elif padding == "same_zero":
-        pad_l, l_out = h // 2, L
-    else:
-        raise ValueError(f"unknown padding mode {padding!r}")
-    out_data, grads = _conv_taps(x.data, w.data, b.data, pad_l, l_out)
+    out_data, grads = _conv_taps(x.data, w.data, b.data, w.data.shape[0] // 2, x.data.shape[-2])
 
     def bwd(g):
         grads(g, *_accumulators(x, w, b))
@@ -355,25 +346,27 @@ def kept_rows(words, H):
     return kept if dropped and dropped >= MIN_DROPPED_SHARE * kept.size else None
 
 
-def conv_relu_mean(x, filters, kept=None, pad=None):
+def conv_relu_mean(x, filters, words=None):
     """A skim read as one node: for each (w, b) of filters, the mean over the
-    valid windows of conv1d(x, w, b), the rectified convolution; the means
-    are concatenated in filter order: (..., L, d_in) -> (..., sum of d_out).
+    valid windows of the rectified convolution of x; the means are
+    concatenated in filter order: (..., L, d_in) -> (..., sum of d_out).
 
-    Without kept and pad, the forward and backward make, in order, the numpy
-    calls of the conv1d, mean_pool and concat chain this node replaced. With
-    them, the node reads only the kept rows, a bool mask of x's rows, and
-    pad (n + H - 1, d_in), H the widest window: a stretch of rows that reads
-    as <pad> at positions 0, 1, ... modulo n. The caller promises that every
-    window over a row not kept reads only <pad>: each of its rows is pad's
-    row of the same position, row p of a sequence having position p mod n.
-    kept_rows gives such rows. Such a window's rectified sum depends only on
-    its start modulo n. So the node convolves the kept rows of all sequences,
-    in order, with pad appended, as one sequence; it pools each sequence's
-    windows whose rows are all kept with one segment sum, and adds, for each
-    start q < n, the count of its other windows starting at q modulo n times
-    pad's window at q. x's other rows get a zero gradient; their windows'
-    gradient goes to pad.
+    words, a bool mask (..., m, n) with m * n = L, marks each sequence's
+    words; without it every row is a word. Unless kept_rows drops rows
+    farther than H - 1 rows from every word, H the widest window, the forward
+    and backward make, in order, the numpy calls of the convolution,
+    mean_pool and concat chain this node replaced. The caller promises that x's rows that
+    are not words are equal wherever they have the same position, row p of a
+    sequence having position p mod n; <pad> plus a position encoding is. A
+    window over a dropped row reads only such rows, so its rectified sum
+    depends only on its start modulo n. So the node convolves the kept rows
+    of all sequences, in order, then a stretch of n + H - 1 non-word rows of
+    x at positions 0, 1, ... mod n, as one sequence; it pools each
+    sequence's windows whose rows are all kept with one segment sum, and
+    adds, for each start q < n, the count of its other windows starting at q
+    modulo n times the stretch's window at q. Dropped rows get a zero
+    gradient, except the stretch's at most n source rows, which get its
+    windows' gradient.
     """
     filters = list(filters)
     if not filters:
@@ -382,29 +375,27 @@ def conv_relu_mean(x, filters, kept=None, pad=None):
         _check_conv_operands(x, w, b, "conv_relu_mean")
     widths = [w.data.shape[0] for w, _ in filters]
     d_outs = [w.data.shape[2] for w, _ in filters]
-    L, d_in = x.data.shape[-2:]
+    lead, L = x.data.shape[:-2], x.data.shape[-2]
     H = max(widths)
     if L < H:
         raise ShapeError(f"sequence length {L} shorter than window {H}")
-    if (kept is None) != (pad is None):
-        raise ShapeError("conv_relu_mean takes kept and pad together")
+    kept = None
+    if words is not None:
+        words = np.asarray(words)
+        if (words.dtype != np.bool_ or words.ndim != len(lead) + 2
+                or words.shape[:-2] != lead or words.shape[-2] * words.shape[-1] != L):
+            raise ShapeError(f"conv_relu_mean words {words.shape} of {words.dtype} do not "
+                             f"fit x {x.data.shape}")
+        kept = kept_rows(words.reshape(lead + (L,)), H)
     if kept is None:
         out_data, rule = _conv_relu_mean_all(x, filters, widths, d_outs)
-        parents = (x,)
     else:
-        kept = np.asarray(kept)
-        if (kept.dtype != np.bool_ or kept.shape != x.data.shape[:-1]
-                or pad.data.shape[1:] != (d_in,) or pad.data.shape[0] < H):
-            raise ShapeError(f"conv_relu_mean kept {kept.shape} and pad {pad.data.shape} "
-                             f"do not fit x {x.data.shape} and window {H}")
-        out_data, rule = _conv_relu_mean_kept(x, filters, widths, d_outs,
-                                              kept.reshape(-1), pad)
-        parents = (x, pad)
+        out_data, rule = _conv_relu_mean_kept(x, filters, widths, d_outs, words, kept)
 
     def bwd(grad):     # a rule named after the op, whichever path built it
         rule(grad)
 
-    return _from_op(out_data, parents + tuple(t for f in filters for t in f), bwd)
+    return _from_op(out_data, (x,) + tuple(t for f in filters for t in f), bwd)
 
 
 def _conv_relu_mean_all(x, filters, widths, d_outs):
@@ -428,18 +419,19 @@ def _conv_relu_mean_all(x, filters, widths, d_outs):
     return out_data, bwd
 
 
-def _conv_relu_mean_kept(x, filters, widths, d_outs, kept, pad):
-    """conv_relu_mean over the kept rows and the pad stretch: (out, backward rule)."""
+def _conv_relu_mean_kept(x, filters, widths, d_outs, words, kept):
+    """conv_relu_mean over the kept rows and the stretch: (out, backward rule)."""
     lead, (L, d_in) = x.data.shape[:-2], x.data.shape[-2:]
-    D = kept.size // L
-    n = pad.data.shape[0] - max(widths) + 1
+    D, n = kept.size // L, words.shape[-1]
     idx = np.flatnonzero(kept)              # kept rows, in sequence order
     K = idx.size
     seq, p = np.divmod(idx, L)
-    xc = np.empty((K + len(pad.data), d_in), np.result_type(x.data, pad.data))
-    np.take(x.data.reshape(-1, d_in), idx, axis=0, out=xc[:K])
-    xc[K:] = pad.data
-    # a run is a stretch of consecutive kept rows of one sequence; left counts
+    # the first non-word row at each position; a position with none is read
+    # by no window counted below, so any row may stand there
+    blank = np.argmax(~words.reshape(-1, n), axis=0) * n + np.arange(n)
+    stretch = blank[np.arange(n + max(widths) - 1) % n]
+    xc = np.take(x.data.reshape(-1, d_in), np.concatenate([idx, stretch]), axis=0)
+    # a run is a span of consecutive kept rows of one sequence; left counts
     # the rows from each kept row to the end of its run
     first = np.flatnonzero((np.diff(idx, prepend=-2) != 1) | (p == 0))
     ends = np.append(first[1:], K)[:first.size]
@@ -453,7 +445,7 @@ def _conv_relu_mean_kept(x, filters, widths, d_outs, kept, pad):
         l_out = L - h + 1
         conv, grads = _conv_taps(xc, w.data, b.data, 0, len(xc) - h + 1)
         # a window inside a run keeps its rectified sum; the others read only
-        # <pad> and are zeroed, which also zeroes their gradient
+        # non-word rows and are zeroed, which also zeroes their gradient
         inside = left >= h
         conv[:K][~inside] = 0
         # each sequence's windows outside its runs, counted by start modulo n
@@ -482,14 +474,13 @@ def _conv_relu_mean_kept(x, filters, widths, d_outs, kept, pad):
             dconv[:K] = np.repeat(g, per_seq, axis=0)
             dconv[K:K + n] = others.T @ g
             dconv[K + n:] = 0
-            grads(dconv, put_xc if x.requires_grad or pad.requires_grad else None,
-                  *_accumulators(w, b))
+            grads(dconv, put_xc if x.requires_grad else None, *_accumulators(w, b))
         if dxc is not None:
-            if x.requires_grad:
-                dx = np.zeros(x.data.shape, dxc.dtype)
-                dx.reshape(-1, d_in)[idx] = dxc[:K]
-                _give(x, dx)
-            _accum(pad, dxc[K:])
+            dx = np.zeros(x.data.shape, dxc.dtype)
+            dx2 = dx.reshape(-1, d_in)
+            dx2[idx] = dxc[:K]
+            np.add.at(dx2, stretch, dxc[K:])     # stretch rows repeat once H > 1
+            _give(x, dx)
 
     return out_data, bwd
 

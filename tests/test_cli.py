@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import logging
 import os
@@ -505,12 +506,16 @@ class TestSelfChecks:
         assert "max relative gradient error" in capsys.readouterr().out
 
     def test_grad_check_differentiates_the_skims_pad_stretch(self, monkeypatch):
-        compacted = []
         kept = T._conv_relu_mean_kept
-        monkeypatch.setattr(T, "_conv_relu_mean_kept",
-                            lambda *args: compacted.append(1) or kept(*args))
-        max_err, _ = run_grad_check(toy_grad_check_config())
-        assert compacted and max_err < GRAD_CHECK_TOLERANCE
+        # the second config's window 3 spans more than a sentence of n = 2, so
+        # its 4-row stretch reads each position's source row twice
+        for config in (toy_grad_check_config(),
+                       dataclasses.replace(toy_grad_check_config(), m=4, n=2, src_windows=[1, 3])):
+            compacted = []
+            monkeypatch.setattr(T, "_conv_relu_mean_kept",
+                                lambda *args: compacted.append(1) or kept(*args))
+            max_err, _ = run_grad_check(config)
+            assert compacted and max_err < GRAD_CHECK_TOLERANCE, config
 
     def test_grad_check_with_a_paragraph_window_wider_than_m(self, tmp_path, capsys):
         config = tmp_path / "k3.json"       # window 2k+1 = 7 over m = 2 sentences

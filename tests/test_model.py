@@ -175,7 +175,7 @@ class TestSkimForward:
         grid = ParagraphGrid(ids, np.array([0, 1]))
         assert T.kept_rows(ids.reshape(2, -1) != PAD_ID, 3) is not None
         x = embed_paragraph(grid, params, config)
-        np.testing.assert_allclose(skim_forward(x, params, config, grid.token_ids).data,
+        np.testing.assert_allclose(skim_forward(x, params, config, grid.word_mask).data,
                                    skim_forward(x, params, config).data, rtol=0, atol=1e-12)
 
 

@@ -114,19 +114,28 @@ def conv1d_im2col(x, w, b, padding, g):
     return out, dx, (cols2.T @ g2).reshape(h, d_in, d_out), g2.sum(axis=0)
 
 
+def conv(x, w, b, padding):
+    """conv1d for same_zero; for valid, the skim's arithmetic, T._conv_taps
+    with no padding, as a graph node."""
+    if padding == "same_zero":
+        return T.conv1d(x, w, b)
+    out, grads = T._conv_taps(x.data, w.data, b.data, 0, x.data.shape[-2] - w.data.shape[0] + 1)
+    return T._from_op(out, (x, w, b), lambda g: grads(g, *T._accumulators(x, w, b)))
+
+
 class TestConv1d:
     def test_sliding_sums(self):
         x = t64([[1], [2], [3], [4]])
         w = t64(np.ones((2, 1, 1)))
         b = t64([0.0])
-        out = T.conv1d(x, w, b, padding="valid")
+        out = conv(x, w, b, "valid")
         assert np.array_equal(out.data, [[3], [5], [7]])
 
     def test_identity_kernel(self):
         rng = np.random.default_rng(2)
         x = t64(rng.normal(size=(5, 3)))
         w = t64(np.eye(3)[None, :, :])
-        out = T.conv1d(x, w, t64(np.zeros(3)), padding="valid")
+        out = T.conv1d(x, w, t64(np.zeros(3)))
         np.testing.assert_allclose(out.data, np.maximum(x.data, 0))
 
     def test_matches_loop_oracle_same_zero(self):
@@ -134,13 +143,13 @@ class TestConv1d:
         x = t64(rng.normal(size=(7, 3)), requires_grad=True)
         w = t64(rng.normal(size=(3, 3, 2)), requires_grad=True)
         b = t64(rng.normal(size=2), requires_grad=True)
-        out = T.conv1d(x, w, b, padding="same_zero")
+        out = T.conv1d(x, w, b)
         assert out.data.shape == (7, 2)
         np.testing.assert_allclose(out.data, conv1d_oracle(x.data, w.data, b.data, "same_zero"),
                                    rtol=1e-12)
         for param in (x, w, b):
             err = T.finite_diff_check(
-                lambda _p: total(T.conv1d(x, w, b, padding="same_zero")), param)
+                lambda _p: total(T.conv1d(x, w, b)), param)
             assert err < 1e-6
 
     def test_valid_matches_oracle(self):
@@ -148,7 +157,7 @@ class TestConv1d:
         x = t64(rng.normal(size=(6, 2)))
         w = t64(rng.normal(size=(4, 2, 3)))
         b = t64(rng.normal(size=3))
-        out = T.conv1d(x, w, b, padding="valid")
+        out = conv(x, w, b, "valid")
         np.testing.assert_allclose(out.data, conv1d_oracle(x.data, w.data, b.data, "valid"),
                                    rtol=1e-12)
 
@@ -158,7 +167,7 @@ class TestConv1d:
         w = rng.normal(size=(3, 3, 2))
         b = rng.normal(size=2)
         for padding in ("valid", "same_zero"):
-            out = T.conv1d(t64(x), t64(w), t64(b), padding=padding)
+            out = conv(t64(x), t64(w), t64(b), padding)
             for i in range(2):
                 for j in range(3):
                     np.testing.assert_allclose(
@@ -179,7 +188,7 @@ class TestConv1d:
         L = max(1, extra + (h if padding == "valid" else 0))
         x, w, b = (T.Tensor(rng.normal(size=shape).astype(dtype), requires_grad=True)
                    for shape in ((*lead, L, d_in), (h, d_in, d_out), (d_out,)))
-        out = T.conv1d(x, w, b, padding=padding)
+        out = conv(x, w, b, padding)
         g = rng.normal(size=out.data.shape).astype(dtype)
         out._backward(g)
         expected = conv1d_im2col(x.data, w.data, b.data, padding, g)
@@ -200,7 +209,7 @@ class TestConv1d:
                                                 ((), (2,), (2, 3)), lengths):
             x, w, b = (T.Tensor(rng.integers(-3, 4, size=shape).astype(dtype), requires_grad=True)
                        for shape in ((*lead, L, 2), (h, 2, 3), (3,)))
-            out = T.conv1d(x, w, b, padding=padding)
+            out = conv(x, w, b, padding)
             g = rng.integers(-3, 4, size=out.data.shape).astype(dtype)
             out._backward(g)
             oracle = np.empty(out.data.shape, dtype)
@@ -216,7 +225,7 @@ class TestConv1d:
         rng = np.random.default_rng(5)
         x = t64(rng.normal(size=(2, 6, 3)), requires_grad=True)
         w = t64(rng.normal(size=(3, 3, 4)), requires_grad=True)   # h * d_out > d_in
-        out = T.conv1d(x, w, t64(np.zeros(4), requires_grad=True), padding="same_zero")
+        out = T.conv1d(x, w, t64(np.zeros(4), requires_grad=True))
         held = [cell.cell_contents for cell in out._backward.__closure__]
         # the rule reads the output's sign, but must not keep the tap
         # products: 2 * 6 rows times h * d_out = 3 * 4 columns
@@ -229,15 +238,10 @@ class TestConv1d:
         h = 7       # pad_l = 3: taps 0..2 see only padding on short sequences
         x = t64(np.ones((2, L, 1)), requires_grad=True)
         w = t64(np.arange(1.0, h + 1).reshape(h, 1, 1))
-        T.backward(total(T.conv1d(x, w, t64([0.0]), padding="same_zero")))
+        T.backward(total(T.conv1d(x, w, t64([0.0]))))
         # input row r feeds output row i through tap r - i + 3, for every i < L
         expected = [sum(w.data[r - i + 3, 0, 0] for i in range(L)) for r in range(L)]
         assert np.array_equal(x.grad, np.broadcast_to(np.reshape(expected, (L, 1)), (2, L, 1)))
-
-    def test_sequence_too_short(self):
-        with pytest.raises(T.ShapeError, match="sequence length 2 shorter than window 3"):
-            T.conv1d(t64(np.zeros((2, 1))), t64(np.zeros((3, 1, 1))), t64([0.0]),
-                     padding="valid")
 
 
 @settings(max_examples=20, deadline=None)
@@ -511,14 +515,11 @@ def chain_skim(x, filters):
                               for w, b in filters])
 
 
-def skim_inputs(rng, dtype, lead, m, n, windows, d_in, d_out, vocab, pad_runs):
-    """A skim read of grids of token ids, as the model builds it: the table E,
-    the filters, the word mask and a function of E giving (x, pad), where x
-    holds E's rows of the ids plus positions p mod n, and pad is E's <pad>
-    row plus positions 0, 1, ... mod n. pad_runs draws the grid: "none" has
-    no <pad>, "runs" PAD runs of random length, "empty" some documents all
+def skim_ids(rng, lead, m, n, vocab, pad_runs):
+    """Grids of token ids (..., m, n), 0 the <pad> id. pad_runs "none" has no
+    <pad>, "runs" PAD runs of random length, "empty" some documents all
     <pad>."""
-    L, H = m * n, max(windows)
+    L = m * n
     ids = rng.integers(1, vocab, size=tuple(lead) + (L,))
     if pad_runs != "none":
         for doc in np.ndindex(*lead):
@@ -527,22 +528,46 @@ def skim_inputs(rng, dtype, lead, m, n, windows, d_in, d_out, vocab, pad_runs):
             ids[doc][rng.random(L) < 0.3] = 0
         if pad_runs == "empty":
             ids.reshape(-1, L)[rng.random(ids.size // L) < 0.5] = 0
+    return ids.reshape(tuple(lead) + (m, n))
+
+
+def skim_inputs(rng, dtype, ids, windows, d_in, d_out, vocab):
+    """A skim read of grids of token ids (..., m, n), as the model builds it:
+    the table E, the filters, the word mask and a function of E giving x,
+    E's rows of the ids plus positions p mod n, so <pad> rows are equal at
+    each position."""
+    m, n = ids.shape[-2:]
     pos = rng.normal(size=(n, d_in)).astype(dtype)
     table = T.Tensor(rng.normal(size=(vocab, d_in)).astype(dtype), requires_grad=True)
     filters = [tuple(T.Tensor(rng.normal(size=shape).astype(dtype), requires_grad=True)
                      for shape in ((h, d_in, d_out), (d_out,))) for h in windows]
 
     def read(E):
-        x = T.add(T.embedding_lookup(E, ids), T.Tensor(np.tile(pos, (m, 1))))
-        pad = T.add(T.embedding_lookup(E, np.zeros(n + H - 1, np.int64)),
-                    T.Tensor(np.resize(pos, (n + H - 1, d_in))))
-        return x, pad
+        flat = ids.reshape(ids.shape[:-2] + (m * n,))
+        return T.add(T.embedding_lookup(E, flat), T.Tensor(np.tile(pos, (m, 1))))
 
     return table, filters, ids != 0, read
 
 
 def backward_of(out, coef):
     T.backward(total(T.matmul(out, coef)))
+
+
+def stretch_sources(words):
+    """The first non-word row of each position of the flat rows, where some
+    row there is not a word: the rows a compacted skim reads its stretch from."""
+    n = words.shape[-1]
+    blank = ~words.reshape(-1, n)
+    return [r * n + q for q in range(n) for r in np.flatnonzero(blank[:, q])[:1]]
+
+
+def check_skim_gradient_rows(x_grad, words, kept):
+    """x's gradient is zero outside the kept rows and the stretch's sources,
+    and the sources outside the kept rows are at most n."""
+    grad_rows = np.flatnonzero(x_grad.reshape(kept.size, -1).any(axis=-1))
+    allowed = set(np.flatnonzero(kept).tolist()) | set(stretch_sources(words))
+    assert set(grad_rows.tolist()) <= allowed
+    assert np.count_nonzero(~kept.reshape(-1)[grad_rows]) <= words.shape[-1]
 
 
 class TestConvReluMean:
@@ -559,39 +584,38 @@ class TestConvReluMean:
     def test_matches_the_chain_it_replaced(self, lead, m, n, windows, pad_runs, seed):
         windows = [h for h in windows if h <= m * n] or [m * n]
         rng = np.random.default_rng(seed)
-        table, filters, words, read = skim_inputs(rng, np.float64, lead, m, n, windows,
-                                                  d_in=3, d_out=2, vocab=5, pad_runs=pad_runs)
+        ids = skim_ids(rng, lead, m, n, vocab=5, pad_runs=pad_runs)
+        table, filters, words, read = skim_inputs(rng, np.float64, ids, windows,
+                                                  d_in=3, d_out=2, vocab=5)
         coef = t64(rng.normal(size=(2 * len(windows), 1)))
         H = max(windows)
-        near = np.zeros(words.shape, bool)
-        for idx in np.ndindex(words.shape):
-            near[idx] = words[idx[:-1]][max(0, idx[-1] - H + 1):idx[-1] + H].any()
+        flat_words = words.reshape(tuple(lead) + (m * n,))
+        near = np.zeros(flat_words.shape, bool)
+        for idx in np.ndindex(flat_words.shape):
+            near[idx] = flat_words[idx[:-1]][max(0, idx[-1] - H + 1):idx[-1] + H].any()
         dropped = near.size - near.sum()
-        kept = T.kept_rows(words, H)
+        kept = T.kept_rows(flat_words, H)
         if dropped and dropped >= T.MIN_DROPPED_SHARE * near.size:
             assert np.array_equal(kept, near)
         else:
             assert kept is None
-        read_kept = () if kept is None else (kept,)
 
         def run(skim):
             T.zero_grads([table] + [t for f in filters for t in f])
-            out = skim(*read(table))
+            out = skim(read(table))
             backward_of(out, coef)
             return [out.data, table.grad] + [t.grad for f in filters for t in f]
 
-        got = run(lambda x, pad: T.conv_relu_mean(x, filters, *read_kept,
-                                                  *((pad,) if read_kept else ())))
-        want = run(lambda x, pad: chain_skim(x, filters))
+        got = run(lambda x: T.conv_relu_mean(x, filters, words))
+        want = run(lambda x: chain_skim(x, filters))
         np.testing.assert_allclose(got[0], want[0], rtol=0, atol=1e-12)
         for a, b in zip(got[1:], want[1:]):
             np.testing.assert_allclose(a, b, rtol=0, atol=1e-10)
 
         if kept is not None:
-            # x's rows that are not kept get no gradient; their windows' goes to pad
-            x, pad = (T.Tensor(t.data, requires_grad=True) for t in read(table))
-            backward_of(T.conv_relu_mean(x, filters, kept, pad), coef)
-            assert not x.grad[~kept].any() and pad.grad is not None
+            x = T.Tensor(read(table).data, requires_grad=True)
+            backward_of(T.conv_relu_mean(x, filters, words), coef)
+            check_skim_gradient_rows(x.grad, words, kept)
 
     @settings(max_examples=60, deadline=None)
     @given(lead=st.lists(st.integers(1, 3), max_size=2), m=st.integers(1, 3),
@@ -601,9 +625,10 @@ class TestConvReluMean:
     def test_float32_bit_identical_to_the_chain_on_every_row(self, lead, m, n, windows, seed):
         windows = [h for h in windows if h <= m * n] or [m * n]
         rng = np.random.default_rng(seed)
-        table, filters, _, read = skim_inputs(rng, np.float32, lead, m, n, windows, d_in=3,
-                                              d_out=2, vocab=5, pad_runs="runs")
-        x_data, _ = read(table)
+        ids = skim_ids(rng, lead, m, n, vocab=5, pad_runs="runs")
+        table, filters, _, read = skim_inputs(rng, np.float32, ids, windows, d_in=3,
+                                              d_out=2, vocab=5)
+        x_data = read(table)
         grad = rng.normal(size=tuple(lead) + (2 * len(windows),)).astype(np.float32)
         results = []
         for skim in (lambda x: T.conv_relu_mean(x, filters),
@@ -630,32 +655,71 @@ class TestConvReluMean:
 
     def test_pad_only_windows_come_from_the_stretch(self):
         # one word at row 0 of a 6-row sequence, n = 2, windows 1 and 2: rows 2
-        # to 5 are dropped, and their windows read pad's rows by position
-        x = t64([[5.0], [1.0], [2.0], [1.0], [2.0], [1.0]])
-        pad = t64([[2.0], [1.0], [2.0]])
+        # to 5 are dropped, and their windows read the stretch: rows 2, 1, 2,
+        # the first non-word row at positions 0, 1, 0
+        x = t64([[5.0], [1.0], [2.0], [1.0], [2.0], [1.0]], requires_grad=True)
         filters = [(t64(np.ones((1, 1, 1))), t64([0.0])), (t64([[[1.0]], [[-1.0]]]), t64([0.0]))]
-        kept = T.kept_rows(np.arange(6) == 0, 2)
-        assert np.array_equal(kept, [True, True, False, False, False, False])
-        out = T.conv_relu_mean(x, filters, kept, pad)
+        words = np.arange(6).reshape(3, 2) == 0
+        assert np.array_equal(T.kept_rows(words.reshape(6), 2),
+                              [True, True, False, False, False, False])
+        out = T.conv_relu_mean(x, filters, words)
         assert np.array_equal(out.data, [12 / 6, (4 + 0 + 1 + 0 + 1) / 5])
+        T.backward(total(out))
+        assert np.array_equal(x.grad[:, 0] != 0, [True, True, True, False, False, False])
+
+    @pytest.mark.parametrize("windows,n", [((1,), 3), ((1, 2), 5)])
+    def test_a_position_with_no_blank_row_reads_as_the_chain(self, windows, n):
+        # position 0 is a word in every sentence, so the stretch's row there is
+        # a word row: no window the stretch stands for reads it
+        rng = np.random.default_rng(11)
+        ids = rng.integers(1, 5, size=(3, 4, n))
+        ids[..., 1:] = 0
+        table, filters, words, read = skim_inputs(rng, np.float64, ids, windows,
+                                                  d_in=3, d_out=2, vocab=5)
+        kept = T.kept_rows(words.reshape(3, -1), max(windows))
+        assert kept is not None and words[..., 0].all()
+        coef = t64(rng.normal(size=(2 * len(windows), 1)))
+        results = []
+        for skim in (lambda x: T.conv_relu_mean(x, filters, words),
+                     lambda x: chain_skim(x, filters)):
+            T.zero_grads([table] + [t for f in filters for t in f])
+            x = T.Tensor(read(table).data, requires_grad=True)
+            out = skim(x)
+            backward_of(out, coef)
+            # each position's rows' gradient, summed, is what reaches the table
+            per_position = x.grad.reshape(3, 4, n, -1).sum(axis=(0, 1))
+            results.append([out.data, per_position] + [t.grad for f in filters for t in f])
+        for got, want in zip(*results):
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+
+    def test_input_gradient_only_on_kept_rows_and_the_stretch_sources(self):
+        rng = np.random.default_rng(12)
+        ids = skim_ids(rng, [6], 3, 5, vocab=5, pad_runs="empty")
+        table, filters, words, read = skim_inputs(rng, np.float64, ids, [1, 3, 7],
+                                                  d_in=3, d_out=2, vocab=5)
+        kept = T.kept_rows(words.reshape(6, -1), 7)
+        assert kept is not None
+        x = T.Tensor(read(table).data, requires_grad=True)
+        backward_of(T.conv_relu_mean(x, filters, words), t64(rng.normal(size=(6, 1))))
+        check_skim_gradient_rows(x.grad, words, kept)
+        # the stretch's windows do take a gradient
+        assert x.grad.reshape(kept.size, -1)[~kept.reshape(-1)].any()
 
     def test_window_longer_than_the_sequence(self):
         with pytest.raises(T.ShapeError, match="sequence length 2 shorter than window 3"):
             T.conv_relu_mean(t64(np.zeros((2, 1))), [(t64(np.zeros((3, 1, 1))), t64([0.0]))])
 
-    @pytest.mark.parametrize("kept,pad", [
-        pytest.param(np.ones(4, bool), None, id="kept-without-pad"),
-        pytest.param(None, np.zeros((3, 2)), id="pad-without-kept"),
-        pytest.param(np.ones(3, bool), np.zeros((3, 2)), id="kept-length"),
-        pytest.param(np.ones(4), np.zeros((3, 2)), id="kept-not-bool"),
-        pytest.param(np.ones(4, bool), np.zeros((1, 2)), id="pad-shorter-than-a-window"),
-        pytest.param(np.ones(4, bool), np.zeros((3, 1)), id="pad-width"),
+    @pytest.mark.parametrize("words", [
+        pytest.param(np.ones((2, 3), bool), id="words-length"),
+        pytest.param(np.ones((2, 2)), id="words-not-bool"),
+        pytest.param(np.ones(4, bool), id="words-without-sentences"),
+        pytest.param(np.ones((1, 2, 2), bool), id="words-leading-axes"),
+        pytest.param(np.ones((2, 0), bool), id="words-empty-sentences"),
     ])
-    def test_kept_and_pad_must_fit(self, kept, pad):
+    def test_words_must_fit(self, words):
         filters = [(t64(np.zeros((2, 2, 1))), t64([0.0]))]
-        with pytest.raises(T.ShapeError, match="conv_relu_mean"):
-            T.conv_relu_mean(t64(np.zeros((4, 2))), filters, kept,
-                             None if pad is None else t64(pad))
+        with pytest.raises(T.ShapeError, match="conv_relu_mean words"):
+            T.conv_relu_mean(t64(np.zeros((4, 2))), filters, words)
 
     def test_filters_must_fit_the_input(self):
         with pytest.raises(T.ShapeError, match="conv_relu_mean"):
@@ -1000,18 +1064,17 @@ def finite_difference_cases():
     distinct = t64(rng.normal(size=(3, 5, 4)), requires_grad=True)
     distinct_u = t64(rng.normal(size=(3, 5, 2)))
     copies = np.array([[2, 0, 2], [1, 2, 0]])
-    # a skim read over two 8-row sequences, n = 4, windows 1 and 3: 7 of the 16
-    # rows lie more than 2 rows from a word, so the node reads the pad stretch
+    # a skim read over two 8-row sequences of two 4-row sentences, windows 1
+    # and 3: 7 of the 16 rows lie more than 2 rows from a word, so the node
+    # reads a 6-row stretch from the first non-word row at each position
     seq = t64(rng.normal(size=(2, 8, 4)), requires_grad=True)
-    words = np.zeros((2, 8), bool)
-    words[0, 0] = words[1, 3:5] = True
-    near_words = T.kept_rows(words, 3)
-    stretch = t64(rng.normal(size=(6, 4)), requires_grad=True)
+    words = np.zeros((2, 2, 4), bool)
+    words[0, 0, 0] = words[1, 0, 3] = words[1, 1, 0] = True
     skim_w = [t64(rng.normal(size=(h, 4, 2)), requires_grad=True) for h in (1, 3)]
     skim_b = [t64(rng.normal(size=2), requires_grad=True) for _ in range(2)]
 
-    def skim(x_=seq, pad=stretch, w3=skim_w[1], b1=skim_b[0]):
-        return smooth(T.conv_relu_mean(x_, [(skim_w[0], b1), (w3, skim_b[1])], near_words, pad))
+    def skim(x_=seq, w3=skim_w[1], b1=skim_b[0]):
+        return smooth(T.conv_relu_mean(x_, [(skim_w[0], b1), (w3, skim_b[1])], words))
 
     def smooth(out):
         return total(T.sigmoid(out))
@@ -1023,12 +1086,10 @@ def finite_difference_cases():
         return dense(x_, distinct_u, g_, w_, rows=copies)
 
     cases += [
-        ("conv1d", x3, lambda v: smooth(T.conv1d(v, w, b, padding="same_zero"))),
-        ("conv1d", x3, lambda v: smooth(T.conv1d(v, w, b, padding="valid"))),
-        ("conv1d", w, lambda v: smooth(T.conv1d(x3, v, b, padding="same_zero"))),
-        ("conv1d", b, lambda v: smooth(T.conv1d(x3, w, v, padding="same_zero"))),
+        ("conv1d", x3, lambda v: smooth(T.conv1d(v, w, b))),
+        ("conv1d", w, lambda v: smooth(T.conv1d(x3, v, b))),
+        ("conv1d", b, lambda v: smooth(T.conv1d(x3, w, v))),
         ("conv_relu_mean", seq, lambda v: skim(x_=v)),
-        ("conv_relu_mean", stretch, lambda v: skim(pad=v)),
         ("conv_relu_mean", skim_w[1], lambda v: skim(w3=v)),
         ("conv_relu_mean", skim_b[0], lambda v: skim(b1=v)),
         ("matmul", x3, lambda v: smooth(T.matmul(v, m))),

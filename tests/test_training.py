@@ -377,7 +377,8 @@ MAX_STEP_FAULTS = 300
 @pytest.mark.skipif(not T._HEAP_KEPT_MAPPED, reason="allocator policy is set on Linux/glibc only")
 def test_training_steps_reuse_freed_pages():
     src = str(Path(model_mod.__file__).resolve().parent.parent)
-    env = {**os.environ,
+    # a pinned environment: the fault count moved with the caller's environment size
+    env = {"PATH": os.environ.get("PATH", ""),
            "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     proc = subprocess.run([sys.executable, "-c", FAULTS_SCRIPT], env=env,
                           capture_output=True, text=True, check=True)
