@@ -25,6 +25,12 @@ as a read-only view, and a second contribution makes a fresh sum the node
 owns; conv_relu_mean hands its input a fresh zero-filled gradient to own
 outright. A rule that writes a gradient in place (affine_relu_mean's weight,
 embedding_lookup, the loss seed) first takes ownership of it.
+embedding_lookup's backward splits its scatter: the rows of the batch's most
+frequent id (<pad> at the paper grid, 62-71% of the rows) are one sum down
+the rows, seeded with that table row's gradient so far, and the other rows
+go through np.add.at; each element gets the sums of one flat scatter, in the
+same order. While only lookups have written a table's gradient, the table's
+grad_rows lists the rows they read, and training.Adam updates only those.
 """
 
 import contextlib
@@ -76,9 +82,12 @@ class Tensor:
 
     data is stored flat-compatible (row-major numpy array). Tensors created
     by ops carry parent links and a backward rule; leaves carry neither.
+    grad_rows, while only embedding_lookup has written grad, holds the sorted
+    rows of the first axis that the lookups read (the others are zero), and
+    None once any other op adds to grad; it is cleared along with grad.
     """
 
-    __slots__ = ("data", "requires_grad", "grad", "_parents", "_backward")
+    __slots__ = ("data", "requires_grad", "grad", "grad_rows", "_parents", "_backward")
 
     def __init__(self, data, requires_grad=False, dtype=None):
         arr = np.asarray(data)
@@ -88,7 +97,7 @@ class Tensor:
             arr = arr.astype(np.float32)
         self.data = arr
         self.requires_grad = bool(requires_grad)
-        self.grad = None
+        self.grad = self.grad_rows = None
         self._parents = ()
         self._backward = None
 
@@ -121,7 +130,7 @@ def _from_op(data, parents, backward):
     out = Tensor.__new__(Tensor)
     out.data = data
     out.requires_grad = _grad_enabled and any(p.requires_grad for p in parents)
-    out.grad = None
+    out.grad = out.grad_rows = None
     out._parents = tuple(parents) if _grad_enabled else ()
     out._backward = backward if out.requires_grad else None
     return out
@@ -130,6 +139,7 @@ def _from_op(data, parents, backward):
 def _accum(t, g):
     if not t.requires_grad:
         return
+    t.grad_rows = None
     if t.grad is None:
         if t._backward is not None and g.dtype == t.data.dtype and g.shape == t.data.shape:
             t.grad = np.asarray(g).view()
@@ -154,7 +164,9 @@ def _give(t, g):
 
 
 def _own_grad(t):
-    """t.grad as a writable C-order buffer that t owns, zero if t had none."""
+    """t.grad as a writable C-order buffer that t owns, zero if t had none;
+    the caller may write any row of it, so grad_rows is cleared."""
+    t.grad_rows = None
     if t.grad is None:
         t.grad = np.zeros(t.data.shape, t.data.dtype)
     elif not (t.grad.flags.writeable and t.grad.flags.c_contiguous):
@@ -209,7 +221,7 @@ def backward(loss):
 
 def zero_grads(tensors):
     for t in tensors:
-        t.grad = None
+        t.grad = t.grad_rows = None
 
 
 # ---------------------------------------------------------------------------
@@ -679,7 +691,10 @@ def gather_rows(x, index):
 
 
 def embedding_lookup(table, ids):
-    """Rows of table for an id array of any shape: ids (...) -> (..., d)."""
+    """Rows of table for an id array of any shape: ids (...) -> (..., d).
+    Backward splits its scatter by the most frequent id (module docstring)
+    and adds the rows it read to table.grad_rows unless another op wrote
+    table.grad."""
     ids = np.asarray(ids, dtype=np.int64)
     V = table.data.shape[0]
     if ids.size and (ids.max() >= V or ids.min() < 0):
@@ -687,12 +702,31 @@ def embedding_lookup(table, ids):
     out_data = table.data[ids]
 
     def bwd(g):
-        if table.requires_grad:
-            d = table.data.shape[1]
-            # a 1-D scatter on the flat table takes numpy's fast path and adds
-            # to each element in the same order; C order makes reshape a view
-            flat = (ids.reshape(-1, 1) * d + np.arange(d)).reshape(-1)
-            np.add.at(_own_grad(table).reshape(-1), flat, g.reshape(-1))
+        if not table.requires_grad:
+            return
+        d = table.data.shape[1]
+        flat_ids, g2 = ids.reshape(-1), g.reshape(ids.size, d)
+        counts = np.bincount(flat_ids, minlength=V)
+        before = None if table.grad is None else table.grad_rows
+        sparse = table.grad is None or before is not None
+        grad = _own_grad(table)
+        rest = np.ones(ids.size, bool)
+        # a sum down a one-column array would be pairwise, not in row order
+        if d > 1 and ids.size:
+            top = counts.argmax()
+            at_top = flat_ids == top
+            rows = np.empty((counts[top] + 1, d), grad.dtype)
+            rows[0] = grad[top]
+            np.compress(at_top, g2, axis=0, out=rows[1:])
+            grad[top] = rows.sum(axis=0)
+            rest = ~at_top
+        # a 1-D scatter on the flat table takes numpy's fast path and adds
+        # to each element in the same order; C order makes reshape a view
+        flat = (np.compress(rest, flat_ids)[:, None] * d + np.arange(d)).reshape(-1)
+        np.add.at(grad.reshape(-1), flat, np.compress(rest, g2, axis=0).reshape(-1))
+        if sparse:
+            read = np.flatnonzero(counts)
+            table.grad_rows = read if before is None else np.union1d(before, read)
 
     return _from_op(out_data, (table,), bwd)
 

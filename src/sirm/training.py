@@ -51,9 +51,36 @@ ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
 ADAM_BLOCK = 65536
 
 
+def _adam_update(p, g, m, v, step, denom, c1, c2, lr):
+    """m = b1*m + (1-b1)*g, v = b2*v + ((1-b2)*g)*g and p -= lr*(m/c1) /
+    (sqrt(v/c2) + eps), in that operation order, in place on p, m and v, with
+    the step built in the scratch arrays step and denom."""
+    b1, b2 = ADAM_BETA1, ADAM_BETA2
+    m *= b1
+    m += np.multiply(g, 1 - b1, out=step)
+    v *= b2
+    np.multiply(g, 1 - b2, out=denom)
+    v += np.multiply(denom, g, out=denom)
+    np.sqrt(np.divide(v, c2, out=denom), out=denom)
+    denom += ADAM_EPS
+    np.divide(m, c1, out=step)
+    step *= lr
+    p -= np.divide(step, denom, out=step)
+
+
 class Adam:
-    """Standard Adam with bias correction over a named parameter list, at
-    config.learning_rate with the fixed ADAM_BETA1, ADAM_BETA2 and ADAM_EPS."""
+    """Adam with bias correction over a named parameter list, at
+    config.learning_rate with the fixed ADAM_BETA1, ADAM_BETA2 and ADAM_EPS.
+
+    Lazy on an embedding, as TensorFlow Addons' LazyAdam and PyTorch's
+    SparseAdam are: when a parameter's gradient this step came only from
+    embedding_lookup (p.grad_rows is set), only the rows the lookups read
+    are updated; every other row keeps its p, m and v, and the bias
+    correction still counts every step. Any other gradient makes the step
+    dense. This is dense Adam to the byte whenever every row with a nonzero
+    m or v is read at every step, as when each epoch is one batch: dense
+    Adam leaves a row with zero moments and gradient as it is too.
+    """
 
     def __init__(self, named_params, config):
         self.named_params = list(named_params)
@@ -72,34 +99,32 @@ class Adam:
                                  for lo, hi in bounds])
 
     def step(self):
-        """m = b1*m + (1-b1)*g, v = b2*v + ((1-b2)*g)*g, c = 1 - b**t and
-        p -= lr*(m/c1) / (sqrt(v/c2) + eps), in that operation order, with m,
-        v and p updated in place, ADAM_BLOCK elements at a time, and the step
-        built in two block-sized scratch buffers. A parameter's data must be
+        """One _adam_update per parameter, then its gradient is cleared. A
+        dense update runs ADAM_BLOCK elements at a time in two block-sized
+        scratch buffers; a lazy one gathers the read rows of p, g, m and v,
+        updates them and scatters p, m and v back. A parameter's data must be
         C-contiguous, so its flat view is the array itself."""
-        b1, b2 = ADAM_BETA1, ADAM_BETA2
         self.step_count += 1
-        c1 = 1 - b1 ** self.step_count
-        c2 = 1 - b2 ** self.step_count
-        for (name, p), blocks in zip(self.named_params, self._blocks):
+        c1 = 1 - ADAM_BETA1 ** self.step_count
+        c2 = 1 - ADAM_BETA2 ** self.step_count
+        lr = self.config.learning_rate
+        for (name, p), m, v, blocks in zip(self.named_params, self.m, self.v, self._blocks):
             if p.grad is None:
                 raise TrainingError(f"parameter {name!r} has no gradient")
             if not p.data.flags.c_contiguous:
                 raise TrainingError(f"parameter {name!r} data is not C-contiguous")
-            p_flat, g_flat = p.data.reshape(-1), p.grad.reshape(-1)
-            for lo, m_b, v_b, step, denom in blocks:
-                p_b, g = p_flat[lo:lo + ADAM_BLOCK], g_flat[lo:lo + ADAM_BLOCK]
-                m_b *= b1
-                m_b += np.multiply(g, 1 - b1, out=step)
-                v_b *= b2
-                np.multiply(g, 1 - b2, out=denom)
-                v_b += np.multiply(denom, g, out=denom)
-                np.sqrt(np.divide(v_b, c2, out=denom), out=denom)
-                denom += ADAM_EPS
-                np.divide(m_b, c1, out=step)
-                step *= self.config.learning_rate
-                p_b -= np.divide(step, denom, out=step)
-            p.grad = None
+            rows = p.grad_rows
+            if rows is not None:
+                p_r, g_r, m_r, v_r = (np.take(a, rows, axis=0) for a in (p.data, p.grad, m, v))
+                _adam_update(p_r, g_r, m_r, v_r, np.empty_like(p_r), np.empty_like(p_r),
+                             c1, c2, lr)
+                p.data[rows], m[rows], v[rows] = p_r, m_r, v_r
+            else:
+                p_flat, g_flat = p.data.reshape(-1), p.grad.reshape(-1)
+                for lo, m_b, v_b, step, denom in blocks:
+                    _adam_update(p_flat[lo:lo + ADAM_BLOCK], g_flat[lo:lo + ADAM_BLOCK],
+                                 m_b, v_b, step, denom, c1, c2, lr)
+            p.grad = p.grad_rows = None
 
 
 def snapshot(params):
@@ -149,10 +174,12 @@ def train(train_grids, dev_grids, model_kind, model_config, train_config,
                 del loss, bce   # frees this step's graph now, not once the next forward is built
                 optimizer.step()
 
+        dev_start = time.perf_counter()
         try:
             dev_report, _ = evaluate(model_kind, params, model_config, dev_grids)
         except FloatingPointError as e:
             raise TrainingError(f"epoch {epoch} dev pass: {e}") from e
+        end = time.perf_counter()
         record = {
             "epoch": epoch,
             "train_loss": float(np.mean(losses)),
@@ -160,7 +187,9 @@ def train(train_grids, dev_grids, model_kind, model_config, train_config,
             "dev_acc": dev_report["accuracy"],
             "dev_f1": dev_report["f1"],
             "dev_macro_f1": dev_report["macro_f1"],
-            "wall_seconds": time.perf_counter() - start,
+            "train_seconds": dev_start - start,
+            "dev_seconds": end - dev_start,
+            "wall_seconds": end - start,
         }
         history.append(record)
         if history_path:

@@ -1,3 +1,6 @@
+import importlib.util
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -249,3 +252,24 @@ class TestEvaluate:
         config, params, grids = setup
         with pytest.raises(ValueError):
             evaluate("mystery", params, config, grids)
+
+
+def load_quality_script():
+    path = Path(__file__).resolve().parent.parent / "scripts" / "quality.py"
+    spec = importlib.util.spec_from_file_location("quality_script", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(st.tuples(st.integers(0, 4), st.integers(0, 1)), min_size=2, max_size=30)
+       .filter(lambda pairs: len({y for _, y in pairs}) == 2))
+def test_quality_script_auc_is_the_share_of_ordered_pairs(pairs):
+    # probabilities on a coarse grid, so ties are common; a tie counts half
+    roc_auc = load_quality_script().roc_auc
+    probs = np.array([p / 4 for p, _ in pairs])
+    labels = np.array([y for _, y in pairs])
+    pos, neg = probs[labels == 1], probs[labels == 0]
+    expected = ((pos[:, None] > neg).sum() + 0.5 * (pos[:, None] == neg).sum()) / (pos.size * neg.size)
+    assert roc_auc(probs, labels) == pytest.approx(expected, abs=1e-12)

@@ -1184,6 +1184,62 @@ def test_embedding_backward_bit_identical_to_row_scatter(ids_shape, vocab, d, dt
     assert table.grad.tobytes() == expected.tobytes()
 
 
+def flat_scatter(grad, ids, g):
+    """embedding_lookup's backward before the split: one flat np.add.at."""
+    d = grad.shape[1]
+    flat = (ids.reshape(-1, 1) * d + np.arange(d)).reshape(-1)
+    np.add.at(grad.reshape(-1), flat, g.reshape(-1))
+
+
+@st.composite
+def lookup_ids(draw, vocab):
+    """ids with one dominant id (as <pad> is), no repeated id, or any mix."""
+    size = draw(st.integers(0, 40))
+    kind = draw(st.sampled_from(["dominant", "distinct", "any"]))
+    if kind == "distinct":
+        size = min(size, vocab)
+        return np.array(draw(st.permutations(range(vocab)))[:size], dtype=np.int64)
+    ids = draw(st.lists(st.integers(0, vocab - 1), min_size=size, max_size=size))
+    if kind == "dominant":
+        top = draw(st.integers(0, vocab - 1))
+        ids = [top if i % 3 else v for i, v in enumerate(ids)]
+    return np.array(ids, dtype=np.int64)
+
+
+@settings(max_examples=80, deadline=None)
+@given(data=st.data(), vocab=st.integers(1, 9), d=st.integers(1, 5), lookups=st.integers(1, 2),
+       dtype=st.sampled_from([np.float32, np.float64]), seed=st.integers(0, 2**16))
+def test_embedding_backward_bits_match_one_flat_scatter(data, vocab, d, lookups, dtype, seed):
+    rng = np.random.default_rng(seed)
+    table = T.Tensor(rng.normal(size=(vocab, d)).astype(dtype), requires_grad=True)
+    # two lookups of one table in one graph: the second adds to the first's sums
+    ids = [data.draw(lookup_ids(vocab)) for _ in range(lookups)]
+    outs = [T.embedding_lookup(table, i) for i in ids]
+    grads = [(rng.normal(size=o.data.shape) * 10.0 ** rng.integers(-3, 4, size=(len(i), 1)))
+             .astype(dtype) for o, i in zip(outs, ids)]
+    expected = np.zeros_like(table.data)
+    for out, i, g in zip(outs, ids, grads):
+        out._backward(g)
+        flat_scatter(expected, i, g)
+    assert table.grad.tobytes() == expected.tobytes()
+    assert table.grad_rows.tolist() == sorted(set(np.concatenate(ids).tolist()))
+
+
+def test_embedding_backward_keeps_a_dominant_id_in_row_order():
+    # at the paper grid <pad> is 62-71% of the looked-up rows
+    rng = np.random.default_rng(1)
+    ids = np.where(rng.random(5000) < 0.7, 0, rng.integers(1, 300, size=5000))
+    table = T.Tensor(np.zeros((300, 64), np.float32), requires_grad=True)
+    out = T.embedding_lookup(table, ids)
+    g = rng.normal(size=out.data.shape).astype(np.float32)
+    table.grad = rng.normal(size=table.data.shape).astype(np.float32)    # some other op's
+    expected = table.grad.copy()
+    out._backward(g)
+    flat_scatter(expected, ids, g)
+    assert table.grad.tobytes() == expected.tobytes()
+    assert table.grad_rows is None      # another op wrote the gradient first
+
+
 def test_embedding_backward_adds_to_a_gradient_in_any_memory_order():
     table = T.Tensor(np.asfortranarray(np.zeros((3, 2))), requires_grad=True)
     ids = np.array([2, 0, 2])

@@ -15,6 +15,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import sirm.model as model_mod
+import sirm.text as text_mod
 import sirm.training as training_mod
 from sirm import tensor as T
 from sirm.evaluation import evaluate
@@ -26,6 +27,9 @@ from sirm.training import (ADAM_BLOCK, Adam, CheckpointError, TrainConfig, Train
                            serialize_checkpoint, split_dev, train)
 
 from grids import stack_documents
+
+
+BUNDLED = Path(__file__).resolve().parent.parent / "data" / "synthetic_64.jsonl"
 
 
 def toy_config(**overrides):
@@ -172,6 +176,113 @@ class TestAdam:
         assert np.array_equal(p.data, np.ones((3, 2)))
 
 
+def dense_adam_step(optimizer):
+    """Adam.step before the lazy rule: the ten operations on every element."""
+    b1, b2 = training_mod.ADAM_BETA1, training_mod.ADAM_BETA2
+    optimizer.step_count += 1
+    c1 = 1 - b1 ** optimizer.step_count
+    c2 = 1 - b2 ** optimizer.step_count
+    for (_, p), m, v in zip(optimizer.named_params, optimizer.m, optimizer.v):
+        g = p.grad
+        m *= b1
+        m += g * (1 - b1)
+        v *= b2
+        v += (g * (1 - b2)) * g
+        denom = np.sqrt(v / c2)
+        denom += training_mod.ADAM_EPS
+        step = m / c1
+        step *= optimizer.config.learning_rate
+        p.data -= step / denom
+        p.grad = p.grad_rows = None
+
+
+class TestLazyAdam:
+    def table_and_optimizer(self):
+        rng = np.random.default_rng(0)
+        table = T.Tensor(rng.normal(size=(6, 3)).astype(np.float32), requires_grad=True)
+        opt = Adam([("embedding", table)], TrainConfig(learning_rate=0.01))
+        # two dense steps leave a nonzero m and v in every row
+        for _ in range(2):
+            table.grad = rng.normal(size=table.data.shape).astype(np.float32)
+            opt.step()
+        return table, opt
+
+    def lookup_loss(self, table, ids):
+        out = T.embedding_lookup(table, ids)
+        w = T.Tensor(np.linspace(-1, 1, out.data.size, dtype=np.float32).reshape(-1, 1))
+        return T.reshape(T.matmul(T.reshape(out, (1, out.data.size)), w), ())
+
+    def test_rows_no_lookup_read_keep_p_m_and_v(self):
+        table, opt = self.table_and_optimizer()
+        before = [a.copy() for a in (table.data, opt.m[0], opt.v[0])]
+        T.backward(self.lookup_loss(table, [[4, 1], [1, 4]]))
+        assert table.grad.shape == table.data.shape     # still dense for its readers
+        assert table.grad_rows.tolist() == [1, 4]
+        opt.step()
+        assert table.grad is None and table.grad_rows is None
+        for after, old in zip((table.data, opt.m[0], opt.v[0]), before):
+            assert after[[0, 2, 3, 5]].tobytes() == old[[0, 2, 3, 5]].tobytes()
+            assert not np.array_equal(after[[1, 4]], old[[1, 4]])
+
+    def test_read_rows_step_as_dense_adam_does(self):
+        table, opt = self.table_and_optimizer()
+        reference = Adam([("embedding", T.Tensor(table.data.copy(), requires_grad=True))],
+                         opt.config)
+        reference.step_count = opt.step_count
+        reference.m[0][...], reference.v[0][...] = opt.m[0], opt.v[0]
+        T.backward(self.lookup_loss(table, [3, 0, 3, 3]))
+        reference.named_params[0][1].grad = table.grad.copy()
+        opt.step()
+        reference.step()
+        for got, expected in ((table.data, reference.named_params[0][1].data),
+                              (opt.m[0], reference.m[0]), (opt.v[0], reference.v[0])):
+            assert got[[0, 3]].tobytes() == expected[[0, 3]].tobytes()
+        assert opt.step_count == reference.step_count
+
+    @pytest.mark.parametrize("lookup_first", [True, False])
+    def test_any_other_gradient_makes_the_step_dense(self, lookup_first):
+        table, opt = self.table_and_optimizer()
+        m_before = opt.m[0].copy()
+        lookup = self.lookup_loss(table, [2])
+        dense = T.reshape(T.matmul(T.Tensor(np.ones((1, 6), np.float32)), table), (3,))
+        dense = T.reshape(T.matmul(T.reshape(dense, (1, 3)),
+                                   T.Tensor(np.ones((3, 1), np.float32))), ())
+        T.backward(T.add(lookup, dense) if lookup_first else T.add(dense, lookup))
+        assert table.grad_rows is None
+        opt.step()
+        # every row's moments moved, not only row 2's
+        assert (opt.m[0] != m_before).all(axis=1).all()
+
+    def test_zero_grads_clears_the_rows(self):
+        table, _ = self.table_and_optimizer()
+        T.backward(self.lookup_loss(table, [5]))
+        T.zero_grads([table])
+        assert table.grad is None and table.grad_rows is None
+
+    @pytest.mark.parametrize("kind", sorted(MODELS))
+    def test_one_batch_epochs_train_the_bytes_of_dense_adam(self, kind, monkeypatch):
+        # one batch holds every document, so every row with moments is read
+        # at every step
+        pairs = text_mod.load_dataset(str(BUNDLED))
+        vocab = text_mod.build_vocab(pairs, min_frequency=1)
+        grids = text_mod.encode_split(pairs, vocab, 2, 10)
+        config = SIRMConfig(vocab_size=len(vocab), m=2, n=10)
+        tc = TrainConfig(max_epochs=4, early_stop_patience=4, batch_size=len(grids))
+        step, lazy_steps = Adam.step, []
+
+        def spied(optimizer):
+            lazy_steps.append(dict(optimizer.named_params)["embedding"].grad_rows is not None)
+            step(optimizer)
+
+        monkeypatch.setattr(Adam, "step", spied)
+        lazy, _ = train(grids, grids, kind, config, tc)
+        assert lazy_steps == [True] * 4
+        monkeypatch.setattr(Adam, "step", dense_adam_step)
+        dense, _ = train(grids, grids, kind, config, tc)
+        for (name, got), (_, expected) in zip(lazy.named_tensors(), dense.named_tensors()):
+            assert got.data.tobytes() == expected.data.tobytes(), name
+
+
 class TestTrainLoop:
     def test_patience_zero_runs_one_epoch(self):
         config = toy_config()
@@ -201,8 +312,8 @@ class TestTrainLoop:
         p2, h2 = train(grids, grids, "sirm", config, tc)
         for (n1, t1), (_n2, t2) in zip(p1.named_tensors(), p2.named_tensors()):
             assert np.array_equal(t1.data, t2.data), n1
-        strip = lambda h: [{k: v for k, v in rec.items() if k != "wall_seconds"}
-                           for rec in h]
+        timings = {"train_seconds", "dev_seconds", "wall_seconds"}
+        strip = lambda h: [{k: v for k, v in rec.items() if k not in timings} for rec in h]
         assert strip(h1) == strip(h2)
 
     def test_lambda_runs_share_initial_loss_then_diverge(self):
@@ -264,8 +375,11 @@ class TestTrainLoop:
         lines = [json.loads(line) for line in path.read_text().splitlines()]
         assert lines == history
         for key in ("epoch", "train_loss", "dev_acc", "dev_f1", "dev_macro_f1",
-                    "wall_seconds"):
+                    "train_seconds", "dev_seconds", "wall_seconds"):
             assert key in lines[0]
+        for r in lines:
+            assert 0 <= r["train_seconds"] <= r["wall_seconds"]
+            assert r["train_seconds"] + r["dev_seconds"] == pytest.approx(r["wall_seconds"])
 
     def test_epoch_times_survive_a_wall_clock_that_runs_backwards(self, monkeypatch):
         config = toy_config()
