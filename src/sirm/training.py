@@ -45,17 +45,14 @@ class TrainConfig:
 
 # the defaults of Kingma & Ba 2015, "Adam: A Method for Stochastic Optimization"
 ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
-# elements per block of the update: two scratch buffers of this size, not
-# two the size of the embedding table, and a block stays in cache through
-# all ten operations
-ADAM_BLOCK = 65536
 
 
-def _adam_update(p, g, m, v, step, denom, c1, c2, lr):
+def _adam_update(p, g, m, v, c1, c2, lr):
     """m = b1*m + (1-b1)*g, v = b2*v + ((1-b2)*g)*g and p -= lr*(m/c1) /
     (sqrt(v/c2) + eps), in that operation order, in place on p, m and v, with
-    the step built in the scratch arrays step and denom."""
+    the step built in two scratch arrays of m's shape."""
     b1, b2 = ADAM_BETA1, ADAM_BETA2
+    step, denom = np.empty_like(m), np.empty_like(m)
     m *= b1
     m += np.multiply(g, 1 - b1, out=step)
     v *= b2
@@ -77,9 +74,10 @@ class Adam:
     embedding_lookup (p.grad_rows is set), only the rows the lookups read
     are updated; every other row keeps its p, m and v, and the bias
     correction still counts every step. Any other gradient makes the step
-    dense. This is dense Adam to the byte whenever every row with a nonzero
-    m or v is read at every step, as when each epoch is one batch: dense
-    Adam leaves a row with zero moments and gradient as it is too.
+    dense, in place on the whole tensor. This is dense Adam to the byte
+    whenever every row with a nonzero m or v is read at every step, as when
+    each epoch is one batch: dense Adam leaves a row with zero moments and
+    gradient as it is too.
     """
 
     def __init__(self, named_params, config):
@@ -88,42 +86,31 @@ class Adam:
         self.step_count = 0
         self.m = [np.zeros(t.data.shape, t.data.dtype) for _, t in self.named_params]
         self.v = [np.zeros(t.data.shape, t.data.dtype) for _, t in self.named_params]
-        scratch = {m.dtype: (np.empty(ADAM_BLOCK, m.dtype), np.empty(ADAM_BLOCK, m.dtype))
-                   for m in self.m}
-        # per parameter, per block: its start and views of m, v and the two scratch buffers
-        self._blocks = []
-        for m, v in zip(self.m, self.v):
-            bounds = [(lo, min(lo + ADAM_BLOCK, m.size)) for lo in range(0, m.size, ADAM_BLOCK)]
-            self._blocks.append([(lo, m.reshape(-1)[lo:hi], v.reshape(-1)[lo:hi],
-                                  *(buf[:hi - lo] for buf in scratch[m.dtype]))
-                                 for lo, hi in bounds])
 
     def step(self):
-        """One _adam_update per parameter, then its gradient is cleared. A
-        dense update runs ADAM_BLOCK elements at a time in two block-sized
-        scratch buffers; a lazy one gathers the read rows of p, g, m and v,
-        updates them and scatters p, m and v back. A parameter's data must be
-        C-contiguous, so its flat view is the array itself."""
+        """One _adam_update per parameter, then its gradient is cleared. Every
+        parameter must hold a gradient of its own shape, checked before any is
+        touched. A dense update runs on the whole arrays; a lazy one gathers
+        the read rows of p, g, m and v, updates them and scatters p, m and v
+        back."""
+        for name, p in self.named_params:
+            if p.grad is None:
+                raise TrainingError(f"parameter {name!r} has no gradient")
+            if p.grad.shape != p.data.shape:
+                raise TrainingError(f"parameter {name!r} has shape {p.data.shape}, "
+                                    f"its gradient {p.grad.shape}")
         self.step_count += 1
         c1 = 1 - ADAM_BETA1 ** self.step_count
         c2 = 1 - ADAM_BETA2 ** self.step_count
         lr = self.config.learning_rate
-        for (name, p), m, v, blocks in zip(self.named_params, self.m, self.v, self._blocks):
-            if p.grad is None:
-                raise TrainingError(f"parameter {name!r} has no gradient")
-            if not p.data.flags.c_contiguous:
-                raise TrainingError(f"parameter {name!r} data is not C-contiguous")
+        for (_, p), m, v in zip(self.named_params, self.m, self.v):
             rows = p.grad_rows
-            if rows is not None:
-                p_r, g_r, m_r, v_r = (np.take(a, rows, axis=0) for a in (p.data, p.grad, m, v))
-                _adam_update(p_r, g_r, m_r, v_r, np.empty_like(p_r), np.empty_like(p_r),
-                             c1, c2, lr)
-                p.data[rows], m[rows], v[rows] = p_r, m_r, v_r
+            if rows is None:
+                _adam_update(p.data, p.grad, m, v, c1, c2, lr)
             else:
-                p_flat, g_flat = p.data.reshape(-1), p.grad.reshape(-1)
-                for lo, m_b, v_b, step, denom in blocks:
-                    _adam_update(p_flat[lo:lo + ADAM_BLOCK], g_flat[lo:lo + ADAM_BLOCK],
-                                 m_b, v_b, step, denom, c1, c2, lr)
+                p_r, g_r, m_r, v_r = (np.take(a, rows, axis=0) for a in (p.data, p.grad, m, v))
+                _adam_update(p_r, g_r, m_r, v_r, c1, c2, lr)
+                p.data[rows], m[rows], v[rows] = p_r, m_r, v_r
             p.grad = p.grad_rows = None
 
 

@@ -8,6 +8,7 @@ import struct
 import subprocess
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -22,9 +23,9 @@ from sirm.evaluation import evaluate
 from sirm.model import (MODELS, ConfigError, SIRMConfig, init_nbow_params, init_sirm_params,
                         seeded_make, sirm_forward, sirm_loss)
 from sirm.text import DataFormatError, ParagraphGrid
-from sirm.training import (ADAM_BLOCK, Adam, CheckpointError, TrainConfig, TrainingError,
-                           best_epoch, load_checkpoint, save_checkpoint,
-                           serialize_checkpoint, split_dev, train)
+from sirm.training import (Adam, CheckpointError, TrainConfig, TrainingError, best_epoch,
+                           load_checkpoint, save_checkpoint, serialize_checkpoint, split_dev,
+                           train)
 
 from grids import stack_documents
 
@@ -139,9 +140,9 @@ class TestAdam:
         cfg = TrainConfig(learning_rate=lr)
         beta1, beta2, eps = 0.9, 0.999, 1e-8     # Kingma & Ba's defaults
         rng = np.random.default_rng(seed)
-        # the last spans three update blocks and a remainder
+        # the last is larger than any tensor the dense step meets at the paper default
         shapes = [((3, 4), np.float32), ((5,), np.float64), ((2, 3, 2), np.float32),
-                  ((1,), np.float64), ((3, ADAM_BLOCK + 5), np.float32)]
+                  ((1,), np.float64), ((3, 65536 + 5), np.float32)]
         params = [T.Tensor(rng.normal(size=s).astype(dt), requires_grad=True)
                   for s, dt in shapes]
         expected = [p.data.copy() for p in params]
@@ -167,13 +168,61 @@ class TestAdam:
                 assert p.data.dtype == e.dtype and p.data.tobytes() == e.tobytes()
                 assert om.tobytes() == mi.tobytes() and ov.tobytes() == vi.tobytes()
 
-    def test_parameter_data_must_be_c_contiguous(self):
-        p = T.Tensor(np.asfortranarray(np.ones((3, 2))), requires_grad=True)
-        opt = Adam([("wide", p)], TrainConfig())
-        p.grad = np.ones((3, 2))
-        with pytest.raises(TrainingError, match="'wide' data is not C-contiguous"):
+    @pytest.mark.parametrize("lazy", [False, True], ids=["dense", "lazy"])
+    def test_fortran_ordered_parameter_steps_to_the_bytes_of_its_c_copy(self, lazy):
+        rng = np.random.default_rng(0)
+        data = rng.normal(size=(5, 3)).astype(np.float32)
+        params = [T.Tensor(np.asfortranarray(data), requires_grad=True),
+                  T.Tensor(data.copy(), requires_grad=True)]
+        assert not params[0].data.flags.c_contiguous
+        opts = [Adam([("wide", p)], TrainConfig(learning_rate=0.01)) for p in params]
+        for _ in range(3):
+            g = rng.normal(size=data.shape).astype(np.float32)
+            for p, opt in zip(params, opts):
+                p.grad = g.copy()
+                p.grad_rows = np.array([1, 3]) if lazy else None
+                opt.step()
+        fortran, c_order = params
+        assert fortran.data.tobytes(order="C") == c_order.data.tobytes()
+        assert opts[0].m[0].tobytes() == opts[1].m[0].tobytes()
+        assert opts[0].v[0].tobytes() == opts[1].v[0].tobytes()
+
+    @pytest.mark.parametrize("bad_grad", [None, np.ones(1), np.ones((4, 3)), np.ones((1, 4))],
+                             ids=["missing", "one-element", "transposed", "broadcastable"])
+    def test_a_bad_gradient_raises_before_any_parameter_is_touched(self, bad_grad):
+        rng = np.random.default_rng(0)
+        params = [T.Tensor(rng.normal(size=(3, 4)), requires_grad=True) for _ in range(3)]
+        opt = Adam([(f"p{i}", p) for i, p in enumerate(params)], TrainConfig())
+        for _ in range(2):
+            for p in params:
+                p.grad = rng.normal(size=p.data.shape)
             opt.step()
-        assert np.array_equal(p.data, np.ones((3, 2)))
+        grads = [rng.normal(size=(3, 4)), bad_grad, rng.normal(size=(3, 4))]
+        for p, g in zip(params, grads):
+            p.grad = g
+        before = [[a.copy() for a in (p.data, m, v)] for p, m, v in zip(params, opt.m, opt.v)]
+        with pytest.raises(TrainingError, match="'p1'"):
+            opt.step()
+        assert opt.step_count == 2
+        for p, m, v, g, old in zip(params, opt.m, opt.v, grads, before):
+            assert p.grad is g
+            for now, then in zip((p.data, m, v), old):
+                assert now.tobytes() == then.tobytes()
+
+    def test_lazy_step_allocates_no_table_sized_scratch(self):
+        rows = np.arange(0, 30000, 300)     # 100 rows of a 30000 x 64 table
+        table = T.Tensor(np.ones((30000, 64), np.float32), requires_grad=True)
+        opt = Adam([("embedding", table)], TrainConfig())
+        table.grad = np.ones_like(table.data)
+        table.grad_rows = rows
+        tracemalloc.start()
+        try:
+            opt.step()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < table.data.nbytes / 10
+        assert (table.data[rows] != 1).all() and (table.data[1:300] == 1).all()
 
 
 def dense_adam_step(optimizer):
