@@ -46,7 +46,7 @@ def _load_config_file(path):
     if not path:
         return {}
     try:
-        with open(path, encoding="utf-8") as f:
+        with open(path, encoding="utf-8-sig") as f:
             cfg = json.load(f)
     except (OSError, json.JSONDecodeError) as e:
         raise DataFormatError(f"cannot read config {path}: {e}") from e
@@ -125,8 +125,8 @@ def cmd_train(args):
         save_checkpoint(ckpt_path, args.model, sirm_cfg, params)
         atomic_write_bytes(os.path.join(args.out_dir, "dev_metrics.json"),
                            (json.dumps(report, indent=2) + "\n").encode("utf-8"))
-    except Exception:
-        # a failed run leaves the --out-dir as it found it
+    except BaseException:
+        # a failed or interrupted run leaves the --out-dir as it found it
         if os.path.exists(partial_history):
             os.remove(partial_history)
         if made_out_dir and not os.listdir(args.out_dir):

@@ -22,15 +22,15 @@ of the leaf's own dtype and layout, never aliasing the upstream array; later
 ones are added to it in place. An op node's gradient is read only by its own
 backward rule, so it borrows the first upstream array of its dtype and shape
 as a read-only view, and a second contribution makes a fresh sum the node
-owns; conv_relu_mean hands its input a fresh zero-filled gradient to own
-outright. A rule that writes a gradient in place (affine_relu_mean's weight,
+owns. A rule that writes a gradient in place (affine_relu_mean's weight,
 embedding_lookup, the loss seed) first takes ownership of it.
 embedding_lookup's backward splits its scatter: the rows of the batch's most
 frequent id (<pad> at the paper grid, 62-71% of the rows) are one sum down
 the rows, seeded with that table row's gradient so far, and the other rows
 go through np.add.at; each element gets the sums of one flat scatter, in the
-same order. While only lookups have written a table's gradient, the table's
-grad_rows lists the rows they read, and training.Adam updates only those.
+same order. While one lookup alone has written a table's gradient, the
+table's grad_rows lists the rows it read, and training.Adam updates only
+those.
 """
 
 import contextlib
@@ -82,9 +82,9 @@ class Tensor:
 
     data is stored flat-compatible (row-major numpy array). Tensors created
     by ops carry parent links and a backward rule; leaves carry neither.
-    grad_rows, while only embedding_lookup has written grad, holds the sorted
-    rows of the first axis that the lookups read (the others are zero), and
-    None once any other op adds to grad; it is cleared along with grad.
+    grad_rows, while one embedding_lookup alone has written grad, holds the
+    sorted rows of the first axis that it read (the others are zero), and
+    None once anything else adds to grad; it is cleared along with grad.
     """
 
     __slots__ = ("data", "requires_grad", "grad", "grad_rows", "_parents", "_backward")
@@ -151,16 +151,6 @@ def _accum(t, g):
         t.grad += g
     else:
         t.grad = np.add(t.grad, g, out=np.empty_like(t.data))
-
-
-def _give(t, g):
-    """_accum for a fresh gradient array g that nothing else holds: an op
-    node's first gradient of its dtype and shape becomes its own buffer."""
-    if (t.grad is None and t._backward is not None and g.dtype == t.data.dtype
-            and g.shape == t.data.shape):
-        t.grad = g
-    else:
-        _accum(t, g)
 
 
 def _own_grad(t):
@@ -492,7 +482,7 @@ def _conv_relu_mean_kept(x, filters, widths, d_outs, words, kept):
             dx2 = dx.reshape(-1, d_in)
             dx2[idx] = dxc[:K]
             np.add.at(dx2, stretch, dxc[K:])     # stretch rows repeat once H > 1
-            _give(x, dx)
+            _accum(x, dx)
 
     return out_data, bwd
 
@@ -693,8 +683,8 @@ def gather_rows(x, index):
 def embedding_lookup(table, ids):
     """Rows of table for an id array of any shape: ids (...) -> (..., d).
     Backward splits its scatter by the most frequent id (module docstring)
-    and adds the rows it read to table.grad_rows unless another op wrote
-    table.grad."""
+    and, if table had no gradient before it, sets table.grad_rows to the
+    rows it read."""
     ids = np.asarray(ids, dtype=np.int64)
     V = table.data.shape[0]
     if ids.size and (ids.max() >= V or ids.min() < 0):
@@ -702,13 +692,10 @@ def embedding_lookup(table, ids):
     out_data = table.data[ids]
 
     def bwd(g):
-        if not table.requires_grad:
-            return
         d = table.data.shape[1]
         flat_ids, g2 = ids.reshape(-1), g.reshape(ids.size, d)
         counts = np.bincount(flat_ids, minlength=V)
-        before = None if table.grad is None else table.grad_rows
-        sparse = table.grad is None or before is not None
+        sparse = table.grad is None
         grad = _own_grad(table)
         rest = np.ones(ids.size, bool)
         # a sum down a one-column array would be pairwise, not in row order
@@ -725,8 +712,7 @@ def embedding_lookup(table, ids):
         flat = (np.compress(rest, flat_ids)[:, None] * d + np.arange(d)).reshape(-1)
         np.add.at(grad.reshape(-1), flat, np.compress(rest, g2, axis=0).reshape(-1))
         if sparse:
-            read = np.flatnonzero(counts)
-            table.grad_rows = read if before is None else np.union1d(before, read)
+            table.grad_rows = np.flatnonzero(counts)
 
     return _from_op(out_data, (table,), bwd)
 

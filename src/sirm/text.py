@@ -32,9 +32,10 @@ class DataFormatError(ValueError):
 
 def _numbered_lines(path):
     """(line number from 1, line without its newline) for each line of a UTF-8
-    text file; a file that cannot be opened or decoded is a DataFormatError."""
+    text file, a leading byte-order mark dropped; a file that cannot be opened
+    or decoded is a DataFormatError."""
     try:
-        with open(path, encoding="utf-8") as f:
+        with open(path, encoding="utf-8-sig") as f:
             for lineno, line in enumerate(f, start=1):
                 yield lineno, line.rstrip("\n")
     except OSError as e:

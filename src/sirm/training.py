@@ -70,9 +70,9 @@ class Adam:
     config.learning_rate with the fixed ADAM_BETA1, ADAM_BETA2 and ADAM_EPS.
 
     Lazy on an embedding, as TensorFlow Addons' LazyAdam and PyTorch's
-    SparseAdam are: when a parameter's gradient this step came only from
-    embedding_lookup (p.grad_rows is set), only the rows the lookups read
-    are updated; every other row keeps its p, m and v, and the bias
+    SparseAdam are: when a parameter's gradient this step came from one
+    embedding_lookup (p.grad_rows is set), only the rows it read are
+    updated; every other row keeps its p, m and v, and the bias
     correction still counts every step. Any other gradient makes the step
     dense, in place on the whole tensor. This is dense Adam to the byte
     whenever every row with a nonzero m or v is read at every step, as when

@@ -2,9 +2,11 @@ import dataclasses
 import json
 import logging
 import os
+import signal
 import struct
 import subprocess
 import sys
+import time
 import warnings
 from pathlib import Path
 
@@ -14,8 +16,9 @@ import pytest
 import sirm
 import sirm.training as training_mod
 from sirm import tensor as T
-from sirm.cli import (GRAD_CHECK_TOLERANCE, SIRM_FIELDS, TRAIN_FIELDS, _assemble, build_parser,
-                      main, run_grad_check, toy_grad_check_config)
+from sirm.cli import (GRAD_CHECK_TOLERANCE, SIRM_FIELDS, TRAIN_FIELDS, _assemble,
+                      _load_config_file, build_parser, main, run_grad_check,
+                      toy_grad_check_config)
 from sirm.model import ConfigError
 from sirm.synthetic import generate, write_jsonl
 from sirm.training import best_epoch, load_checkpoint, save_checkpoint
@@ -174,6 +177,39 @@ class TestTrainEvalPredict:
         assert len(calls) == 3
         assert sorted(os.listdir(out_dir)) == names
         assert {name: (out_dir / name).read_bytes() for name in names} == before
+
+    @pytest.mark.parametrize("used", [False, True])
+    def test_interrupted_run_leaves_the_out_dir_as_it_found_it(self, tmp_path, used):
+        vocab = build_vocab(tmp_path, BUNDLED)
+        out_dir = tmp_path / "run"
+        argv = ["train", "--train", str(BUNDLED), "--dev", str(BUNDLED), "--vocab", str(vocab),
+                "--out-dir", str(out_dir), "--m", "2", "--n", "10"]
+        names = ["best.ckpt", "dev_metrics.json", "history.jsonl"]
+        before = {}
+        if used:
+            assert main(argv + ["--max-epochs", "2"]) == 0
+            before = {name: (out_dir / name).read_bytes() for name in names}
+        src = str(Path(sirm.__file__).resolve().parent.parent)
+        env = {**os.environ,
+               "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        proc = subprocess.Popen([sys.executable, "-m", "sirm.cli"] + argv
+                                + ["--max-epochs", "100000", "--patience", "100000"],
+                                env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
+        try:
+            deadline = time.monotonic() + 120
+            while not (out_dir / "history.jsonl.partial").exists():
+                assert proc.poll() is None and time.monotonic() < deadline
+                time.sleep(0.05)
+            proc.send_signal(signal.SIGINT)
+            assert proc.wait(timeout=60) != 0
+        finally:
+            proc.kill()
+            proc.wait()
+        if used:
+            assert sorted(os.listdir(out_dir)) == names
+            assert {name: (out_dir / name).read_bytes() for name in names} == before
+        else:
+            assert not out_dir.exists()
 
     def test_nbow_model_flag(self, workspace):
         tmp_path, data, config = workspace
@@ -484,6 +520,14 @@ def test_train_flag_sets_config_field(tmp_path, monkeypatch, flag, field,
         values = [getattr(c, field) for c in assembled(tmp_path, config, *flags)
                   if hasattr(c, field)]
         assert values == [value]
+
+
+@pytest.mark.parametrize("encoding", ["utf-8", "utf-8-sig"])
+def test_a_config_file_may_start_with_a_byte_order_mark(tmp_path, encoding):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"d_e": 6, "m": 3}), encoding=encoding)
+    assert path.read_bytes().startswith(b"\xef\xbb\xbf") == (encoding == "utf-8-sig")
+    assert _load_config_file(str(path)) == {"d_e": 6, "m": 3}
 
 
 def test_config_vocab_size_must_match_the_vocabulary(tmp_path):

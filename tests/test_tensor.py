@@ -1222,7 +1222,10 @@ def test_embedding_backward_bits_match_one_flat_scatter(data, vocab, d, lookups,
         out._backward(g)
         flat_scatter(expected, i, g)
     assert table.grad.tobytes() == expected.tobytes()
-    assert table.grad_rows.tolist() == sorted(set(np.concatenate(ids).tolist()))
+    if lookups == 1:
+        assert table.grad_rows.tolist() == sorted(set(ids[0].tolist()))
+    else:       # to the first lookup, the second is some other op writing the gradient
+        assert table.grad_rows is None
 
 
 def test_embedding_backward_keeps_a_dominant_id_in_row_order():

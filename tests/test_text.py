@@ -278,6 +278,15 @@ class TestVocabularyFile:
         with pytest.raises(DataFormatError):
             Vocabulary.load(path)
 
+    @pytest.mark.parametrize("encoding", ["utf-8", "utf-8-sig"])
+    def test_a_byte_order_mark_is_not_part_of_the_first_entry(self, small_vocab, tmp_path,
+                                                                encoding):
+        path = tmp_path / "vocab.tsv"
+        small_vocab.save(path)
+        path.write_text(path.read_text(encoding="utf-8"), encoding=encoding)
+        assert path.read_bytes().startswith(b"\xef\xbb\xbf") == (encoding == "utf-8-sig")
+        assert Vocabulary.load(path).id_to_token == small_vocab.id_to_token
+
     def test_blank_lines_skipped(self, tmp_path):
         path = tmp_path / "vocab.tsv"
         path.write_text("\n<pad>\t0\n<unk>\t0\n\na\t3\n\n")
@@ -298,6 +307,19 @@ class TestLoadDataset:
         path.write_text("0\thello world\n")
         split = load_dataset(path, fmt="tsv")
         assert type(split) is list and split == [("hello world", 0)]
+
+    @pytest.mark.parametrize("encoding", ["utf-8", "utf-8-sig"])
+    @pytest.mark.parametrize("fmt", ["jsonl", "tsv"])
+    def test_a_byte_order_mark_costs_no_record(self, tmp_path, caplog, fmt, encoding):
+        path = tmp_path / f"d.{fmt}"
+        records = [(f"doc {i}", i % 2) for i in range(20)]
+        lines = [json.dumps({"text": text, "label": label}) if fmt == "jsonl"
+                 else f"{label}\t{text}" for text, label in records]
+        path.write_text("\n".join(lines) + "\n", encoding=encoding)
+        assert path.read_bytes().startswith(b"\xef\xbb\xbf") == (encoding == "utf-8-sig")
+        with caplog.at_level("WARNING"):
+            assert load_dataset(path, fmt=fmt) == records
+        assert not caplog.records
 
     def test_info_line_names_the_split_role(self, tmp_path, caplog):
         path = tmp_path / "d.jsonl"

@@ -256,6 +256,15 @@ class TestLazyAdam:
             opt.step()
         return table, opt
 
+    def dense_copy(self, table, opt):
+        """An Adam over a copy of table at opt's state; its gradient will not
+        come from a lookup, so it steps dense."""
+        reference = Adam([("embedding", T.Tensor(table.data.copy(), requires_grad=True))],
+                         opt.config)
+        reference.step_count = opt.step_count
+        reference.m[0][...], reference.v[0][...] = opt.m[0], opt.v[0]
+        return reference
+
     def lookup_loss(self, table, ids):
         out = T.embedding_lookup(table, ids)
         w = T.Tensor(np.linspace(-1, 1, out.data.size, dtype=np.float32).reshape(-1, 1))
@@ -275,10 +284,7 @@ class TestLazyAdam:
 
     def test_read_rows_step_as_dense_adam_does(self):
         table, opt = self.table_and_optimizer()
-        reference = Adam([("embedding", T.Tensor(table.data.copy(), requires_grad=True))],
-                         opt.config)
-        reference.step_count = opt.step_count
-        reference.m[0][...], reference.v[0][...] = opt.m[0], opt.v[0]
+        reference = self.dense_copy(table, opt)
         T.backward(self.lookup_loss(table, [3, 0, 3, 3]))
         reference.named_params[0][1].grad = table.grad.copy()
         opt.step()
@@ -287,6 +293,19 @@ class TestLazyAdam:
                               (opt.m[0], reference.m[0]), (opt.v[0], reference.v[0])):
             assert got[[0, 3]].tobytes() == expected[[0, 3]].tobytes()
         assert opt.step_count == reference.step_count
+
+    def test_a_table_two_lookups_read_steps_as_dense_adam_does(self):
+        table, opt = self.table_and_optimizer()
+        reference = self.dense_copy(table, opt)
+        # rows 0, 3 and 5 hold nonzero moments and neither lookup reads them
+        T.backward(T.add(self.lookup_loss(table, [1, 4]), self.lookup_loss(table, [4, 2])))
+        assert table.grad_rows is None
+        reference.named_params[0][1].grad = table.grad.copy()
+        opt.step()
+        reference.step()
+        for got, expected in ((table.data, reference.named_params[0][1].data),
+                              (opt.m[0], reference.m[0]), (opt.v[0], reference.v[0])):
+            assert got.tobytes() == expected.tobytes()
 
     @pytest.mark.parametrize("lookup_first", [True, False])
     def test_any_other_gradient_makes_the_step_dense(self, lookup_first):
