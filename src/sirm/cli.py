@@ -89,12 +89,10 @@ def cmd_build_vocab(args):
     if len(vocab) <= 2:
         print("warning: vocabulary holds only the reserved tokens", file=sys.stderr)
     vocab.save(args.out)
-    total = known = 0
-    for text, _ in split:
-        for tok in tokenize(text):
-            total += 1
-            known += int(tok in vocab.token_to_id)
-    coverage = known / total if total else 0.0
+    # build_vocab keeps each kept token's training count, so the counts sum
+    # to the training tokens the vocabulary covers
+    total = sum(len(tokenize(text)) for text, _ in split)
+    coverage = sum(vocab.frequencies) / total if total else 0.0
     print(f"vocabulary size: {len(vocab)}")
     print(f"token coverage on train: {coverage:.4f}")
     return EXIT_OK
@@ -113,26 +111,28 @@ def cmd_train(args):
 
     made_out_dir = not os.path.isdir(args.out_dir)
     os.makedirs(args.out_dir, exist_ok=True)
-    history_path = os.path.join(args.out_dir, "history.jsonl")
-    # moved into place after the checkpoint and report, so the three files
-    # in an --out-dir always come from one run
-    partial_history = history_path + ".partial"
-    ckpt_path = os.path.join(args.out_dir, "best.ckpt")
+    paths = [os.path.join(args.out_dir, name)
+             for name in ("history.jsonl", "best.ckpt", "dev_metrics.json")]
+    history_path, ckpt_path, report_path = paths
+    # each file is written as .partial and all three move into place only
+    # once all three are written, so a failed run replaces none of them
     try:
         params, history = train(train_grids, dev_grids, args.model, sirm_cfg,
-                                train_cfg, history_path=partial_history)
+                                train_cfg, history_path=history_path + ".partial")
         report, _ = evaluate(args.model, params, sirm_cfg, dev_grids)
-        save_checkpoint(ckpt_path, args.model, sirm_cfg, params)
-        atomic_write_bytes(os.path.join(args.out_dir, "dev_metrics.json"),
+        save_checkpoint(ckpt_path + ".partial", args.model, sirm_cfg, params)
+        atomic_write_bytes(report_path + ".partial",
                            (json.dumps(report, indent=2) + "\n").encode("utf-8"))
     except BaseException:
         # a failed or interrupted run leaves the --out-dir as it found it
-        if os.path.exists(partial_history):
-            os.remove(partial_history)
+        for path in paths:
+            if os.path.exists(path + ".partial"):
+                os.remove(path + ".partial")
         if made_out_dir and not os.listdir(args.out_dir):
             os.rmdir(args.out_dir)
         raise
-    os.replace(partial_history, history_path)
+    for path in paths:
+        os.replace(path + ".partial", path)
     print(f"checkpoint: {ckpt_path}")
     print(f"epochs run: {len(history)}")
     best = history[best_epoch(history)]

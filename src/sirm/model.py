@@ -283,7 +283,7 @@ def sirm_forward(grid, params, config, reverse_gradients=True):
     o_para = dense_connect_pool(o_prime, u_para, g, pd_w, pd_b)
 
     ow, ob = params.out_head
-    logit = T.add(T.matmul(T.concat_lastaxis([o_para, g]), ow), ob)
+    logit = T.add(T.matmul([o_para, g], ow), ob)
     y_prime = T.reshape(T.sigmoid(logit), lead)
 
     g_adv = T.grad_reverse(g, config.lambda_adv) if reverse_gradients else g

@@ -1,19 +1,22 @@
 """Minimal reverse-mode autodiff engine over dense numpy arrays.
 
 Only the primitives the models in model.py need: embedding lookup, a gather
-of distinct rows, matmul, rectified 1-D convolution, conv_relu_mean (the
-skim in one node: several rectified valid convolutions, each mean-pooled,
-reading only the rows near a word if asked), affine_relu_mean (a dense
-connection in one node: relu([g; u_j; x_j] @ W + b) mean-pooled over
-positions j, with g's product once per document, and x's and u's once per
-distinct row if asked, gathered to every copy), sigmoid and softmax,
-concatenation, reshape, broadcasting addition, gradient reversal, and the
+of distinct rows, matmul (its first operand one tensor, or a list of parts
+read as their concatenation along the last axis, each against its own row
+block of the matrix; there is no concatenation op), rectified 1-D
+convolution, conv_relu_mean (the skim in one node: several rectified valid
+convolutions, each mean-pooled, reading only the rows near a word if
+asked), affine_relu_mean (a dense connection in one node: relu([g; u_j;
+x_j] @ W + b) mean-pooled over positions j, with g's product once per
+document, and x's and u's once per distinct row if asked, gathered to every
+copy), sigmoid and softmax, reshape, addition, gradient reversal, and the
 two loss heads. The convolution is in tap form: one product per tap
 projects every input row through it, and each output row sums the tap
 products of the input rows it covers, so boundary padding is skipped, never
 built; its ReLU is applied in place, inside the same node. Every op accepts
-leading batch axes (features on axis -1, the sequence on axis -2; add
-broadcasts its second operand over them) and the losses return batch means.
+leading batch axes (features on axis -1, the sequence on axis -2; add's
+second operand has exactly the first's trailing shape and is added at every
+leading index) and the losses return batch means.
 Graphs are built through parent links, except inside `no_grad()`; backward()
 walks a fresh topological order and drops each op node's gradient and rule
 once the rule has run, so it runs once. Parent links and data stay until the
@@ -219,19 +222,32 @@ def zero_grads(tensors):
 
 
 def matmul(a, b):
-    """(..., k) @ (k, d) -> (..., d), as one 2-D product over all rows."""
-    if (a.data.ndim < 1 or b.data.ndim != 2
-            or a.data.shape[-1] != b.data.shape[0]):
-        raise ShapeError(f"matmul shape mismatch: {a.data.shape} x {b.data.shape}")
-    a2 = a.data.reshape(-1, a.data.shape[-1])
-    out_data = (a2 @ b.data).reshape(a.data.shape[:-1] + b.data.shape[1:])
+    """(..., k) @ (k, d) -> (..., d), as one 2-D product over all rows.
+
+    a is a tensor or a list of tensors with one leading shape, read as their
+    concatenation along the last axis: each part meets its own row block of
+    b, and backward hands each part its own columns of the input gradient.
+    """
+    parts = list(a) if isinstance(a, (list, tuple)) else [a]
+    shapes = [p.data.shape for p in parts]
+    if (min(map(len, shapes), default=0) < 1 or b.data.ndim != 2
+            or any(s[:-1] != shapes[0][:-1] for s in shapes)
+            or sum(s[-1] for s in shapes) != b.data.shape[0]):
+        raise ShapeError(f"matmul shape mismatch: {', '.join(map(str, shapes))} x "
+                         f"{b.data.shape}")
+    a_data = parts[0].data if len(parts) == 1 else np.concatenate([p.data for p in parts], -1)
+    a2 = a_data.reshape(-1, b.data.shape[0])
+    out_data = (a2 @ b.data).reshape(shapes[0][:-1] + b.data.shape[1:])
+    offsets = list(itertools.accumulate((s[-1] for s in shapes), initial=0))
 
     def bwd(g):
         g2 = g.reshape(-1, b.data.shape[1])
-        _accum(a, (g2 @ b.data.T).reshape(a.data.shape))
+        da = (g2 @ b.data.T).reshape(a_data.shape)
+        for p, lo, hi in zip(parts, offsets, offsets[1:]):
+            _accum(p, da[..., lo:hi])
         _accum(b, a2.T @ g2)
 
-    return _from_op(out_data, (a, b), bwd)
+    return _from_op(out_data, (*parts, b), bwd)
 
 
 def _conv_taps(x, w, b, pad_l, l_out):
@@ -597,25 +613,6 @@ def affine_relu_mean(x, u, g, weight, bias, rows=None):
     return _from_op(out_data, (x, u, weight, g, bias), bwd)
 
 
-def concat_lastaxis(parts):
-    parts = list(parts)
-    lead = parts[0].data.shape[:-1]
-    for p in parts[1:]:
-        if p.data.shape[:-1] != lead:
-            raise ShapeError(
-                f"concat leading-shape mismatch: {parts[0].data.shape} vs {p.data.shape}")
-    out_data = np.concatenate([p.data for p in parts], axis=-1)
-    widths = [p.data.shape[-1] for p in parts]
-
-    def bwd(g):
-        off = 0
-        for p, w in zip(parts, widths):
-            _accum(p, g[..., off:off + w])
-            off += w
-
-    return _from_op(out_data, parts, bwd)
-
-
 def grad_reverse(x, scale_factor):
     """Identity forward, sharing x's array; backward multiplies the incoming
     gradient by -scale."""
@@ -629,25 +626,17 @@ def grad_reverse(x, scale_factor):
 
 
 def add(a, b):
-    """a + b with b broadcast onto a's shape under numpy rules; out has a's shape.
-
-    Backward sums g over a's leading axes, then over b's size-1 axes.
-    """
-    a_shape, b_shape = a.data.shape, b.data.shape
+    """a + b, b's shape a's trailing shape: b is added to every index of a's
+    leading axes, and backward sums g over them. out has a's shape."""
     lead = a.data.ndim - b.data.ndim
-    if lead < 0 or any(db not in (1, da) for da, db in zip(a_shape[lead:], b_shape)):
-        raise ShapeError(f"add shapes: {a_shape} + {b_shape}")
-    ones = tuple(i for i, (da, db) in enumerate(zip(a_shape[lead:], b_shape)) if db != da)
+    if lead < 0 or a.data.shape[lead:] != b.data.shape:
+        raise ShapeError(f"add shapes: {a.data.shape} + {b.data.shape}")
     out_data = a.data + b.data
 
     def bwd(g):
         _accum(a, g)
         if b.requires_grad:
-            if lead:
-                g = g.reshape((-1,) + a_shape[lead:]).sum(axis=0)
-            if ones:
-                g = g.sum(axis=ones, keepdims=True)
-            _accum(b, g)
+            _accum(b, g.reshape((-1,) + b.data.shape).sum(axis=0) if lead else g)
 
     return _from_op(out_data, (a, b), bwd)
 

@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 import sirm
+import sirm.cli as cli_mod
 import sirm.training as training_mod
 from sirm import tensor as T
 from sirm.cli import (GRAD_CHECK_TOLERANCE, SIRM_FIELDS, TRAIN_FIELDS, _assemble,
@@ -21,6 +22,7 @@ from sirm.cli import (GRAD_CHECK_TOLERANCE, SIRM_FIELDS, TRAIN_FIELDS, _assemble
                       toy_grad_check_config)
 from sirm.model import ConfigError
 from sirm.synthetic import generate, write_jsonl
+from sirm.text import load_dataset, tokenize
 from sirm.training import best_epoch, load_checkpoint, save_checkpoint
 
 from test_training import split_records, with_first_record, with_header, with_parent_header
@@ -71,6 +73,22 @@ class TestBuildVocab:
         assert main(["build-vocab", "--train", str(data), "--out", str(out),
                      "--min-freq", "1", "--max-size", "2"]) == 0
         assert "reserved" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flags,size,coverage", [
+        (["--min-freq", "9"], 22, "0.6300"),       # 504 of the 800 tokens
+        (["--min-freq", "1"], 59, "1.0000"),
+        (["--min-freq", "1", "--max-size", "12"], 12, "0.4300"),
+    ])
+    def test_coverage_on_the_bundled_set(self, tmp_path, capsys, flags, size, coverage):
+        out = tmp_path / "vocab.tsv"
+        assert main(["build-vocab", "--train", str(BUNDLED), "--out", str(out)] + flags) == 0
+        assert capsys.readouterr().out.splitlines() == [
+            f"vocabulary size: {size}", f"token coverage on train: {coverage}"]
+        # the share of the training tokens that the written vocabulary holds
+        kept = {line.split("\t")[0] for line in out.read_text().splitlines()}
+        tokens = [tok for text, _ in load_dataset(BUNDLED) for tok in tokenize(text)]
+        assert len(tokens) == 800
+        assert f"{sum(tok in kept for tok in tokens) / len(tokens):.4f}" == coverage
 
     def test_rerun_byte_identical(self, workspace):
         tmp_path, data, _ = workspace
@@ -175,6 +193,32 @@ class TestTrainEvalPredict:
         monkeypatch.setattr(training_mod, "evaluate", failing_at_epoch_2)
         assert main(argv) == 3
         assert len(calls) == 3
+        assert sorted(os.listdir(out_dir)) == names
+        assert {name: (out_dir / name).read_bytes() for name in names} == before
+
+    @pytest.mark.parametrize("failing", ["best.ckpt", "dev_metrics.json"])
+    def test_a_failed_write_leaves_the_earlier_runs_files(self, workspace, monkeypatch,
+                                                          failing):
+        tmp_path, data, config = workspace
+        monkeypatch.delenv("SIRM_SEED", raising=False)
+        vocab = build_vocab(tmp_path, data)
+        out_dir = tmp_path / "run"
+        argv = ["train", "--train", str(data), "--dev", str(data), "--vocab", str(vocab),
+                "--out-dir", str(out_dir), "--config", str(config)]
+        assert main(argv + ["--seed", "0"]) == 0
+        names = ["best.ckpt", "dev_metrics.json", "history.jsonl"]
+        before = {name: (out_dir / name).read_bytes() for name in names}
+        write = cli_mod.atomic_write_bytes
+
+        def full_disk(path, payload):
+            if os.path.basename(path).startswith(failing):
+                raise OSError(28, "No space left on device")
+            write(path, payload)
+
+        # the checkpoint's writer, save_checkpoint, writes through training's name
+        monkeypatch.setattr(cli_mod, "atomic_write_bytes", full_disk)
+        monkeypatch.setattr(training_mod, "atomic_write_bytes", full_disk)
+        assert main(argv + ["--seed", "1"]) == 2
         assert sorted(os.listdir(out_dir)) == names
         assert {name: (out_dir / name).read_bytes() for name in names} == before
 

@@ -21,6 +21,27 @@ def total(x):
     return T.reshape(T.matmul(T.reshape(x, (x.data.size,)), ones), ())
 
 
+def chain_concat(parts):
+    """The concatenation op the skim's chain and the out head ran before:
+    parts joined along the last axis, each handed its own columns of g."""
+    offsets = list(itertools.accumulate((p.data.shape[-1] for p in parts), initial=0))
+
+    def bwd(g):
+        for p, lo, hi in zip(parts, offsets, offsets[1:]):
+            T._accum(p, g[..., lo:hi])
+
+    return T._from_op(np.concatenate([p.data for p in parts], axis=-1), parts, bwd)
+
+
+def backward_from(out, grad):
+    """Run out's graph backward from the upstream gradient grad, each rule in
+    graph order, as backward() does from a scalar's."""
+    T._accum(out, grad)
+    for node in reversed(T.Graph.trace(out).nodes):
+        if node._backward is not None and node.grad is not None:
+            node._backward(node.grad)
+
+
 class TestMatmul:
     def test_identity(self):
         a = t64(np.eye(2))
@@ -69,6 +90,38 @@ class TestMatmul:
         a = t64(rng.normal(size=(3, 4)), requires_grad=True)
         err = T.finite_diff_check(lambda x: total(T.matmul(x, b)), a)
         assert err < 1e-6
+
+    @settings(max_examples=80, deadline=None)
+    @given(lead=st.lists(st.integers(1, 3), max_size=2),
+           widths=st.lists(st.integers(0, 4), min_size=1, max_size=3).filter(sum),
+           d=st.integers(1, 3),
+           dtype=st.sampled_from([np.float32, np.float64]), seed=st.integers(0, 2**16))
+    def test_parts_are_bit_identical_to_concat_then_matmul(self, lead, widths, d, dtype, seed):
+        rng = np.random.default_rng(seed)
+        data = [rng.normal(size=(*lead, w)).astype(dtype) for w in widths]
+        b_data = rng.normal(size=(sum(widths), d)).astype(dtype)
+        grad = rng.normal(size=(*lead, d)).astype(dtype)
+        results = []
+        for read in (lambda parts: parts, chain_concat):
+            parts = [T.Tensor(x, requires_grad=True) for x in data]
+            b = T.Tensor(b_data, requires_grad=True)
+            out = T.matmul(read(parts), b)
+            backward_from(out, grad)
+            results.append([out.data, b.grad] + [p.grad for p in parts])
+        for got, want in zip(*results):
+            assert got.dtype == want.dtype == dtype
+            assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+    def test_parts_share_their_leading_shape_and_fill_the_rows(self):
+        b = t64(np.zeros((5, 2)))
+        with pytest.raises(T.ShapeError, match=r"\(2, 3\), \(3, 2\) x \(5, 2\)"):
+            T.matmul([t64(np.zeros((2, 3))), t64(np.zeros((3, 2)))], b)
+        with pytest.raises(T.ShapeError, match=r"\(2, 3\), \(2, 3\) x \(5, 2\)"):
+            T.matmul([t64(np.zeros((2, 3))), t64(np.zeros((2, 3)))], b)
+        with pytest.raises(T.ShapeError):
+            T.matmul([t64(np.zeros(4)), t64(1.0)], b)
+        with pytest.raises(T.ShapeError):
+            T.matmul([], b)
 
 
 def conv1d_oracle(x, w, b, padding):
@@ -255,7 +308,8 @@ def test_sirm_graph_rectifies_only_its_dense_connections(src_windows):
     params = init_sirm_params(config, seed=0)
     ids = np.random.default_rng(0).integers(2, config.vocab_size, size=(2, config.m, config.n))
     grid = ParagraphGrid(ids, np.array([0, 1]))
-    loss = sirm_loss(sirm_forward(grid, params, config), grid.label)
+    trace = sirm_forward(grid, params, config)
+    loss = sirm_loss(trace, grid.label)
     ops = [(node._backward.__qualname__.split(".")[0], node)
            for node in T.Graph.trace(loss).nodes if node._backward is not None]
     rules = [rule for rule, _ in ops]
@@ -263,12 +317,17 @@ def test_sirm_graph_rectifies_only_its_dense_connections(src_windows):
     assert "relu" not in rules and "row_block" not in rules
     assert rules.count("conv1d") == 2
     assert rules.count("conv_relu_mean") == 1
-    assert "mean_pool" not in rules and "concat_lastaxis" in rules   # the out head's
+    assert "mean_pool" not in rules and "concat_lastaxis" not in rules
     # the skim term and the weight's row blocks live inside the dense
-    # connections: the only products left as nodes are the two heads'
+    # connections: the only products left as nodes are the two heads', each
+    # with its weight last, and the out head reads [o_para; g] as two parts
     heads = [params.out_head[0], params.adv_head[0]]
-    assert sorted(id(node._parents[1]) for rule, node in ops if rule == "matmul") == \
-        sorted(map(id, heads))
+    products = {id(node._parents[-1]): node._parents[:-1] for rule, node in ops
+                if rule == "matmul"}
+    assert sorted(products) == sorted(map(id, heads))
+    out_parts = products[id(params.out_head[0])]
+    assert len(out_parts) == 2
+    assert out_parts[0] is trace.o_para and out_parts[1] is trace.g
 
 
 class TestElementwise:
@@ -511,8 +570,7 @@ def chain_mean_pool(x):
 
 def chain_skim(x, filters):
     """The chain conv_relu_mean replaced: valid conv1d, mean_pool, concat."""
-    return T.concat_lastaxis([chain_mean_pool(chain_conv1d_valid(x, w, b))
-                              for w, b in filters])
+    return chain_concat([chain_mean_pool(chain_conv1d_valid(x, w, b)) for w, b in filters])
 
 
 def skim_ids(rng, lead, m, n, vocab, pad_runs):
@@ -730,27 +788,6 @@ class TestConvReluMean:
             T.conv_relu_mean(t64(np.zeros((4, 2))), [])
 
 
-class TestConcat:
-    def test_basic(self):
-        out = T.concat_lastaxis([t64([1, 2]), t64([3])])
-        assert np.array_equal(out.data, [1, 2, 3])
-
-    def test_empty_width_identity(self):
-        x = t64([[1.0, 2.0]])
-        out = T.concat_lastaxis([x, t64(np.zeros((1, 0)))])
-        np.testing.assert_array_equal(out.data, x.data)
-
-    def test_gradient_routing(self):
-        a = t64([1.0, 2.0], requires_grad=True)
-        b = t64([3.0], requires_grad=True)
-        T.backward(total(T.concat_lastaxis([a, b])))
-        assert np.array_equal(a.grad, [1, 1]) and np.array_equal(b.grad, [1])
-
-    def test_leading_shape_mismatch(self):
-        with pytest.raises(T.ShapeError):
-            T.concat_lastaxis([t64(np.zeros((2, 1))), t64(np.zeros((3, 1)))])
-
-
 class TestGradReverse:
     def test_identity_forward_bit_exact(self):
         x = t64([1.0, 2.0, 3.0])
@@ -926,17 +963,13 @@ class TestAdd:
         assert np.array_equal(x.grad, np.ones((2, 3, 4)))
         assert np.array_equal(b.grad, np.full((3, 4), 2.0))
 
-    def test_size_one_axes_broadcast_over_positions(self):
-        # one (d,) row per document, shared by its (m, n) positions
-        x = t64(np.zeros((2, 3, 5, 4)), requires_grad=True)
-        v = t64(np.arange(8.0).reshape(2, 1, 1, 4), requires_grad=True)
-        out = T.add(x, v)
-        assert out.data.shape == (2, 3, 5, 4)
-        np.testing.assert_array_equal(out.data[1, 2], np.broadcast_to(v.data[1, 0], (5, 4)))
-        g = np.random.default_rng(13).normal(size=(2, 3, 5, 4))
-        out._backward(g)
-        np.testing.assert_allclose(v.grad, g.sum(axis=(1, 2), keepdims=True), rtol=1e-12)
-        assert np.array_equal(x.grad, g)
+    def test_size_one_axes_are_not_broadcast(self):
+        with pytest.raises(T.ShapeError, match=r"\(2, 3, 5, 4\) \+ \(2, 1, 1, 4\)"):
+            T.add(t64(np.zeros((2, 3, 5, 4))), t64(np.zeros((2, 1, 1, 4))))
+        with pytest.raises(T.ShapeError):
+            T.add(t64(np.zeros((3, 4))), t64(np.zeros((1, 4))))
+        with pytest.raises(T.ShapeError):
+            T.add(t64(np.zeros((3, 4))), t64(np.zeros(1)))
 
     def test_bias_must_match_trailing_shape(self):
         with pytest.raises(T.ShapeError, match=r"add shapes: \(2, 3, 4\) \+ \(2, 4\)"):
@@ -1039,7 +1072,6 @@ def finite_difference_cases():
         # weighted sum: plain sum of softmax rows is constant (zero gradient)
         ("softmax_lastaxis", x, lambda v: total(T.matmul(T.softmax_lastaxis(v),
                                                          t64([[0.3], [-1.2], [0.8], [2.1]])))),
-        ("concat_lastaxis", x, lambda v: total(T.concat_lastaxis([v, T.sigmoid(v)]))),
         ("reshape", x, lambda v: total(T.reshape(v, (4, 5)))),
     ]
 
@@ -1051,7 +1083,6 @@ def finite_difference_cases():
     m = t64(rng.normal(size=(4, 3)), requires_grad=True)
     bias = t64(rng.normal(size=4), requires_grad=True)
     block = t64(rng.normal(size=(5, 4)), requires_grad=True)
-    per_doc = t64(rng.normal(size=(2, 1, 4)), requires_grad=True)
     stacked = t64(rng.normal(size=(8, 3)), requires_grad=True)     # rows [W_g; W_u; W_x]
     table = t64(rng.normal(size=(6, 4)), requires_grad=True)
     ids = rng.integers(0, 6, size=(2, 5))
@@ -1072,6 +1103,7 @@ def finite_difference_cases():
     words[0, 0, 0] = words[1, 0, 3] = words[1, 1, 0] = True
     skim_w = [t64(rng.normal(size=(h, 4, 2)), requires_grad=True) for h in (1, 3)]
     skim_b = [t64(rng.normal(size=2), requires_grad=True) for _ in range(2)]
+    m_rows = t64(rng.normal(size=(6, 3)), requires_grad=True)   # rows for [x3; u3]
 
     def skim(x_=seq, w3=skim_w[1], b1=skim_b[0]):
         return smooth(T.conv_relu_mean(x_, [(skim_w[0], b1), (w3, skim_b[1])], words))
@@ -1094,11 +1126,13 @@ def finite_difference_cases():
         ("conv_relu_mean", skim_b[0], lambda v: skim(b1=v)),
         ("matmul", x3, lambda v: smooth(T.matmul(v, m))),
         ("matmul", m, lambda v: smooth(T.matmul(x3, v))),
+        ("matmul", x3, lambda v: smooth(T.matmul([v, u3], m_rows))),
+        ("matmul", u3, lambda v: smooth(T.matmul([x3, v], m_rows))),
+        ("matmul", m_rows, lambda v: smooth(T.matmul([x3, u3], v))),
         ("add", x3, lambda v: smooth(T.add(v, bias))),
         ("add", bias, lambda v: smooth(T.add(x3, v))),
         ("add", x3, lambda v: smooth(T.add(v, block))),
         ("add", block, lambda v: smooth(T.add(x3, v))),
-        ("add", per_doc, lambda v: smooth(T.add(x3, v))),
         ("embedding_lookup", table, lambda v: smooth(T.embedding_lookup(v, ids))),
         ("affine_relu_mean", x3, lambda v: dense(x_=v)),
         ("affine_relu_mean", u3, lambda v: dense(u_=v)),
@@ -1134,7 +1168,7 @@ def test_every_op_has_a_gradient_check(monkeypatch):
     ops = sorted(name for name, fn in inspect.getmembers(T, inspect.isfunction)
                  if fn.__module__ == T.__name__ and name != "_from_op"
                  and "_from_op(" in inspect.getsource(fn))
-    assert len(ops) == 14, ops
+    assert len(ops) == 13, ops
     cases = finite_difference_cases()
     assert set(ops) == {op for op, _, _ in cases} | set(EXACT_GRADIENT_TESTS)
     for test in EXACT_GRADIENT_TESTS.values():
