@@ -788,6 +788,26 @@ class TestConvReluMean:
             T.conv_relu_mean(t64(np.zeros((4, 2))), [])
 
 
+class TestConcat:
+    """matmul reads a list of parts as their concatenation along the last
+    axis; against an identity matrix its output is that concatenation."""
+
+    def test_basic(self):
+        out = T.matmul([t64([1, 2]), t64([3])], t64(np.eye(3)))
+        assert np.array_equal(out.data, [1, 2, 3])
+
+    def test_empty_width_identity(self):
+        x = t64([[1.0, 2.0]])
+        out = T.matmul([x, t64(np.zeros((1, 0)))], t64(np.eye(2)))
+        np.testing.assert_array_equal(out.data, x.data)
+
+    def test_gradient_routing(self):
+        a = t64([1.0, 2.0], requires_grad=True)
+        b = t64([3.0], requires_grad=True)
+        T.backward(total(T.matmul([a, b], t64(np.eye(3)))))
+        assert np.array_equal(a.grad, [1, 1]) and np.array_equal(b.grad, [1])
+
+
 class TestGradReverse:
     def test_identity_forward_bit_exact(self):
         x = t64([1.0, 2.0, 3.0])
