@@ -19,7 +19,9 @@ and a split are one ParagraphGrid of (..., m, n) ids, and a training step
 indexes its minibatch out of the split and reads it in one graph.
 
 The bag-of-words baseline (NBOW) sits next to SIRM; MODELS maps each model
-kind to its builder and its heads function; heads_loss builds the loss.
+kind to its builder and its heads function; heads_loss builds the loss. A
+model's tensors are one Params, named and shaped only in its builder, whose
+order of make calls is the checkpoint's order of records.
 """
 
 import math
@@ -100,32 +102,30 @@ class SIRMConfig:
         return cls(**d)
 
 
-@dataclass
-class SIRMParams:
-    """Every trainable tensor of the model, named."""
+class Params:
+    """A model's trainable tensors: each layer an attribute, and every tensor
+    under its checkpoint name in the order its builder made it."""
 
-    embedding: T.Tensor
-    src_filters: dict          # window size -> (weight, bias)
-    sent_neighbor: tuple
-    sent_dense: tuple          # weight rows [g; u; s']
-    para_neighbor: tuple
-    para_dense: tuple          # weight rows [g; u; o']
-    out_head: tuple
-    adv_head: tuple
+    def __init__(self, named, **layers):
+        self._named = named
+        self.__dict__.update(layers)
 
     def named_tensors(self):
-        items = [("embedding", self.embedding)]
-        for h in sorted(self.src_filters):
-            w, b = self.src_filters[h]
-            items += [(f"src_filters.{h}.weight", w), (f"src_filters.{h}.bias", b)]
-        for name in ("sent_neighbor", "sent_dense", "para_neighbor",
-                     "para_dense", "out_head", "adv_head"):
-            w, b = getattr(self, name)
-            items += [(f"{name}.weight", w), (f"{name}.bias", b)]
-        return items
+        return list(self._named)
 
     def tensors(self):
-        return [t for _, t in self.named_tensors()]
+        return [t for _, t in self._named]
+
+
+def _recorded(make):
+    """(record, named): make wrapped so that named lists every (name, tensor)
+    record has returned, in call order."""
+    named = []
+
+    def record(name, shape):
+        named.append((name, make(name, shape)))
+        return named[-1][1]
+    return record, named
 
 
 def seeded_make(seed=0, dtype=np.float32):
@@ -150,17 +150,22 @@ def seeded_make(seed=0, dtype=np.float32):
 
 
 def build_sirm_params(config, make):
-    """SIRMParams whose every tensor is make(name, shape), called in
-    named_tensors() order under its checkpoint name."""
+    """The SIRM model's Params, every tensor make(name, shape) under its
+    checkpoint name; the order of the calls is the checkpoint's order."""
+    make, named = _recorded(make)
+
     def layer(name, shape):
         return make(f"{name}.weight", shape), make(f"{name}.bias", shape[-1:])
 
     gw, win = config.g_width, 2 * config.k + 1
-    return SIRMParams(
+    return Params(
+        named,
         embedding=make("embedding", (config.vocab_size, config.d_e)),
+        # window size -> (weight, bias), in increasing window order
         src_filters={h: layer(f"src_filters.{h}", (h, config.d_e, config.d_c))
                      for h in config.src_windows},
         sent_neighbor=layer("sent_neighbor", (win, config.d_e, config.d_ns)),
+        # a dense layer's weight stacks the row blocks [W_g; W_u; W_x]
         sent_dense=layer("sent_dense", (gw + config.d_ns + config.d_e, config.d_as)),
         para_neighbor=layer("para_neighbor", (win, config.d_as, config.d_np)),
         para_dense=layer("para_dense", (gw + config.d_np + config.d_as, config.d_ap)),
@@ -322,26 +327,12 @@ def sirm_loss(trace, y):
     return heads_loss(trace.y_prime, trace.y_dprime, y)[0]
 
 
-@dataclass
-class NBOWParams:
-    """Mean word embedding plus a linear sigmoid head."""
-
-    embedding: T.Tensor
-    head_w: T.Tensor
-    head_b: T.Tensor
-
-    def named_tensors(self):
-        return [("embedding", self.embedding), ("head_w", self.head_w),
-                ("head_b", self.head_b)]
-
-    def tensors(self):
-        return [t for _, t in self.named_tensors()]
-
-
 def build_nbow_params(config, make):
-    """NBOWParams whose every tensor is make(name, shape), in named_tensors() order."""
-    return NBOWParams(embedding=make("embedding", (config.vocab_size, config.d_e)),
-                      head_w=make("head_w", (config.d_e, 1)), head_b=make("head_b", (1,)))
+    """The NBOW model's Params, mean word embedding plus a linear sigmoid
+    head, made as build_sirm_params makes SIRM's."""
+    make, named = _recorded(make)
+    return Params(named, embedding=make("embedding", (config.vocab_size, config.d_e)),
+                  head_w=make("head_w", (config.d_e, 1)), head_b=make("head_b", (1,)))
 
 
 def init_nbow_params(config, seed=0, dtype=np.float32):
@@ -374,7 +365,7 @@ def nbow_heads(grid, params, config):
     return nbow_forward(grid, params), None
 
 
-# model kind -> (build(SIRMConfig, make) -> params with named_tensors(),
+# model kind -> (build(SIRMConfig, make) -> Params in the builder's order,
 #                heads(stacked grid, params, SIRMConfig) -> (y_prime, y_dprime or None))
 MODELS = {
     "sirm": (build_sirm_params, sirm_heads),

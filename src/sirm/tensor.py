@@ -39,6 +39,7 @@ those.
 import contextlib
 import ctypes
 import itertools
+import math
 import os
 import sys
 
@@ -236,12 +237,13 @@ def matmul(a, b):
         raise ShapeError(f"matmul shape mismatch: {', '.join(map(str, shapes))} x "
                          f"{b.data.shape}")
     a_data = parts[0].data if len(parts) == 1 else np.concatenate([p.data for p in parts], -1)
-    a2 = a_data.reshape(-1, b.data.shape[0])
+    rows = math.prod(shapes[0][:-1])    # not -1: k or d may be 0
+    a2 = a_data.reshape(rows, b.data.shape[0])
     out_data = (a2 @ b.data).reshape(shapes[0][:-1] + b.data.shape[1:])
     offsets = list(itertools.accumulate((s[-1] for s in shapes), initial=0))
 
     def bwd(g):
-        g2 = g.reshape(-1, b.data.shape[1])
+        g2 = g.reshape(rows, b.data.shape[1])
         da = (g2 @ b.data.T).reshape(a_data.shape)
         for p, lo, hi in zip(parts, offsets, offsets[1:]):
             _accum(p, da[..., lo:hi])

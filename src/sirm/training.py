@@ -48,21 +48,13 @@ ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
 
 
 def _adam_update(p, g, m, v, c1, c2, lr):
-    """m = b1*m + (1-b1)*g, v = b2*v + ((1-b2)*g)*g and p -= lr*(m/c1) /
-    (sqrt(v/c2) + eps), in that operation order, in place on p, m and v, with
-    the step built in two scratch arrays of m's shape."""
+    """One Adam step in place on p, m and v, with bias corrections c1, c2."""
     b1, b2 = ADAM_BETA1, ADAM_BETA2
-    step, denom = np.empty_like(m), np.empty_like(m)
     m *= b1
-    m += np.multiply(g, 1 - b1, out=step)
+    m += (1 - b1) * g
     v *= b2
-    np.multiply(g, 1 - b2, out=denom)
-    v += np.multiply(denom, g, out=denom)
-    np.sqrt(np.divide(v, c2, out=denom), out=denom)
-    denom += ADAM_EPS
-    np.divide(m, c1, out=step)
-    step *= lr
-    p -= np.divide(step, denom, out=step)
+    v += (1 - b2) * g * g
+    p -= lr * (m / c1) / (np.sqrt(v / c2) + ADAM_EPS)
 
 
 class Adam:
@@ -213,7 +205,8 @@ def split_dev(grids, seed=0):
 # checkpoint format: magic "SIRM1", u32-length-prefixed UTF-8 JSON header
 # {"model": kind, "config": {...}}, then per-tensor records
 # [u32 name length, name, u32 rank, u32 dims x rank, f32 data], little-endian,
-# in named_tensors() order, the order the loader's one pass reads them in.
+# in the order the model kind's builder makes its tensors, which is both
+# Params.named_tensors() order and the order the loader's one pass reads.
 
 MAGIC = b"SIRM1"
 
@@ -241,9 +234,10 @@ def save_checkpoint(path, model_kind, config, params):
 def load_checkpoint(path):
     """Read a checkpoint in one pass, checking it against its header's config.
 
-    The kind's builder asks for tensors in named_tensors() order and each ask
-    reads the next record, which must have that name, so records in another
-    order do not load. Returns (model_kind, SIRMConfig, params object).
+    The kind's builder asks for its tensors in its own order, the order
+    serialize_checkpoint wrote them in, and each ask reads the next record,
+    which must have that name, so records in another order do not load.
+    Returns (model_kind, SIRMConfig, Params).
     """
     try:
         with open(path, "rb") as f:

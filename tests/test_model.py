@@ -5,11 +5,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import sirm
 from sirm import tensor as T
-from sirm.model import (ConfigError, SIRMConfig, dense_connect_pool,
-                        embed_paragraph, init_nbow_params, init_sirm_params,
-                        near_neighbor_encode, param_count, positional_encoding,
-                        sirm_forward, sirm_loss, skim_forward)
+from sirm.model import (ConfigError, Params, SIRMConfig, build_nbow_params,
+                        build_sirm_params, dense_connect_pool, embed_paragraph,
+                        init_nbow_params, init_sirm_params, near_neighbor_encode,
+                        param_count, positional_encoding, seeded_make, sirm_forward,
+                        sirm_loss, skim_forward)
 from sirm.text import PAD_ID, ParagraphGrid
 
 from grids import stack_documents
@@ -567,6 +569,60 @@ class TestInit:
                 expected = rng.uniform(-bound, bound, size=shape)
             assert t.data.dtype == dtype and t.requires_grad, name
             assert t.data.tobytes() == expected.astype(dtype).tobytes(), name
+
+
+def reachable_tensors(value):
+    """Every Tensor inside value, walking dicts, tuples and lists."""
+    if isinstance(value, T.Tensor):
+        return [value]
+    if isinstance(value, dict):
+        value = list(value.values())
+    if isinstance(value, (tuple, list)):
+        return [t for item in value for t in reachable_tensors(item)]
+    return []
+
+
+class TestParams:
+    @pytest.mark.parametrize("build", [build_sirm_params, build_nbow_params])
+    @pytest.mark.parametrize("overrides", [{}, {"src_windows": (3, 1)}])
+    def test_named_tensors_are_what_make_returned_in_call_order(self, build, overrides):
+        made, make = [], seeded_make(0)
+
+        def spy(name, shape):
+            made.append((name, make(name, shape)))
+            return made[-1][1]
+
+        params = build(toy_config(**overrides), spy)
+        named = params.named_tensors()
+        assert [name for name, _ in named] == [name for name, _ in made]
+        assert all(got is returned for (_, got), (_, returned) in zip(named, made))
+        assert all(got is t for (_, got), t in zip(named, params.tensors()))
+        assert len(params.tensors()) == len(named) == len(made)
+
+    @pytest.mark.parametrize("init", [init_sirm_params, init_nbow_params])
+    def test_every_layer_tensor_is_named_once(self, init):
+        params = init(toy_config())
+        reachable = reachable_tensors([value for name, value in vars(params).items()
+                                       if not name.startswith("_")])
+        named = params.tensors()
+        assert len({id(t) for t in named}) == len(named)
+        assert {id(t) for t in reachable} == {id(t) for t in named}
+        assert len(reachable) == len(named)
+
+    def test_sirm_checkpoint_order(self):
+        params = init_sirm_params(toy_config(src_windows=(3, 1)))
+        assert [name for name, _ in params.named_tensors()] == [
+            "embedding", "src_filters.1.weight", "src_filters.1.bias",
+            "src_filters.3.weight", "src_filters.3.bias",
+            *(f"{layer}.{part}" for layer in ("sent_neighbor", "sent_dense",
+                                              "para_neighbor", "para_dense",
+                                              "out_head", "adv_head")
+              for part in ("weight", "bias"))]
+        assert list(params.src_filters) == [1, 3]
+
+    def test_the_package_exports_params(self):
+        assert sirm.Params is Params and "Params" in sirm.__all__
+        assert isinstance(init_nbow_params(toy_config()), sirm.Params)
 
 
 class TestParamCount:

@@ -84,6 +84,25 @@ class TestMatmul:
         for i in range(2):
             np.testing.assert_allclose(out.data[i], a[i] @ b, rtol=1e-12)
 
+    @pytest.mark.parametrize("a_shape", [(0,), (4, 0)], ids=["vector", "matrix"])
+    def test_zero_width_a_gives_zeros(self, a_shape):
+        a = t64(np.zeros(a_shape), requires_grad=True)
+        b = t64(np.ones((0, 3)), requires_grad=True)
+        out = T.matmul(a, b)
+        assert out.data.shape == a_shape[:-1] + (3,) and not out.data.any()
+        out._backward(np.ones(out.data.shape))
+        assert a.grad.shape == a_shape and b.grad.shape == (0, 3)
+
+    def test_backward_through_a_zero_width_b(self):
+        rng = np.random.default_rng(2)
+        a = t64(rng.normal(size=(2, 5)), requires_grad=True)
+        b = t64(rng.normal(size=(5, 0)), requires_grad=True)
+        out = T.matmul(a, b)
+        assert out.data.shape == (2, 0)
+        out._backward(np.zeros((2, 0)))
+        assert a.grad.shape == (2, 5) and not a.grad.any()
+        assert b.grad.shape == (5, 0)
+
     def test_finite_difference(self):
         rng = np.random.default_rng(1)
         b = t64(rng.normal(size=(4, 2)))

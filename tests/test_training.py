@@ -168,6 +168,37 @@ class TestAdam:
                 assert p.data.dtype == e.dtype and p.data.tobytes() == e.tobytes()
                 assert om.tobytes() == mi.tobytes() and ov.tobytes() == vi.tobytes()
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_step_is_bit_identical_to_the_scratch_array_schedule(self, dtype):
+        """The reference: Adam's update as ten out= calls into two scratch
+        arrays of m's shape, in the formula's operation order."""
+        b1, b2 = training_mod.ADAM_BETA1, training_mod.ADAM_BETA2
+        lr = 1e-2
+        rng = np.random.default_rng(0)
+        p = T.Tensor(rng.normal(size=(4, 6)).astype(dtype), requires_grad=True)
+        opt = Adam([("p", p)], TrainConfig(learning_rate=lr))
+        ref_p = p.data.copy()
+        ref_m, ref_v = np.zeros_like(ref_p), np.zeros_like(ref_p)
+        for t in range(1, 6):
+            g = rng.normal(size=ref_p.shape).astype(dtype)
+            p.grad = g.copy()
+            opt.step()
+            c1, c2 = 1 - b1 ** t, 1 - b2 ** t
+            step, denom = np.empty_like(ref_m), np.empty_like(ref_m)
+            ref_m *= b1
+            ref_m += np.multiply(g, 1 - b1, out=step)
+            ref_v *= b2
+            np.multiply(g, 1 - b2, out=denom)
+            ref_v += np.multiply(denom, g, out=denom)
+            np.sqrt(np.divide(ref_v, c2, out=denom), out=denom)
+            denom += training_mod.ADAM_EPS
+            np.divide(ref_m, c1, out=step)
+            step *= lr
+            ref_p -= np.divide(step, denom, out=step)
+            assert p.data.dtype == dtype and p.data.tobytes() == ref_p.tobytes(), t
+            assert opt.m[0].tobytes() == ref_m.tobytes(), t
+            assert opt.v[0].tobytes() == ref_v.tobytes(), t
+
     @pytest.mark.parametrize("lazy", [False, True], ids=["dense", "lazy"])
     def test_fortran_ordered_parameter_steps_to_the_bytes_of_its_c_copy(self, lazy):
         rng = np.random.default_rng(0)
