@@ -1,21 +1,13 @@
 """Classification metrics, batched evaluation and prediction output."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 
 from . import tensor as T
 from .model import lookup_model
 from .text import DataFormatError, atomic_write_bytes
-
-
-def _f1(predictions, labels, positive):
-    tp = sum(p == y == positive for p, y in zip(predictions, labels))
-    predicted = sum(p == positive for p in predictions)
-    present = sum(y == positive for y in labels)
-    precision = tp / predicted if predicted else 0.0
-    recall = tp / present if present else 0.0
-    return 2 * precision * recall / (precision + recall) if precision + recall else 0.0
 
 
 def _check_gold_labels(labels):
@@ -26,21 +18,26 @@ def _check_gold_labels(labels):
 def metrics(predictions, labels):
     """Accuracy, positive-class F1, and macro F1 over the two 0/1 classes.
 
-    Precision or recall of a class never predicted or never present counts as 0.
+    F1 of class c is 2 TP_c / (predicted_c + present_c) from integer counts, 0
+    for a class never predicted nor present; each score is rounded once.
     """
     if len(predictions) != len(labels):
         raise ValueError(
             f"length mismatch: {len(predictions)} predictions vs {len(labels)} labels")
     if len(labels) == 0:
         raise DataFormatError("cannot compute metrics on an empty split")
-    _check_gold_labels(labels)
-    correct = sum(int(p == y) for p, y in zip(predictions, labels))
-    f1_pos = _f1(predictions, labels, positive=1)
-    f1_neg = _f1(predictions, labels, positive=0)
+    p, y = np.asarray(predictions), np.asarray(labels)
+    _check_gold_labels(y)
+    f1 = []
+    for c in (0, 1):
+        predicted, present = p == c, y == c
+        tp, n_predicted, n_present = (int(np.count_nonzero(mask))
+                                      for mask in (predicted & present, predicted, present))
+        f1.append(Fraction(2 * tp, n_predicted + n_present or 1))   # 0 / 1 if neither
     return {
-        "accuracy": correct / len(labels),
-        "f1": f1_pos,
-        "macro_f1": (f1_pos + f1_neg) / 2.0,
+        "accuracy": int(np.count_nonzero(p == y)) / len(y),
+        "f1": float(f1[1]),
+        "macro_f1": float((f1[0] + f1[1]) / 2),
     }
 
 
@@ -82,10 +79,9 @@ def evaluate(model_kind, params, config, grids, threshold=0.5):
                 raise FloatingPointError(
                     f"non-finite probability in the batch from document {start}")
             probs.extend(y.data.tolist())
-    labels = grids.label.tolist()
     preds = [int(prob >= threshold) for prob in probs]
-    rows = list(zip(range(len(grids)), probs, preds, labels))
-    return {**metrics(preds, labels), "n": len(grids)}, rows
+    rows = list(zip(range(len(grids)), probs, preds, grids.label.tolist()))
+    return {**metrics(preds, grids.label), "n": len(grids)}, rows
 
 
 def write_predictions(rows, path):

@@ -506,7 +506,8 @@ def _conv_relu_mean_kept(x, filters, widths, d_outs, words, kept):
 
 
 def sigmoid(x):
-    out_data = 1.0 / (1.0 + np.exp(-x.data))
+    with np.errstate(over="ignore"):    # exp(-x) = inf below about -88 in float32 reads 0
+        out_data = 1.0 / (1.0 + np.exp(-x.data))
 
     def bwd(g):
         _accum(x, g * out_data * (1.0 - out_data))
@@ -734,6 +735,9 @@ def nll_loss(probs, y):
     y = np.asarray(y, dtype=np.int64)
     if probs.data.ndim < 1 or probs.data.shape[:-1] != y.shape:
         raise ShapeError(f"nll_loss: probabilities {probs.data.shape} vs labels {y.shape}")
+    C = probs.data.shape[-1]
+    if y.size and (y.max() >= C or y.min() < 0):
+        raise IndexError(f"class out of range for {C} classes")
     picked = np.take_along_axis(probs.data, y[..., None], axis=-1)
     py = np.clip(picked, _EPS_PROB, None).astype(np.float64)
     out_data = np.asarray(-np.log(py).mean(), dtype=probs.data.dtype)

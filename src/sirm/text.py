@@ -140,7 +140,10 @@ def build_vocab(split, min_frequency=2, max_size=30000):
     """Frequency-ordered vocabulary from a training split's (text, label) pairs only.
 
     Ties are broken by first occurrence order so id assignment is deterministic.
+    max_size counts the two reserved tokens, so it must be at least 2.
     """
+    if max_size < 2:
+        raise ValueError(f"max_size must be at least 2 (the reserved tokens), got {max_size}")
     counts = Counter()
     for text, _label in split:
         counts.update(tokenize(text))
@@ -148,7 +151,7 @@ def build_vocab(split, min_frequency=2, max_size=30000):
         raise DataFormatError("cannot build a vocabulary from an empty corpus")
     # a Counter keeps first-occurrence order and most_common's sort is stable
     kept = [(t, c) for t, c in counts.most_common() if c >= min_frequency]
-    kept = kept[:max(0, max_size - 2)]
+    kept = kept[:max_size - 2]
     return Vocabulary([t for t, _ in kept], [c for _, c in kept])
 
 

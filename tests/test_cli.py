@@ -74,6 +74,16 @@ class TestBuildVocab:
                      "--min-freq", "1", "--max-size", "2"]) == 0
         assert "reserved" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("max_size", ["1", "0"])
+    def test_max_size_below_two_is_a_usage_error(self, tmp_path, capsys, max_size):
+        data = tmp_path / "d.jsonl"
+        data.write_text(json.dumps({"text": "a b", "label": 0}) + "\n")
+        out = tmp_path / "vocab.tsv"
+        assert main(["build-vocab", "--train", str(data), "--out", str(out),
+                     "--min-freq", "1", "--max-size", max_size]) == 1
+        assert "max_size must be at least 2" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("flags,size,coverage", [
         (["--min-freq", "9"], 22, "0.6300"),       # 504 of the 800 tokens
         (["--min-freq", "1"], 59, "1.0000"),

@@ -1,4 +1,5 @@
 import importlib.util
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -62,6 +63,30 @@ class TestMetrics:
         rng.shuffle(shuffled)
         p2, l2 = zip(*shuffled)
         assert metrics(list(p2), list(l2)) == base
+
+    def test_equal_scores_from_different_counts_are_equal_floats(self):
+        labels = [1, 1, 1, 1, 0, 0, 0, 0, 0, 0, 0, 0]
+        first = metrics([0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 1], labels)
+        second = metrics([0, 0, 1, 1, 0, 0, 0, 0, 0, 1, 1, 1], labels)
+        assert first["macro_f1"] == second["macro_f1"] == float(Fraction(5, 9))
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.tuples(st.integers(0, 1), st.integers(0, 1)),
+                    min_size=1, max_size=40))
+    def test_every_score_is_its_exact_fraction_rounded_once(self, pairs):
+        preds, labels = zip(*pairs)
+
+        def f1(c):
+            tp = sum(p == y == c for p, y in pairs)
+            total = preds.count(c) + labels.count(c)
+            return Fraction(2 * tp, total) if total else Fraction(0)
+
+        correct = sum(p == y for p, y in pairs)
+        assert metrics(list(preds), list(labels)) == {
+            "accuracy": float(Fraction(correct, len(pairs))),
+            "f1": float(f1(1)),
+            "macro_f1": float((f1(0) + f1(1)) / 2),
+        }
 
 
 def make_grid(ids_row, vocab_size=10):

@@ -353,6 +353,14 @@ class TestElementwise:
     def test_sigmoid_symmetry(self):
         assert T.sigmoid(t64(0.0)).item() == 0.5
 
+    @pytest.mark.parametrize("dtype,logit", [(np.float32, -100.0), (np.float64, -1000.0)])
+    def test_sigmoid_of_a_large_negative_logit_is_zero_without_a_warning(self, dtype, logit):
+        # exp(-x) overflows there; the warnings filter would turn a warning into an error
+        x = T.Tensor(np.array([logit], dtype=dtype), requires_grad=True)
+        out = T.sigmoid(x)
+        T.backward(total(out))
+        assert out.data.tolist() == [0.0] and x.grad.tolist() == [0.0]
+
     def test_softmax_stability(self):
         out = T.softmax_lastaxis(t64([1000.0, 1000.0]))
         np.testing.assert_allclose(out.data, [0.5, 0.5])
@@ -1079,6 +1087,11 @@ class TestLosses:
             T.bce_loss(t64([0.5, 0.5]), 1)
         with pytest.raises(T.ShapeError):
             T.nll_loss(t64([[0.5, 0.5]]), [0, 1])
+
+    @pytest.mark.parametrize("y", [-1, 3])
+    def test_nll_class_outside_range_rejected(self, y):
+        with pytest.raises(IndexError, match="for 3 classes"):
+            T.nll_loss(t64([0.7, 0.2, 0.1]), y)
 
 
 class TestFiniteDiff:

@@ -60,6 +60,11 @@ class TestBuildVocab:
         vocab = build_vocab([("a a b", 0)], min_frequency=1, max_size=3)
         assert vocab.id_to_token == ["<pad>", "<unk>", "a"]
 
+    @pytest.mark.parametrize("max_size", [1, 0, -1])
+    def test_max_size_below_the_reserved_tokens_rejected(self, max_size):
+        with pytest.raises(ValueError, match=f"at least 2.*got {max_size}"):
+            build_vocab([("a a b", 0)], min_frequency=1, max_size=max_size)
+
     def test_empty_corpus_rejected(self):
         with pytest.raises(DataFormatError):
             build_vocab([])

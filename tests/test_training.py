@@ -19,7 +19,7 @@ import sirm.model as model_mod
 import sirm.text as text_mod
 import sirm.training as training_mod
 from sirm import tensor as T
-from sirm.evaluation import evaluate
+from sirm.evaluation import evaluate, metrics
 from sirm.model import (MODELS, ConfigError, SIRMConfig, init_nbow_params, init_sirm_params,
                         seeded_make, sirm_forward, sirm_loss)
 from sirm.text import DataFormatError, ParagraphGrid
@@ -625,6 +625,26 @@ class TestBestEpoch:
         assert len(history) == 4    # epoch 3 is two past epoch 1, the tie at 2 aside
         for (name, got), (_, expected) in zip(params.named_tensors(),
                                               at_best.named_tensors()):
+            assert np.array_equal(got.data, expected.data), name
+
+    def test_equal_dev_scores_from_different_counts_tie(self, monkeypatch):
+        # both predictions score macro-F1 5/9 on these labels; rounding
+        # precision, recall and F1 in turn once read the second one higher
+        labels = [1, 1, 1, 1, 0, 0, 0, 0, 0, 0, 0, 0]
+        first, second = [0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 1], [0, 0, 1, 1, 0, 0, 0, 0, 0, 1, 1, 1]
+        reports = iter([first, second, first])
+        monkeypatch.setattr(training_mod, "evaluate", lambda *args: (
+            metrics(next(reports), labels), []))
+        config = toy_config()
+        grids = toy_grids(config)
+        tc = TrainConfig(max_epochs=3, early_stop_patience=1, batch_size=4)
+        params, history = train(grids, grids, "sirm", config, tc)
+        assert len(history) == 2 and best_epoch(history) == 0
+        reports = iter([first])
+        tc.max_epochs = 1
+        at_first, _ = train(grids, grids, "sirm", config, tc)
+        for (name, got), (_, expected) in zip(params.named_tensors(),
+                                              at_first.named_tensors()):
             assert np.array_equal(got.data, expected.data), name
 
 
